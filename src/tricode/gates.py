@@ -7,11 +7,17 @@ Everything here is exact and symbolic (residuals are never matrices):
 * cup-product circuits: one CCZ per 3-simplex / one CZ per membrane 2-simplex
   coupling front and back edges across toric-code copies;
 * transversal T on color codes, signed by the flag bipartition;
-* code-space preservation via conjugation residuals (quadratic-form vanishing
-  checked on a basis with polarization, exact coset enumeration for T-type
-  layers, or the signed-overlap sufficient criterion beyond the budget);
+* code-space preservation, decided over a local spanning set of ker hz:
+  the X-stabilizer rows plus the logical X strings in ker hz (completed from
+  a nullspace basis only when they fall short).  For {Z, CZ, CCZ} circuits
+  each stabilizer's conjugation residual is built from the monomials that
+  touch it and pulled back to a GF(2) polynomial over the spanning set,
+  which is zero iff the residual vanishes on ker hz.  T-type layers use exact
+  coset enumeration within a budget, else the signed-overlap sufficient
+  criterion against the generators each stabilizer touches;
 * extraction of the induced logical gate as a phase polynomial over the
-  logical qubits, plus an exact sparse coset-state simulator as oracle.
+  logical qubits, through the same pullback, plus an exact sparse
+  coset-state simulator as oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .complexes import DeltaComplex
 from .codes import CssCode
-from .gf2 import dot, row_reduce, support, vec_from_support
+from .gf2 import dot, extend_basis, row_reduce, support, vec_from_support
 
 GATE_COEFF = {"Z": 4, "S": 2, "Sdg": 6, "T": 1, "Tdg": 7, "CZ": 4, "CCZ": 4}
 COEFF_GATE_1 = {4: "Z", 2: "S", 6: "Sdg", 1: "T", 7: "Tdg", 3: None, 5: None}
@@ -43,7 +49,8 @@ class DiagonalCircuit:
         return DiagonalCircuit(self.n, sorted((k, tuple(sorted(q))) for k, q in self.gates))
 
     def compose(self, other: "DiagonalCircuit") -> "DiagonalCircuit":
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError(f"cannot compose circuits on {self.n} and {other.n} qubits")
         return DiagonalCircuit(self.n, self.gates + other.gates)
 
     def count(self, kind: str) -> int:
@@ -152,9 +159,11 @@ class PhasePolynomial:
         For degree <= 3 with coefficients in {0, 4} this is decided exactly by
         the values on 0, the basis, basis pairs and basis triples
         (polarization of a cubic form over GF(2)); a witness vector is
-        returned on failure.
+        returned on failure.  This is the dense reference for the local
+        check in ``check_logical_gate``.
         """
-        assert self.is_pauli_z_layer() or not self.coeffs
+        if not self.is_pauli_z_layer():
+            raise ValueError("vanishing check expects coefficients in {0, 4}")
         if self.degree() > 3:
             raise ValueError("vanishing check implemented for degree <= 3")
         probes: list[int] = [0]
@@ -185,9 +194,9 @@ def conjugate_x(circuit: DiagonalCircuit, x: int) -> GeneralizedPauli:
     if any(c not in (0, 4) for c in f.coeffs.values()):
         raise ValueError("conjugate_x expects a {Z, CZ, CCZ} circuit (no S/T)")
     res = f.shifted(x).minus(f)
-    gp = GeneralizedPauli(x, res, res.constant())
-    assert res.degree() <= max(0, f.degree() - 1)
-    return gp
+    if res.degree() > max(0, f.degree() - 1):
+        raise ValueError("conjugation residual did not drop in degree")
+    return GeneralizedPauli(x, res, res.constant())
 
 
 # ---------------------------------------------------------------------------
@@ -257,38 +266,126 @@ class GateCheck:
         return self.status == "PASS"
 
 
-def _z_support_basis(code: CssCode) -> list[int]:
-    """Basis of ker hz: the strings appearing in code states."""
-    return code.hz.nullspace()
+def pull_back(monomials, masks: list[int]) -> set[int]:
+    """Pull a GF(2) polynomial back through a GF(2)-linear substitution.
+
+    The polynomial is the sum of prod_{q in S} z_q over ``monomials``; the
+    substitution is z_q = XOR of y_a over the bits a of ``masks[q]``.  The
+    result is returned in algebraic normal form: the set of its monomials,
+    each a bitmask over the y variables (y_a^2 = y_a), kept when it arises an
+    odd number of times.
+    """
+    out: set[int] = set()
+    for S in monomials:
+        keys = [0]
+        for q in S:
+            bits = [1 << a for a in support(masks[q])]
+            keys = [key | bit for key in keys for bit in bits]
+        for key in keys:
+            if key in out:
+                out.remove(key)
+            else:
+                out.add(key)
+    return out
+
+
+def _incidence(vectors: list[int], n: int) -> list[int]:
+    """Per qubit q, the bitmask of the vectors whose support contains q."""
+    masks = [0] * n
+    for a, v in enumerate(vectors):
+        for q in support(v):
+            masks[q] |= 1 << a
+    return masks
+
+
+def _kernel_generators(code: CssCode, dim: int) -> list[int]:
+    """A local spanning set of ker hz (of dimension ``dim``): the nonzero
+    X-stabilizer rows and logical X strings that lie in ker hz, extended by
+    nullspace vectors only if they do not span it (never for a well-formed
+    code)."""
+    gens = [g for g in code.hx.rows + code.logical_x if g]
+    masks = _incidence(gens, code.n)
+    outside = 0  # generators with odd overlap with some Z-stabilizer row
+    for r in code.hz.rows:
+        odd = 0
+        for q in support(r):
+            odd ^= masks[q]
+        outside |= odd
+    gens = [g for a, g in enumerate(gens) if not (outside >> a) & 1]
+    if len(row_reduce(gens)[0]) < dim:
+        gens += extend_basis(gens, code.hz.nullspace())
+    return gens
+
+
+def _local_residual(by_qubit: list[list[frozenset]], x: int) -> set[frozenset]:
+    """Monomials of f(z + x) - f(z) for a polynomial with every coefficient 4,
+    from the monomials of f touching supp(x): each such S contributes
+    keep * (prod over flip of (1 + z_i) - prod over flip of z_i), i.e. the
+    proper subsets of flip = S & supp(x) joined to keep = S - flip."""
+    seen: set[frozenset] = set()
+    res: set[frozenset] = set()
+    for q in support(x):
+        for S in by_qubit[q]:
+            if S in seen:
+                continue
+            seen.add(S)
+            flip = [i for i in S if (x >> i) & 1]
+            keep = S.difference(flip)
+            for r in range(len(flip)):
+                for sub in itertools.combinations(flip, r):
+                    res ^= {keep.union(sub)}
+    return res
 
 
 def check_logical_gate(circuit: DiagonalCircuit, code: CssCode,
                        exhaustive_budget: int = 1 << 20) -> GateCheck:
     """Does the diagonal circuit preserve the code space?
 
-    {Z, CZ, CCZ} circuits: for every X-stabilizer generator the conjugation
-    residual must vanish on ker hz, decided exactly on a basis plus
-    polarization terms.  T-type circuits: the phase function must be constant
-    on every coset of the X-stabilizer group inside ker hz, checked exactly
-    by enumeration up to the budget, then by the signed-overlap criterion
-    (weights 0 mod 8, pairwise overlaps 0 mod 4, triple overlaps 0 mod 2,
-    signed by the bipartition); INCONCLUSIVE when neither route decides.
+    Code states are supported on ker hz, which is spanned by the local set G
+    of X-stabilizer rows and logical X strings in ker hz (``_kernel_generators``).
+
+    {Z, CZ, CCZ} circuits (mode ``polarization``): for every X-stabilizer
+    generator x the conjugation residual f(z + x) - f(z) must vanish on
+    ker hz.  It is built only from the monomials touching supp(x) and pulled
+    back through z = sum_a y_a g_a (``pull_back``); it vanishes iff the
+    pulled-back GF(2) polynomial is zero.  A minimal nonzero monomial T gives
+    the witness vector sum_{a in T} g_a, where the residual is 4.
+
+    T-type circuits: the phase function must be constant on every coset of
+    the X-stabilizer group inside ker hz, checked exactly by enumeration up
+    to the budget (mode ``exact-coset``), then by the signed-overlap
+    criterion over G (weights 0 mod 8, pairwise overlaps 0 mod 4, triple
+    overlaps 0 mod 2, signed by the bipartition); INCONCLUSIVE when neither
+    route decides.  FAIL and INCONCLUSIVE details index G.
     """
-    assert circuit.n == code.n, "circuit and code sizes differ"
+    if circuit.n != code.n:
+        raise ValueError(f"circuit has {circuit.n} qubits but the code has {code.n}")
     f = PhasePolynomial.from_circuit(circuit)
-    zbasis = _z_support_basis(code)
-    if all(c in (0, 4) for c in f.coeffs.values()):
+    dim = code.n - code.hz.rank()  # of ker hz
+    if f.is_pauli_z_layer():
+        gens = _kernel_generators(code, dim)
+        masks = _incidence(gens, code.n)
+        by_qubit: list[list[frozenset]] = [[] for _ in range(code.n)]
+        for S in f.coeffs:
+            for q in S:
+                by_qubit[q].append(S)
         for idx, x in enumerate(code.hx.rows):
-            res = f.shifted(x).minus(f)
-            ok, witness = res.vanishes_on_span(zbasis)
-            if not ok:
+            res = _local_residual(by_qubit, x)
+            pulled = pull_back(res, masks)
+            if pulled:
+                T = min(pulled, key=lambda t: (t.bit_count(), t))
+                witness = 0
+                for a in support(T):
+                    witness ^= gens[a]
+                poly = PhasePolynomial(code.n, {S: 4 for S in res})
                 return GateCheck("FAIL", "polarization", idx, witness,
-                                 f"residual of stabilizer {idx} is {_fmt_poly(res)}")
+                                 f"residual of stabilizer {idx} is {_fmt_poly(poly)}; "
+                                 f"nonzero on the sum of generators {support(T)}")
         mode = "polarization" if any(code.hx.rows) else "vacuous"
         return GateCheck("PASS", mode)
     # T-type layer
-    dim = len(zbasis)
     if 1 << dim <= exhaustive_budget:
+        zbasis = code.hz.nullspace()
         stab_basis, stab_pivots = row_reduce(code.hx.rows)
 
         def coset_rep(z: int) -> int:
@@ -316,7 +413,7 @@ def check_logical_gate(circuit: DiagonalCircuit, code: CssCode,
             else:
                 seen[rep] = (val, z)
         return GateCheck("PASS", "exact-coset")
-    crit = _signed_overlap_criterion(f, code, zbasis)
+    crit = _signed_overlap_criterion(f, code, _kernel_generators(code, dim))
     if crit is None:
         return GateCheck("INCONCLUSIVE", "sufficient-criterion", detail="criterion inapplicable")
     ok, why = crit
@@ -328,33 +425,39 @@ def check_logical_gate(circuit: DiagonalCircuit, code: CssCode,
 
 def _signed_overlap_criterion(f: PhasePolynomial, code: CssCode,
                               zbasis: list[int]) -> tuple[bool, str] | None:
-    """Sufficient condition for a transversal +-T layer to be logical."""
+    """Sufficient condition for a transversal +-T layer to be logical.
+
+    ``zbasis`` may be any spanning set of ker hz: the conditions are
+    linear / bilinear in the support, so the verdict depends only on the
+    span.  Only the vectors meeting a stabilizer can break its conditions.
+    """
     if f.degree() != 1:
         return None
-    sign = {}
+    plus = minus = 0
     for S, c in f.coeffs.items():
         if not S:
             continue
         if c == 1:
-            sign[min(S)] = 1
+            plus |= 1 << min(S)
         elif c == 7:
-            sign[min(S)] = -1
+            minus |= 1 << min(S)
         else:
             return None
-    if len(sign) != code.n:
+    if (plus | minus).bit_count() != code.n:
         return None
 
     def sw(v: int) -> int:
-        return sum(sign[i] for i in support(v))
+        return (v & plus).bit_count() - (v & minus).bit_count()
 
     for gi, x in enumerate(code.hx.rows):
         if sw(x) % 8:
             return False, f"stabilizer {gi}: signed weight {sw(x)} != 0 mod 8"
-        for a, za in enumerate(zbasis):
-            if sw(x & za) % 4:
+        near = [(a, za & x) for a, za in enumerate(zbasis) if za & x]
+        for a, xa in near:
+            if sw(xa) % 4:
                 return False, f"stabilizer {gi}, support {a}: overlap != 0 mod 4"
-        for a, b in itertools.combinations(range(len(zbasis)), 2):
-            if sw(x & zbasis[a] & zbasis[b]) % 2:
+        for (a, xa), (b, xb) in itertools.combinations(near, 2):
+            if sw(xa & xb) % 2:
                 return False, f"stabilizer {gi}: triple overlap ({a},{b}) odd"
     return True, ""
 
@@ -396,26 +499,10 @@ def extract_logical_action(circuit: DiagonalCircuit, code: CssCode,
         raise ValueError(f"not a logical gate: {checked.status} ({checked.detail})")
     f = PhasePolynomial.from_circuit(circuit)
     k = code.k
-    if all(c in (0, 4) for c in f.coeffs.values()):
-        incidence = []  # per physical qubit: GF(2) row over logical variables
-        for q in range(code.n):
-            row = 0
-            for j, lx in enumerate(code.logical_x):
-                if (lx >> q) & 1:
-                    row |= 1 << j
-            incidence.append(row)
+    if f.is_pauli_z_layer():
         out = PhasePolynomial(k)
-        for S, c in f.coeffs.items():
-            factors = [support(incidence[q]) for q in S]
-            if any(not fs for fs in factors):
-                continue
-            acc: dict[frozenset, int] = {}
-            for combo in itertools.product(*factors):
-                key = frozenset(combo)
-                acc[key] = acc.get(key, 0) ^ 1
-            for key, parity in acc.items():
-                if parity:
-                    out._add(key, c)
+        for key in pull_back(f.coeffs, _incidence(code.logical_x, code.n)):
+            out._add(frozenset(support(key)), 4)
         return LogicalAction(k, code.logical_labels(), out)
     if k > 16:
         raise ValueError("interpolation route needs k <= 16")

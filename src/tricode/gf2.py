@@ -27,13 +27,12 @@ def vec_from_support(support) -> int:
 
 
 def support(v: int):
+    """Set bit positions of v in increasing order, one step per set bit."""
     out = []
-    i = 0
     while v:
-        if v & 1:
-            out.append(i)
-        v >>= 1
-        i += 1
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
     return out
 
 
@@ -148,24 +147,32 @@ class BitMatrix:
 def row_reduce(rows) -> tuple[list[int], list[int]]:
     """Reduced row echelon basis of the span plus pivot columns.
 
+    The pivot of a row is its lowest set bit.  Forward elimination keeps one
+    row per pivot and reduces each new row only by the pivots it hits; back
+    substitution then clears every other pivot column, highest pivot first.
     Reducing twice equals reducing once (the representation is canonical).
     """
-    basis: list[int] = []
-    pivots: list[int] = []
+    by_pivot: dict[int, int] = {}
     for r in rows:
-        for b, p in zip(basis, pivots):
-            if (r >> p) & 1:
-                r ^= b
-        if r == 0:
-            continue
-        p = (r & -r).bit_length() - 1
-        for i in range(len(basis)):
-            if (basis[i] >> p) & 1:
-                basis[i] ^= r
-        basis.append(r)
-        pivots.append(p)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [basis[i] for i in order], [pivots[i] for i in order]
+        while r:
+            p = (r & -r).bit_length() - 1
+            b = by_pivot.get(p)
+            if b is None:
+                by_pivot[p] = r
+                break
+            r ^= b
+    pivots = sorted(by_pivot)
+    above = 0  # pivot columns already reduced
+    for p in reversed(pivots):
+        r = by_pivot[p]
+        hit = r & above
+        while hit:
+            low = hit & -hit
+            r ^= by_pivot[low.bit_length() - 1]
+            hit ^= low
+        by_pivot[p] = r
+        above |= 1 << p
+    return [by_pivot[p] for p in pivots], pivots
 
 
 def in_span(basis_rows, v: int) -> bool:
@@ -174,32 +181,6 @@ def in_span(basis_rows, v: int) -> bool:
         if (v >> p) & 1:
             v ^= b
     return v == 0
-
-
-def coordinates_in_span(basis_rows: list[int], v: int) -> list[int] | None:
-    """Coefficients expressing v over basis_rows, or None."""
-    coords = [0] * len(basis_rows)
-    work: list[tuple[int, int]] = []  # (vector, tag bitmask over input rows)
-    for i, r in enumerate(basis_rows):
-        tag = 1 << i
-        for w, t in work:
-            p = (w & -w).bit_length() - 1
-            if (r >> p) & 1:
-                r ^= w
-                tag ^= t
-        if r:
-            work.append((r, tag))
-    tag = 0
-    for w, t in work:
-        p = (w & -w).bit_length() - 1
-        if (v >> p) & 1:
-            v ^= w
-            tag ^= t
-    if v:
-        return None
-    for i in range(len(basis_rows)):
-        coords[i] = (tag >> i) & 1
-    return coords
 
 
 def extend_basis(old_rows: list[int], candidates: list[int]) -> list[int]:

@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -102,6 +104,22 @@ def test_code_and_gate_cli(workdir, capsys):
     assert main(["gate", "simulate", "ccz.json", "c.json", "--plus", "all",
                  "--out", "state.json"]) == 0
     assert len(serialize.read("state.json")["phases"]) == 512
+
+
+def test_gate_check_rejects_size_mismatch_in_every_mode(workdir):
+    main(["complex", "build", "--preset", "t3", "--out", "t3.json"])
+    main(["code", "build", "t3.json", "--type", "toric:1", "--out", "code1.json"])
+    main(["gate", "ccz", "t3.json", "--out", "ccz.json"])
+    with pytest.raises(ValueError, match="qubits but the code has"):
+        main(["gate", "check", "ccz.json", "code1.json"])
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tricode.cli", "gate", "check", "ccz.json", "code1.json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode != 0
+    assert "PASS" not in proc.stdout + proc.stderr
+    assert "qubits but the code has" in proc.stderr
 
 
 def test_gate_cz_cli(workdir):

@@ -133,6 +133,40 @@ def test_row_reduce_idempotent():
         assert once == twice and piv1 == piv2
 
 
+def incremental_row_reduce(rows):
+    """Reference: reduce each row by every basis row, then clear its pivot
+    from the basis (the RREF is unique, so any elimination order agrees)."""
+    basis, pivots = [], []
+    for r in rows:
+        for b, p in zip(basis, pivots):
+            if (r >> p) & 1:
+                r ^= b
+        if r == 0:
+            continue
+        p = (r & -r).bit_length() - 1
+        for i in range(len(basis)):
+            if (basis[i] >> p) & 1:
+                basis[i] ^= r
+        basis.append(r)
+        pivots.append(p)
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return [basis[i] for i in order], [pivots[i] for i in order]
+
+
+def test_row_reduce_matches_incremental_reference(t2xs1_2layers, s2xs1):
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(1, 70)
+        sparse = rng.random() < 0.5
+        rows = [rng.getrandbits(n) & (rng.getrandbits(n) if sparse else -1)
+                for _ in range(rng.randint(0, 50))]
+        assert row_reduce(rows) == incremental_row_reduce(rows)
+    for K in (t2xs1_2layers, s2xs1):
+        for p in (1, 2, 3):
+            rows = homology.boundary_matrix(K, p).rows
+            assert row_reduce(rows) == incremental_row_reduce(rows)
+
+
 def test_bitmatrix_solve_roundtrip():
     rng = random.Random(3)
     for _ in range(100):
