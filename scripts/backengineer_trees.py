@@ -3,6 +3,7 @@
 forms: single point, shared-pair, two-prong tree, and the genus-13 sparse
 tree; writes DOT renderings of the resulting hypergraphs."""
 
+import os
 import sys
 
 from tricode.hypergraph import base_hypergraph, degree_report, to_dot
@@ -17,6 +18,8 @@ EXAMPLES = [
 
 
 def main(outdir=None):
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
     for name, mu in EXAMPLES:
         res = synthesize(mu)
         rep = roundtrip_check(mu)

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .complexes import DeltaComplex, barycentric_subdivide
-from .gf2 import BitMatrix, dot, extend_basis, invert, popcount, vec_from_support
+from .gf2 import BitMatrix, dot, dual_basis, extend_basis, popcount, vec_from_support
 from . import homology
 
 
@@ -52,24 +52,6 @@ class CssCode:
         return bad
 
 
-def _align_pairing(lx: list[int], lz: list[int]) -> list[int]:
-    """Recombine logical X representatives so logical_x . logical_z = I."""
-    k = len(lx)
-    if k == 0:
-        return lx
-    p_rows = [vec_from_support(j for j, x in enumerate(lx) if dot(x, z)) for z in lz]
-    p_inv = invert(p_rows, k)
-    assert p_inv is not None, "logical pairing is degenerate"
-    out = []
-    for j in range(k):
-        acc = 0
-        for m in range(k):
-            if (p_inv[m] >> j) & 1:
-                acc ^= lx[m]
-        out.append(acc)
-    return out
-
-
 def toric_code(K: DeltaComplex, copies: int = 1) -> CssCode:
     """Qubits on the edges of each copy; X stabilizers are vertex stars
     (coboundaries of vertex indicators), Z stabilizers are face boundaries.
@@ -77,7 +59,7 @@ def toric_code(K: DeltaComplex, copies: int = 1) -> CssCode:
     Logical Z operators sit on a 1-cycle basis and logical X on the dual
     1-cocycles.  The builder's named cycles are used as the basis whenever
     they span H_1, in which case each logical qubit is labelled by the named
-    2-cycle dual to its Z-string (recovered via poincare_dual).
+    2-cycle dual to its Z-string (recovered via poincare_duals).
     """
     if not 1 <= copies <= 3:
         raise ValueError("copies must be 1..3")
@@ -87,10 +69,9 @@ def toric_code(K: DeltaComplex, copies: int = 1) -> CssCode:
 
     nb = homology.named_basis(K, 1)
     if nb is not None:
-        names, cycles = nb
-        cocycles = homology.dual_cocycles(K, 1, cycles)
-        labels1 = [_dual_2cycle_label(K, z) for z in cycles]
-        if any(lab is None for lab in labels1):
+        names, cycles, cocycles = nb
+        labels1 = homology.dual_2cycle_labels(K, cycles)
+        if None in labels1:
             labels1 = names
     else:
         hb = homology.homology_basis(K, 1)
@@ -112,26 +93,9 @@ def toric_code(K: DeltaComplex, copies: int = 1) -> CssCode:
     }
     code = CssCode(n, BitMatrix(len(hx_rows), n, hx_rows),
                    BitMatrix(len(hz_rows), n, hz_rows), lx, lz, meta)
-    assert code.css_condition()
+    if not code.css_condition():
+        raise ValueError("CSS condition fails: the boundary of a boundary is nonzero")
     return code
-
-
-def _dual_2cycle_label(K: DeltaComplex, cycle_1: int) -> str | None:
-    """Name of the unique named 2-cycle whose Poincare dual pairs 1 with the
-    given 1-cycle and 0 with nothing else named; None when ambiguous."""
-    if K.dims != 3:
-        return None
-    hits = []
-    for nm, (d, cells) in K.cycles.items():
-        if d != 2:
-            continue
-        try:
-            pd = homology.poincare_dual(K, vec_from_support(cells))
-        except ValueError:
-            return None
-        if dot(pd, cycle_1):
-            hits.append(nm)
-    return hits[0] if len(hits) == 1 else None
 
 
 def color_code(K: DeltaComplex) -> CssCode:
@@ -175,8 +139,11 @@ def color_code(K: DeltaComplex) -> CssCode:
     lx = extend_basis(hx.rows, hz.nullspace())
     lz = extend_basis(hz.rows, hx.nullspace())
     k = n - hx.rank() - hz.rank()
-    assert len(lx) == len(lz) == k, "color code logical extraction failed"
-    lx = _align_pairing(lx, lz)
+    if not len(lx) == len(lz) == k:
+        raise RuntimeError("color code logical extraction failed")
+    lx = dual_basis(lx, lz)
+    if lx is None:
+        raise RuntimeError("logical pairing is degenerate")
 
     meta = {
         "kind": "color",
@@ -188,7 +155,9 @@ def color_code(K: DeltaComplex) -> CssCode:
         "qubit": [("flag", s) for s in range(n)],
     }
     code = CssCode(n, hx, hz, lx, lz, meta)
-    assert code.css_condition()
+    if not code.css_condition():
+        raise ValueError("CSS condition fails: a vertex and an edge of the subdivision "
+                         "share an odd number of flags")
     return code
 
 
@@ -301,7 +270,8 @@ def systole_bfs(K: DeltaComplex) -> tuple[int, int]:
                 d, chain = dist[(start, cls)]
                 if best is None or d < best:
                     best, best_cert = d, chain
-    assert best is not None
+    if best is None:
+        raise RuntimeError("no homologically nontrivial edge cycle found")
     return best, best_cert
 
 

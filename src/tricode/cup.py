@@ -87,20 +87,6 @@ def canonical_cocycle_basis(K: DeltaComplex, n: int) -> list[Cochain]:
     return [Cochain(n, v) for v in homology.homology_basis(K, n).cocycles]
 
 
-def triple_form_matrix(K: DeltaComplex, cocycles: list[Cochain] | None = None):
-    """All triple-cup integrals over a 1-cocycle basis, as {(i,j,k): value}
-    with i <= j <= k."""
-    if cocycles is None:
-        cocycles = canonical_cocycle_basis(K, 1)
-    k = len(cocycles)
-    out = {}
-    for i in range(k):
-        for j in range(i, k):
-            for l in range(j, k):
-                out[(i, j, l)] = triple_cup_integral(K, cocycles[i], cocycles[j], cocycles[l])
-    return out
-
-
 def surface_intersection_form(K: DeltaComplex, cocycles: list[Cochain] | None = None) -> list[list[int]]:
     """M_ij = integral of c_i cup c_j over a closed surface; must be
     nondegenerate (raises otherwise)."""
@@ -131,8 +117,7 @@ def named_dual_cocycles(K: DeltaComplex, n: int = 1) -> dict[str, Cochain]:
     nb = homology.named_basis(K, n)
     if nb is None:
         raise ValueError(f"builder cycles do not form a basis of H_{n}")
-    names, cycles = nb
-    duals = homology.dual_cocycles(K, n, cycles)
+    names, _, duals = nb
     return {nm: Cochain(n, d) for nm, d in zip(names, duals)}
 
 

@@ -47,7 +47,8 @@ class BitMatrix:
     def __post_init__(self):
         if not self.rows:
             self.rows = [0] * self.nrows
-        assert len(self.rows) == self.nrows
+        if len(self.rows) != self.nrows:
+            raise ValueError(f"{len(self.rows)} rows given for a {self.nrows}-row matrix")
 
     @classmethod
     def from_entries(cls, entries) -> "BitMatrix":
@@ -78,7 +79,9 @@ class BitMatrix:
         return out
 
     def matmul(self, other: "BitMatrix") -> "BitMatrix":
-        assert self.ncols == other.nrows
+        if self.ncols != other.nrows:
+            raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} "
+                             f"by {other.nrows}x{other.ncols}")
         ot = other.transpose()
         rows = []
         for r in self.rows:
@@ -115,33 +118,8 @@ class BitMatrix:
 
     def solve(self, b: int) -> int | None:
         """One solution x of M x = b, or None if inconsistent."""
-        rows = list(self.rows)
-        rhs = [(b >> i) & 1 for i in range(self.nrows)]
-        pivots = []
-        for j in range(self.ncols):
-            sel = None
-            for i in range(len(rows)):
-                if i in (p[0] for p in pivots):
-                    continue
-                if (rows[i] >> j) & 1:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            for i in range(len(rows)):
-                if i != sel and (rows[i] >> j) & 1:
-                    rows[i] ^= rows[sel]
-                    rhs[i] ^= rhs[sel]
-            pivots.append((sel, j))
-        x = 0
-        used = set()
-        for i, j in pivots:
-            used.add(i)
-            if rhs[i]:
-                x |= 1 << j
-        if any(rhs[i] for i in range(self.nrows) if i not in used):
-            return None
-        return x
+        rows = [r | ((b >> i) & 1) << self.ncols for i, r in enumerate(self.rows)]
+        return solve_augmented(rows, self.ncols, 1)[0]
 
 
 def row_reduce(rows) -> tuple[list[int], list[int]]:
@@ -175,6 +153,26 @@ def row_reduce(rows) -> tuple[list[int], list[int]]:
     return [by_pivot[p] for p in pivots], pivots
 
 
+def solve_augmented(rows: list[int], ncols: int, m: int) -> list[int | None]:
+    """Solutions of m systems M x = b_j sharing one coefficient matrix, in one
+    elimination.  Bits below ``ncols`` of each row hold M, bit ncols + j holds
+    b_j.  Entry j is the solution with every free variable zero (pivot variable
+    p = right-hand side of the RREF row with pivot p), or None when system j is
+    inconsistent, i.e. some RREF row with no coefficient bits carries b_j.
+    """
+    basis, pivots = row_reduce(rows)
+    sols = [0] * m
+    bad = 0
+    for r, p in zip(basis, pivots):
+        rhs = r >> ncols
+        if p >= ncols:
+            bad |= rhs
+            continue
+        for j in support(rhs):
+            sols[j] |= 1 << p
+    return [None if (bad >> j) & 1 else x for j, x in enumerate(sols)]
+
+
 def in_span(basis_rows, v: int) -> bool:
     basis, pivots = row_reduce(basis_rows)
     for b, p in zip(basis, pivots):
@@ -201,6 +199,26 @@ def extend_basis(old_rows: list[int], candidates: list[int]) -> list[int]:
                 basis[i] ^= r
         basis.append(r)
         pivots.append(p)
+    return out
+
+
+def dual_basis(vecs: list[int], against: list[int]) -> list[int] | None:
+    """Recombine vecs into w_0..w_{k-1} with dot(w_j, against_i) = delta_ij, or
+    None when the pairing matrix dot(vecs_j, against_i) is not invertible."""
+    k = len(vecs)
+    if len(against) != k:
+        return None
+    pairing = [vec_from_support(j for j, v in enumerate(vecs) if dot(v, a)) for a in against]
+    p_inv = invert(pairing, k)
+    if p_inv is None:
+        return None
+    out = []
+    for j in range(k):
+        acc = 0
+        for m in range(k):
+            if (p_inv[m] >> j) & 1:
+                acc ^= vecs[m]
+        out.append(acc)
     return out
 
 

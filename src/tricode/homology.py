@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import DeltaComplex
-from .gf2 import BitMatrix, dot, extend_basis, invert, row_reduce, vec_from_support
+from .gf2 import (BitMatrix, dot, dual_basis, extend_basis, row_reduce, solve_augmented,
+                  vec_from_support)
 
 
 def boundary_matrix(K: DeltaComplex, n: int) -> BitMatrix:
@@ -94,27 +95,19 @@ def homology_basis(K: DeltaComplex, n: int) -> HomologyBasis:
     """
     cycles = _complete(boundary_space(K, n), cycle_space(K, n))
     cocycles = _complete(coboundary_space(K, n), cocycle_space(K, n))
-    assert len(cycles) == len(cocycles) == betti(K, n)
-    k = len(cycles)
-    if k == 0:
-        return HomologyBasis(n, [], [], [])
-    # pairing rows over the raw cocycles; invertible since the bases are dual-complete
-    p_rows = [vec_from_support(j for j, c in enumerate(cocycles) if dot(c, z)) for z in cycles]
-    p_inv = invert(p_rows, k)
-    assert p_inv is not None, "homology/cohomology pairing is degenerate"
-    # new_j = sum_m inv[m][j] old_m  gives pairing identity
-    new_cocycles = []
-    for j in range(k):
-        acc = 0
-        for m in range(k):
-            if (p_inv[m] >> j) & 1:
-                acc ^= cocycles[m]
-        new_cocycles.append(acc)
+    if not len(cycles) == len(cocycles) == betti(K, n):
+        raise RuntimeError(f"{len(cycles)} cycles and {len(cocycles)} cocycles "
+                           f"for b_{n} = {betti(K, n)}")
+    # invertible since both bases are complete
+    new_cocycles = dual_basis(cocycles, cycles)
+    if new_cocycles is None:
+        raise RuntimeError("homology/cohomology pairing is degenerate")
     pairing = [
         vec_from_support(j for j, c in enumerate(new_cocycles) if dot(c, z))
         for z in cycles
     ]
-    assert pairing == [1 << i for i in range(k)]
+    if pairing != [1 << i for i in range(len(cycles))]:
+        raise RuntimeError("recombined cocycles do not pair to the identity")
     return HomologyBasis(n, cycles, new_cocycles, pairing)
 
 
@@ -124,20 +117,11 @@ def dual_cocycles(K: DeltaComplex, n: int, cycles: list[int]) -> list[int]:
     Raises if the given cycles do not span H_n (pairing not invertible).
     """
     cocycles = _complete(coboundary_space(K, n), cocycle_space(K, n))
-    k = len(cycles)
-    if k != len(cocycles):
-        raise ValueError(f"{k} cycles given, H_{n} has rank {len(cocycles)}")
-    p_rows = [vec_from_support(j for j, c in enumerate(cocycles) if dot(c, z)) for z in cycles]
-    p_inv = invert(p_rows, k)
-    if p_inv is None:
+    if len(cycles) != len(cocycles):
+        raise ValueError(f"{len(cycles)} cycles given, H_{n} has rank {len(cocycles)}")
+    out = dual_basis(cocycles, cycles)
+    if out is None:
         raise ValueError("given cycles are not a homology basis (degenerate pairing)")
-    out = []
-    for j in range(k):
-        acc = 0
-        for m in range(k):
-            if (p_inv[m] >> j) & 1:
-                acc ^= cocycles[m]
-        out.append(acc)
     return out
 
 
@@ -146,17 +130,18 @@ def named_cycle_vector(K: DeltaComplex, name: str) -> tuple[int, int]:
     return dim, vec_from_support(cells)
 
 
-def named_basis(K: DeltaComplex, n: int) -> tuple[list[str], list[int]] | None:
-    """The builder-provided named n-cycles, if they form a homology basis."""
+def named_basis(K: DeltaComplex, n: int) -> tuple[list[str], list[int], list[int]] | None:
+    """The builder-provided named n-cycles with their dual cocycles, if the
+    cycles form a homology basis."""
     names = [nm for nm, (d, _) in K.cycles.items() if d == n]
     if len(names) != betti(K, n):
         return None
     cycles = [named_cycle_vector(K, nm)[1] for nm in names]
     try:
-        dual_cocycles(K, n, cycles)
+        cocycles = dual_cocycles(K, n, cycles)
     except ValueError:
         return None
-    return names, cycles
+    return names, cycles, cocycles
 
 
 def poincare_dual(K: DeltaComplex, z: int, q: int | None = None,
@@ -169,35 +154,60 @@ def poincare_dual(K: DeltaComplex, z: int, q: int | None = None,
     condition; the result is unique up to coboundary.  Raises if no solution
     exists (non-cycle input or a complex without GF(2) Poincare duality).
     """
+    return poincare_duals(K, [z], q, beta_basis)[0]
+
+
+def poincare_duals(K: DeltaComplex, zs: list[int], q: int | None = None,
+                   beta_basis: list[int] | None = None) -> list[int]:
+    """``[poincare_dual(K, z, q, beta_basis) for z in zs]`` from one
+    elimination: the system is built once and each cycle contributes one
+    right-hand-side bit per row, above the cochain columns."""
     d = K.dims
     if q is None:
         q = d - 1
     p = d - q
     if p < 0 or q < 0:
         raise ValueError("bad degrees")
-    if boundary_matrix(K, q).matvec(z) != 0:
+    del_q = boundary_matrix(K, q)
+    if any(del_q.matvec(z) for z in zs):
         raise ValueError(f"input chain is not a {q}-cycle")
+    if not zs:
+        return []
     ncells = K.n_cells(p)
-    top = K.n_cells(d)
     if beta_basis is None:
         beta_basis = homology_basis(K, q).cocycles
+    # integral(c cup beta) = sum over top simplices of c(front) beta(back)
+    faces = [(K.front(d, s, p), K.back(d, s, q)) for s in range(K.n_cells(d))]
     rows = list(coboundary_matrix(K, p).rows) if p < d else []
-    rhs_bits = [0] * len(rows)
     for beta in beta_basis:
         row = 0
-        for s in range(top):
-            front = K.front(d, s, p)
-            back = K.back(d, s, q)
+        for front, back in faces:
             if (beta >> back) & 1:
                 row ^= 1 << front
-        rows.append(row)
-        rhs_bits.append(dot(beta, z))
-    M = BitMatrix(len(rows), ncells, rows)
-    b = vec_from_support(i for i, v in enumerate(rhs_bits) if v)
-    c = M.solve(b)
-    if c is None:
+        rhs = vec_from_support(j for j, z in enumerate(zs) if dot(beta, z))
+        rows.append(row | rhs << ncells)
+    duals = solve_augmented(rows, ncells, len(zs))
+    if None in duals:
         raise ValueError("no Poincare dual: complex is not a closed GF(2) manifold cycle")
-    return c
+    return duals
+
+
+def dual_2cycle_labels(K: DeltaComplex, cycles: list[int]) -> list[str | None]:
+    """For each 1-cycle of a closed 3-complex, the name of the unique named
+    2-cycle whose Poincare dual pairs 1 with it; None when no named 2-cycle or
+    several do, and for every cycle when a named 2-cycle has no dual."""
+    if K.dims != 3:
+        return [None] * len(cycles)
+    names = [nm for nm, (d, _) in K.cycles.items() if d == 2]
+    try:
+        duals = poincare_duals(K, [named_cycle_vector(K, nm)[1] for nm in names])
+    except ValueError:
+        return [None] * len(cycles)
+    out = []
+    for z in cycles:
+        hits = [nm for nm, pd in zip(names, duals) if dot(pd, z)]
+        out.append(hits[0] if len(hits) == 1 else None)
+    return out
 
 
 def intersection_pairing_1cycles(K: DeltaComplex, z1: int, z2: int) -> int:

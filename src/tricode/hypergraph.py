@@ -38,16 +38,15 @@ def form_from_cup(K, cocycles=None, labels=None) -> TripleForm:
     nonzero one has no hyperedge reading and raises.
     """
     from . import cup as cupmod
+    from . import homology
 
     if cocycles is None:
-        named = None
-        try:
-            named = cupmod.named_dual_cocycles(K, 1)
-        except ValueError:
-            pass
+        named = homology.named_basis(K, 1)
         if named is not None:
-            labels = [_dual_label(K, nm) for nm in named]
-            cocycles = list(named.values())
+            names, cycles, duals = named
+            labels = [f"dual({nm})" if lab is None else lab
+                      for nm, lab in zip(names, homology.dual_2cycle_labels(K, cycles))]
+            cocycles = [cupmod.Cochain(1, c) for c in duals]
         else:
             cocycles = cupmod.canonical_cocycle_basis(K, 1)
     k = len(cocycles)
@@ -66,30 +65,6 @@ def form_from_cup(K, cocycles=None, labels=None) -> TripleForm:
         if v:
             form.coefficients[frozenset({i, j, l})] = 1
     return form
-
-
-def _dual_label(K, cycle_name: str) -> str:
-    """Label of the 2-cycle class dual to a named 1-cycle, preferring the
-    builder's own names."""
-    from . import homology
-    from .gf2 import vec_from_support, dot
-
-    _, z1 = homology.named_cycle_vector(K, cycle_name)
-    for nm, (d, cells) in K.cycles.items():
-        if d != 2:
-            continue
-        try:
-            pd = homology.poincare_dual(K, vec_from_support(cells))
-        except ValueError:
-            continue
-        if dot(pd, z1):
-            others = [
-                nm2 for nm2, (d2, cells2) in K.cycles.items()
-                if d2 == 2 and nm2 != nm and dot(homology.poincare_dual(K, vec_from_support(cells2)), z1)
-            ]
-            if not others:
-                return nm
-    return f"dual({cycle_name})"
 
 
 def base_hypergraph(form: TripleForm) -> Hypergraph:

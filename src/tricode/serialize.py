@@ -85,7 +85,12 @@ def matrix_to_json(entries: list[list[int]]) -> dict:
 
 def matrix_from_json(data: dict) -> list[list[int]]:
     M = data["entries"]
-    assert len(M) == data["rows"]
+    if len(M) != data["rows"]:
+        raise ValueError(f"matrix has {len(M)} rows but declares {data['rows']}")
+    for i, r in enumerate(M):
+        if len(r) != data["cols"]:
+            raise ValueError(f"matrix row {i} has {len(r)} entries but declares "
+                             f"{data['cols']} columns")
     return M
 
 

@@ -122,6 +122,34 @@ def test_gate_check_rejects_size_mismatch_in_every_mode(workdir):
     assert "qubits but the code has" in proc.stderr
 
 
+def test_matrix_loader_rejects_wrong_shape_under_O(workdir):
+    serialize.write("rows.json", {"rows": 3, "cols": 2, "entries": [[2, 0], [0, 3]]})
+    serialize.write("cols.json", {"rows": 2, "cols": 2, "entries": [[2, 0], [0]]})
+    with pytest.raises(ValueError, match="2 rows but declares 3"):
+        main(["snf", "rows.json"])
+    with pytest.raises(ValueError, match="row 1 has 1 entries"):
+        main(["snf", "cols.json"])
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tricode.cli", "snf", "rows.json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode != 0
+    assert "2 rows but declares 3" in proc.stderr
+
+
+def test_backengineer_trees_creates_output_directory(tmp_path):
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    outdir = tmp_path / "fresh" / "dots"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "backengineer_trees.py"), str(outdir)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = sorted(p.name for p in outdir.iterdir())
+    assert written == ["genus13-tree.dot", "point.dot", "shared-pair.dot", "two-prong.dot"]
+
+
 def test_gate_cz_cli(workdir):
     main(["complex", "build", "--preset", "product:2,1", "--out", "p.json"])
     K = serialize.complex_from_json(serialize.read("p.json"))

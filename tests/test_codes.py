@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -18,7 +22,9 @@ from tricode.complexes import (
     build_torus3,
     product_with_circle,
 )
+from tricode.gates import ccz_circuit, check_logical_gate, extract_logical_action
 from tricode.gf2 import BitMatrix, dot, popcount, vec_from_support
+from tricode.hypergraph import base_hypergraph, form_from_cup, lift_full, magic_state_complexity
 
 from conftest import tetrahedron_boundary
 
@@ -68,6 +74,53 @@ def test_toric_surface_code(sigma2):
     code = toric_code(sigma2, 1)
     assert code.k == 4
     assert code.check_logicals() == []
+
+
+DEGENERATE_PAIRING = """
+import pytest
+from tricode import codes, complexes, gf2, homology
+
+K = complexes.build_torus3()
+a, b = (homology.named_cycle_vector(K, nm)[1] for nm in "ab")
+with pytest.raises(ValueError, match="degenerate pairing"):
+    homology.dual_cocycles(K, 1, [a, a, b])
+gf2.invert = lambda rows, n: None  # every pairing now reads as singular
+with pytest.raises(RuntimeError, match="homology/cohomology pairing is degenerate"):
+    homology.homology_basis(K, 1)
+with pytest.raises(RuntimeError, match="logical pairing is degenerate"):
+    codes.color_code(K)
+print("ok")
+"""
+
+
+def test_degenerate_pairing_raises_under_O():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", DEGENERATE_PAIRING],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
+def test_sigma8_circle_2_layers_rung():
+    t0 = time.perf_counter()
+    K = product_with_circle(build_sigma_g(8), 2)
+    form = form_from_cup(K)
+    kappa = magic_state_complexity(lift_full(base_hypergraph(form)))
+    code = toric_code(K, 3)
+    circ = ccz_circuit(K)
+    chk = check_logical_gate(circ, code)
+    act = extract_logical_action(circ, code, chk)
+    elapsed = time.perf_counter() - t0
+    assert homology.betti_all(K) == (1, 17, 17, 1)
+    assert len(form.known_unit_triples()) == 8
+    names = [f"{x}{i}xc" for i in range(1, 9) for x in "ba"] + ["fiber"]
+    assert sorted(form.labels) == sorted(names)
+    assert [lab for lab, cpy in code.logical_labels() if cpy == 1] == form.labels
+    assert kappa == 48
+    assert (code.n, code.k) == (546, 51)
+    assert chk.status == "PASS"
+    gates = act.gate_list()
+    assert len(gates) == 48 and all(kind == "CCZ" for kind, _ in gates)
+    assert elapsed < 10.0, f"Sigma_8 x S^1 (2 layers) rung took {elapsed:.1f}s"
 
 
 def test_color_code_t3(t3):

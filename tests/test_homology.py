@@ -1,10 +1,12 @@
+import copy
 import random
 
 import pytest
 
 from tricode import homology
-from tricode.complexes import build_sigma_g, build_torus3, product_with_circle
-from tricode.gf2 import BitMatrix, dot, in_span, row_reduce, vec_from_support
+from tricode.complexes import (build_sigma_g, build_sigma_g_rotsym, build_torus3, mapping_torus,
+                               product_with_circle, rotation_automorphism)
+from tricode.gf2 import BitMatrix, dot, in_span, row_reduce, solve_augmented, vec_from_support
 
 from conftest import tetrahedron_boundary
 
@@ -176,3 +178,127 @@ def test_bitmatrix_solve_roundtrip():
         b = M.matvec(x)
         sol = M.solve(b)
         assert sol is not None and M.matvec(sol) == b
+
+
+def gauss_jordan_solve(M, b):
+    """Reference: Gauss-Jordan column by column, first free row as pivot; the
+    solution with every free variable zero, or None if inconsistent."""
+    rows = list(M.rows)
+    rhs = [(b >> i) & 1 for i in range(M.nrows)]
+    pivots = []
+    for j in range(M.ncols):
+        sel = None
+        for i in range(len(rows)):
+            if i in (p[0] for p in pivots):
+                continue
+            if (rows[i] >> j) & 1:
+                sel = i
+                break
+        if sel is None:
+            continue
+        for i in range(len(rows)):
+            if i != sel and (rows[i] >> j) & 1:
+                rows[i] ^= rows[sel]
+                rhs[i] ^= rhs[sel]
+        pivots.append((sel, j))
+    x = 0
+    used = set()
+    for i, j in pivots:
+        used.add(i)
+        if rhs[i]:
+            x |= 1 << j
+    if any(rhs[i] for i in range(M.nrows) if i not in used):
+        return None
+    return x
+
+
+def test_solve_matches_gauss_jordan_reference():
+    rng = random.Random(21)
+    inconsistent = 0
+    for _ in range(600):
+        nr, nc = rng.randint(1, 14), rng.randint(1, 14)
+        sparse = rng.random() < 0.5
+        M = BitMatrix(nr, nc, [rng.getrandbits(nc) & (rng.getrandbits(nc) if sparse else -1)
+                               for _ in range(nr)])
+        b = M.matvec(rng.getrandbits(nc)) if rng.random() < 0.5 else rng.getrandbits(nr)
+        ref = gauss_jordan_solve(M, b)
+        assert M.solve(b) == ref
+        inconsistent += ref is None
+    assert inconsistent > 50  # both outcomes are exercised
+
+
+def test_solve_augmented_equals_one_solve_per_rhs():
+    rng = random.Random(22)
+    for _ in range(200):
+        nr, nc, m = rng.randint(1, 12), rng.randint(1, 12), rng.randint(0, 6)
+        M = BitMatrix(nr, nc, [rng.getrandbits(nc) for _ in range(nr)])
+        bs = [rng.getrandbits(nr) for _ in range(m)]
+        rows = [r | vec_from_support(j for j, b in enumerate(bs) if (b >> i) & 1) << nc
+                for i, r in enumerate(M.rows)]
+        assert solve_augmented(rows, nc, m) == [gauss_jordan_solve(M, b) for b in bs]
+
+
+def _closed_3_complexes():
+    base = build_sigma_g_rotsym(2)
+    return [build_torus3(), product_with_circle(build_sigma_g(2), 2),
+            mapping_torus(base, rotation_automorphism(base, 2, 1), 1)]
+
+
+def test_poincare_duals_batch_equals_single_solves():
+    rng = random.Random(23)
+    for K in _closed_3_complexes():
+        hb2 = homology.homology_basis(K, 2)
+        boundaries = homology.boundary_space(K, 2)
+        named = [vec_from_support(cells) for d, cells in K.cycles.values() if d == 2]
+        zs = named + hb2.cycles + [0]
+        for _ in range(4):  # random homologous representatives
+            z = 0
+            for v in hb2.cycles + boundaries:
+                if rng.random() < 0.5:
+                    z ^= v
+            zs.append(z)
+        assert homology.poincare_duals(K, zs) == [homology.poincare_dual(K, z) for z in zs]
+        assert homology.poincare_duals(K, []) == []
+
+
+def test_poincare_duals_reject_a_non_cycle_anywhere(t3):
+    zs = [homology.named_cycle_vector(t3, nm)[1] for nm in ("axb", "axc", "bxc")]
+    for pos in range(len(zs) + 1):
+        with pytest.raises(ValueError, match="not a 2-cycle"):
+            homology.poincare_duals(t3, zs[:pos] + [1 << 0] + zs[pos:])
+
+
+def test_dual_2cycle_labels_match_per_name_reference(t3, s2xs1, t2xs1_2layers):
+    for K in (t3, s2xs1, t2xs1_2layers):
+        names, cycles, _ = homology.named_basis(K, 1)
+        named2 = [nm for nm, (d, _) in K.cycles.items() if d == 2]
+        expect = []
+        for z in cycles:
+            hits = [nm for nm in named2
+                    if dot(homology.poincare_dual(K, homology.named_cycle_vector(K, nm)[1]), z)]
+            expect.append(hits[0] if len(hits) == 1 else None)
+        assert homology.dual_2cycle_labels(K, cycles) == expect
+        assert None not in expect
+    assert homology.dual_2cycle_labels(build_sigma_g(2), [1]) == [None]  # not a 3-complex
+
+
+def test_dual_2cycle_labels_ambiguous_and_undefined(t3):
+    from tricode.codes import toric_code
+    from tricode.hypergraph import form_from_cup
+
+    K = copy.deepcopy(t3)
+    axb, axc = (set(K.cycles[nm][1]) for nm in ("axb", "axc"))
+    K.cycles["axb+axc"] = (2, tuple(sorted(axb ^ axc)))  # pairs with both b and c
+    _, cycles, _ = homology.named_basis(K, 1)
+    assert homology.dual_2cycle_labels(K, cycles) == ["bxc", None, None]
+    assert toric_code(K, 1).logical_labels() == [("a", 1), ("b", 1), ("c", 1)]
+    assert form_from_cup(K).labels == ["bxc", "dual(b)", "dual(c)"]
+    K.cycles["axb+axc"] = (2, (0,))  # not a cycle: no dual, so no labels
+    assert homology.dual_2cycle_labels(K, cycles) == [None, None, None]
+
+
+def test_named_basis_returns_dual_cocycles(t3):
+    names, cycles, cocycles = homology.named_basis(t3, 1)
+    assert names == ["a", "b", "c"]
+    assert cocycles == homology.dual_cocycles(t3, 1, cycles)
+    assert [[dot(c, z) for c in cocycles] for z in cycles] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
