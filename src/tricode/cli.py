@@ -414,9 +414,16 @@ def run_manifest(path: str) -> tuple[int, list[str]]:
         lines.append("warning: empty manifest (PASS, zero checks)")
         return 0, lines
     for i, step in enumerate(steps):
-        rc = main([str(t) for t in step])
+        try:
+            rc = main([str(t) for t in step])
+            why = f"exit {rc}"
+        except SystemExit as exc:  # argparse errors exit 2; a message exits 1
+            rc = exc.code if isinstance(exc.code, int) else 1
+            why = f"exit {rc}" if isinstance(exc.code, int) else str(exc.code)
+        except ValueError as exc:
+            rc, why = 1, f"ValueError: {exc}"
         if rc != 0:
-            lines.append(f"step {i} failed (exit {rc}): {' '.join(step)}")
+            lines.append(f"step {i} failed ({why}): {' '.join(step)}")
             return rc, lines
         lines.append(f"step {i} ok: {' '.join(step)}")
     failures = 0
@@ -459,7 +466,6 @@ def cmd_manifest(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tricode", description=__doc__)
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):

@@ -40,9 +40,6 @@ class DeltaComplex:
             return 0
         return len(self.face[n])
 
-    def faces_of(self, n: int, s: int) -> tuple[int, ...]:
-        return self.face[n][s]
-
     def iterated_face(self, n: int, s: int, keep: tuple[int, ...]) -> Cell:
         """The face of an n-simplex spanned by vertex positions ``keep``."""
         drop = [i for i in range(n + 1) if i not in keep]

@@ -11,13 +11,14 @@ Everything here is exact and symbolic (residuals are never matrices):
   the X-stabilizer rows plus the logical X strings in ker hz (completed from
   a nullspace basis only when they fall short).  For {Z, CZ, CCZ} circuits
   each stabilizer's conjugation residual is built from the monomials that
-  touch it and pulled back to a GF(2) polynomial over the spanning set,
-  which is zero iff the residual vanishes on ker hz.  T-type layers use exact
-  coset enumeration within a budget, else the signed-overlap sufficient
-  criterion against the generators each stabilizer touches;
+  touch it and pulled back to a polynomial over the spanning set, which is
+  zero iff the residual vanishes on ker hz.  T-type layers use exact coset
+  enumeration within a budget, else the signed-overlap sufficient criterion
+  against the generators each stabilizer touches;
 * extraction of the induced logical gate as a phase polynomial over the
-  logical qubits, through the same pullback, plus an exact sparse
-  coset-state simulator as oracle.
+  logical qubits: every diagonal circuit is pulled back over Z_8 onto the
+  logical X strings through the same primitive (``pull_back``), for any k;
+  plus an exact sparse coset-state simulator as oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .complexes import DeltaComplex
 from .codes import CssCode
-from .gf2 import dot, extend_basis, row_reduce, support, vec_from_support
+from .gf2 import dot, extend_basis, row_reduce, support
 
 GATE_COEFF = {"Z": 4, "S": 2, "Sdg": 6, "T": 1, "Tdg": 7, "CZ": 4, "CCZ": 4}
 COEFF_GATE_1 = {4: "Z", 2: "S", 6: "Sdg", 1: "T", 7: "Tdg", 3: None, 5: None}
@@ -78,10 +79,6 @@ class PhasePolynomial:
     coeffs: dict[frozenset, int] = field(default_factory=dict)
 
     def _add(self, S: frozenset, v: int) -> None:
-        v %= 8
-        if not v:
-            self.coeffs.pop(S, None)
-            return
         cur = (self.coeffs.get(S, 0) + v) % 8
         if cur:
             self.coeffs[S] = cur
@@ -266,26 +263,43 @@ class GateCheck:
         return self.status == "PASS"
 
 
-def pull_back(monomials, masks: list[int]) -> set[int]:
-    """Pull a GF(2) polynomial back through a GF(2)-linear substitution.
+def pull_back(coeffs: dict[frozenset, int], masks: list[int]) -> dict[int, int]:
+    """Pull a phase polynomial back through a GF(2)-linear substitution.
 
-    The polynomial is the sum of prod_{q in S} z_q over ``monomials``; the
-    substitution is z_q = XOR of y_a over the bits a of ``masks[q]``.  The
-    result is returned in algebraic normal form: the set of its monomials,
-    each a bitmask over the y variables (y_a^2 = y_a), kept when it arises an
-    odd number of times.
+    f = sum_S coeffs[S] prod_{q in S} z_q over Z_8, with z_q = XOR of y_a over
+    the bits a of ``masks[q]``.  Over the integers XOR_{a in A} y_a is the sum
+    over nonempty R of A of (-2)^{|R|-1} y^R (Amy & Mosca, arXiv:1601.07363),
+    so a term stops expanding once its weight is 0 mod 8: coefficient 4 takes
+    singletons only (the GF(2) product), odd coefficients subsets up to size 3.
+    Returns the algebraic normal form {bitmask over the y: coefficient mod 8}.
     """
-    out: set[int] = set()
-    for S in monomials:
-        keys = [0]
+    out: dict[int, int] = {}
+    for S, c in coeffs.items():
+        terms = [(c % 8, [0])]  # (running weight, partial keys) groups
         for q in S:
-            bits = [1 << a for a in support(masks[q])]
-            keys = [key | bit for key in keys for bit in bits]
-        for key in keys:
-            if key in out:
-                out.remove(key)
-            else:
-                out.add(key)
+            bits = _powers(masks[q])
+            nxt = []
+            for w, keys in terms:
+                nxt.append((w, [key | b for key in keys for b in bits]))
+                if w & 3:  # (-2) * w is nonzero mod 8
+                    pairs = [a | b for a, b in itertools.combinations(bits, 2)]
+                    nxt.append((-2 * w % 8, [key | r for key in keys for r in pairs]))
+                if w & 1:  # 4 * w is nonzero mod 8
+                    triples = [a | b | d for a, b, d in itertools.combinations(bits, 3)]
+                    nxt.append((4, [key | r for key in keys for r in triples]))
+            terms = nxt
+        for w, keys in terms:
+            for key in keys:
+                out[key] = out.get(key, 0) + w
+    return {key: v % 8 for key, v in out.items() if v % 8}
+
+
+def _powers(v: int) -> list[int]:
+    """The set bits of v as powers of two, lowest first."""
+    out = []
+    while v:
+        out.append(v & -v)
+        v &= v - 1
     return out
 
 
@@ -347,9 +361,10 @@ def check_logical_gate(circuit: DiagonalCircuit, code: CssCode,
     {Z, CZ, CCZ} circuits (mode ``polarization``): for every X-stabilizer
     generator x the conjugation residual f(z + x) - f(z) must vanish on
     ker hz.  It is built only from the monomials touching supp(x) and pulled
-    back through z = sum_a y_a g_a (``pull_back``); it vanishes iff the
-    pulled-back GF(2) polynomial is zero.  A minimal nonzero monomial T gives
-    the witness vector sum_{a in T} g_a, where the residual is 4.
+    back through z = sum_a y_a g_a (``pull_back`` with every coefficient 4);
+    it vanishes iff the pulled-back polynomial is zero.  A minimal nonzero
+    monomial T gives the witness vector sum_{a in T} g_a, where the residual
+    is 4.
 
     T-type circuits: the phase function must be constant on every coset of
     the X-stabilizer group inside ker hz, checked exactly by enumeration up
@@ -371,7 +386,7 @@ def check_logical_gate(circuit: DiagonalCircuit, code: CssCode,
                 by_qubit[q].append(S)
         for idx, x in enumerate(code.hx.rows):
             res = _local_residual(by_qubit, x)
-            pulled = pull_back(res, masks)
+            pulled = pull_back(dict.fromkeys(res, 4), masks)
             if pulled:
                 T = min(pulled, key=lambda t: (t.bit_count(), t))
                 witness = 0
@@ -488,45 +503,23 @@ def extract_logical_action(circuit: DiagonalCircuit, code: CssCode,
     """The induced logical diagonal, as a phase polynomial over the logical
     qubits (labels from the code metadata).
 
-    For {Z, CZ, CCZ} circuits the physical polynomial is pushed through the
-    substitution z -> sum_j lambda_j xbar_j symbolically over GF(2); for
-    other diagonal circuits the logical phase is interpolated from the 2^k
-    evaluations.  Requires a passing code-preservation check.
+    The physical polynomial of any diagonal circuit is pulled back over Z_8
+    through the substitution z -> sum_j lambda_j xbar_j (``pull_back``), so
+    the cost follows the overlaps of the logical X strings, not 2^k.  Raises
+    when a pulled-back monomial has degree > 3 (outside the CCZ hierarchy;
+    unreachable while Z, S and T act on single qubits).  Requires a passing
+    code-preservation check.
     """
     if checked is None:
         checked = check_logical_gate(circuit, code)
     if not checked.passed:
         raise ValueError(f"not a logical gate: {checked.status} ({checked.detail})")
     f = PhasePolynomial.from_circuit(circuit)
-    k = code.k
-    if f.is_pauli_z_layer():
-        out = PhasePolynomial(k)
-        for key in pull_back(f.coeffs, _incidence(code.logical_x, code.n)):
-            out._add(frozenset(support(key)), 4)
-        return LogicalAction(k, code.logical_labels(), out)
-    if k > 16:
-        raise ValueError("interpolation route needs k <= 16")
-    values = {}
-    for m in range(1 << k):
-        x = 0
-        for j in range(k):
-            if (m >> j) & 1:
-                x ^= code.logical_x[j]
-        values[m] = f.evaluate(x)
-    out = PhasePolynomial(k)
-    for size in range(4):
-        for combo in itertools.combinations(range(k), size):
-            m = vec_from_support(combo)
-            c = 0
-            for r in range(size + 1):
-                for subc in itertools.combinations(combo, r):
-                    c += (-1) ** (size - r) * values[vec_from_support(subc)]
-            out._add(frozenset(combo), c)
-    # degree > 3 terms would make the result non-representable; verify none
-    for m in range(1 << k):
-        if out.evaluate(m) != values[m]:
-            raise ValueError("logical phase is not degree <= 3 (not in the CCZ hierarchy)")
-    return LogicalAction(k, code.logical_labels(), out)
+    pulled = pull_back(f.coeffs, _incidence(code.logical_x, code.n))
+    if any(key.bit_count() > 3 for key in pulled):
+        raise ValueError("logical phase is not degree <= 3 (not in the CCZ hierarchy)")
+    out = PhasePolynomial(code.k, {frozenset(support(key)): c for key, c in pulled.items()})
+    return LogicalAction(code.k, code.logical_labels(), out)
 
 
 # ---------------------------------------------------------------------------
@@ -560,21 +553,12 @@ def coset_support(code: CssCode, plus: list[int], fixed: int = 0) -> list[int]:
     for j in range(code.k):
         if j not in plus and (fixed >> j) & 1:
             base ^= code.logical_x[j]
-    dim = len(row_reduce(gens)[0])
-    if dim > 24:
-        raise ValueError(f"coset support dimension {dim} exceeds the 2^24 cap")
     basis = row_reduce(gens)[0]
-    out = []
-    for m in range(1 << len(basis)):
-        v = base
-        mm = m
-        i = 0
-        while mm:
-            if mm & 1:
-                v ^= basis[i]
-            mm >>= 1
-            i += 1
-        out.append(v)
+    if len(basis) > 24:
+        raise ValueError(f"coset support dimension {len(basis)} exceeds the 2^24 cap")
+    out = [base]  # entry m is base + sum of basis[i] over the bits i of m
+    for b in basis:
+        out += [v ^ b for v in out]
     return out
 
 

@@ -134,9 +134,6 @@ class ColoredGraph:
     edges: list[tuple]  # ((beta, copy_i), (gamma, copy_j))
     color: str
 
-    def same_color_count(self) -> int:
-        return len(self.edges)
-
 
 def cz_interaction_graph(form: TripleForm, alpha: str, copies: tuple[int, int] = (1, 2)) -> ColoredGraph:
     """Edges (beta; i) - (gamma; j) for each unit coefficient containing the

@@ -48,7 +48,8 @@ def dehn_twist_matrix(curve: list[int], g: int) -> IntMatrix:
         coeff = sym_pairing(basis, curve, g)
         for r in range(2 * g):
             M[r][i] += coeff * curve[r]
-    assert is_symplectic(M, g)
+    if not is_symplectic(M, g):
+        raise RuntimeError("Dehn twist matrix failed its symplectic self-check")
     return M
 
 

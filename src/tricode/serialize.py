@@ -126,6 +126,13 @@ def code_to_json(code: CssCode) -> dict:
 
 def code_from_json(data: dict) -> CssCode:
     n = data["n"]
+    for name in ("hx", "hz"):
+        if any(len(r) != n for r in data[name]):
+            raise ValueError(f"{name} has a row whose length is not n = {n}")
+    if len(data["logical_x"]) != len(data["logical_z"]):
+        raise ValueError("logical_x and logical_z differ in length")
+    if any(not 0 <= q < n for s in data["logical_x"] + data["logical_z"] for q in s):
+        raise ValueError(f"a logical support has a qubit outside 0..{n - 1}")
     hx = BitMatrix.from_entries(data["hx"]) if data["hx"] else BitMatrix(0, n)
     hz = BitMatrix.from_entries(data["hz"]) if data["hz"] else BitMatrix(0, n)
     hx.ncols = hz.ncols = n

@@ -164,9 +164,13 @@ def _verify(M: IntMatrix, r: SnfResult, rows: int, cols: int) -> None:
     for i in range(rows):
         for j in range(cols):
             want = r.diagonal[i] if i == j and i < len(r.diagonal) else 0
-            assert D[i][j] == want, "SNF verification failed: PMQ not diagonal"
+            if D[i][j] != want:
+                raise RuntimeError("SNF verification failed: PMQ not diagonal")
     for i in range(len(r.diagonal) - 1):
         a, b = r.diagonal[i], r.diagonal[i + 1]
-        assert not (a == 0 and b != 0), "SNF: zero before nonzero"
-        assert a == 0 or b % a == 0, "SNF: divisibility chain broken"
-    assert abs(det(r.P)) == 1 and abs(det(r.Q)) == 1, "SNF: transforms not unimodular"
+        if a == 0 and b != 0:
+            raise RuntimeError("SNF: zero before nonzero")
+        if a != 0 and b % a:
+            raise RuntimeError("SNF: divisibility chain broken")
+    if abs(det(r.P)) != 1 or abs(det(r.Q)) != 1:
+        raise RuntimeError("SNF: transforms not unimodular")

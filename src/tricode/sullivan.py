@@ -43,7 +43,8 @@ class ThreeForm:
         return form
 
     def plus(self, other: "ThreeForm") -> "ThreeForm":
-        assert self.m == other.m
+        if self.m != other.m:
+            raise ValueError(f"cannot add 3-forms on {self.m} and {other.m} generators")
         out = dict(self.coeffs)
         for t, v in other.coeffs.items():
             out[t] = out.get(t, 0) + v

@@ -106,6 +106,16 @@ def test_code_and_gate_cli(workdir, capsys):
     assert len(serialize.read("state.json")["phases"]) == 512
 
 
+def test_gate_action_on_sigma2_circle_color_code(workdir):
+    assert main(["complex", "build", "--preset", "product:2,1", "--out", "k.json"]) == 0
+    assert main(["code", "build", "k.json", "--type", "color", "--out", "cc.json"]) == 0
+    assert main(["gate", "t", "cc.json", "--out", "t.json"]) == 0
+    assert main(["gate", "action", "t.json", "cc.json", "--out", "act.json"]) == 0
+    act = serialize.read("act.json")
+    assert act["k"] == 15
+    assert len(act["gates"]) == 18 and {kind for kind, _ in act["gates"]} == {"CCZ"}
+
+
 def test_gate_check_rejects_size_mismatch_in_every_mode(workdir):
     main(["complex", "build", "--preset", "t3", "--out", "t3.json"])
     main(["code", "build", "t3.json", "--type", "toric:1", "--out", "code1.json"])
@@ -214,6 +224,30 @@ def test_manifest_detects_perturbed_expectation(workdir, tmp_path):
     rc, lines = run_manifest("bad.manifest.json")
     assert rc == 1
     assert any(l.startswith("FAIL") and "betti" in l for l in lines)
+
+
+def test_manifest_reports_failing_steps(workdir):
+    serialize.write("usage.json", {"steps": [["complex", "build", "--no-such-flag"],
+                                             ["complex", "build", "--preset", "t3"]]})
+    rc, lines = run_manifest("usage.json")
+    assert rc == 2
+    assert lines == ["step 0 failed (exit 2): complex build --no-such-flag"]
+    serialize.write("preset.json", {"steps": [["complex", "build", "--preset", "nope"]]})
+    assert run_manifest("preset.json") == (
+        1, ["step 0 failed (unknown preset 'nope'): complex build --preset nope"])
+    # a single CCZ is not a logical gate of three toric copies on T^2 x S^1
+    assert main(["complex", "build", "--preset", "product:1,2", "--out", "k.json"]) == 0
+    E = serialize.complex_from_json(serialize.read("k.json")).n_cells(1)
+    serialize.write("one.json", {"n": 3 * E, "gates": [["CCZ", [0, E, 2 * E]]]})
+    serialize.write("action.json", {"steps": [
+        ["code", "build", "k.json", "--type", "toric:3", "--out", "c.json"],
+        ["gate", "action", "one.json", "c.json", "--out", "act.json"],
+        ["complex", "build", "--preset", "t3", "--out", "never.json"]]})
+    rc, lines = run_manifest("action.json")
+    assert rc == 1
+    assert lines[0] == "step 0 ok: code build k.json --type toric:3 --out c.json"
+    assert lines[1].startswith("step 1 failed (ValueError: not a logical gate: FAIL")
+    assert len(lines) == 2 and not os.path.exists("never.json")
 
 
 def test_empty_manifest_warns(workdir):

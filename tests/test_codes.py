@@ -251,3 +251,21 @@ def test_code_json_roundtrip(t3):
     assert back.logical_x == code.logical_x
     assert back.logical_labels() == code.logical_labels()
     assert back.check_logicals() == []
+
+
+def test_code_loader_rejects_bad_shapes(t3):
+    from tricode import serialize
+
+    good = serialize.code_to_json(toric_code(t3, 1))
+    n = good["n"]
+    bad_cases = [
+        ({"hx": [row[:-1] for row in good["hx"]]}, "hx has a row whose length is not n = 7"),
+        ({"hz": good["hz"][:1] + [good["hz"][1] + [0]]}, "hz has a row whose length"),
+        ({"logical_z": good["logical_z"][:-1]}, "differ in length"),
+        ({"logical_x": [[0, n]] + good["logical_x"][1:]}, "qubit outside 0..6"),
+        ({"logical_z": good["logical_z"][:2] + [[-1]]}, "qubit outside 0..6"),
+    ]
+    for change, message in bad_cases:
+        with pytest.raises(ValueError, match=message):
+            serialize.code_from_json({**good, **change})
+    assert serialize.code_from_json(good).k == 3

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -9,14 +10,18 @@ from tricode.complexes import (
     barycentric_subdivide,
     build_point,
     build_sigma_g,
+    build_sigma_g_rotsym,
     build_torus3,
+    mapping_torus,
     product_with_circle,
+    rotation_automorphism,
 )
 from tricode.gates import (
     DiagonalCircuit,
     GateCheck,
     LogicalAction,
     PhasePolynomial,
+    _incidence,
     ccz_circuit,
     check_logical_gate,
     conjugate_x,
@@ -25,9 +30,10 @@ from tricode.gates import (
     extract_logical_action,
     hypergraph_state_poly,
     logical_state_lift,
+    pull_back,
     transversal_t,
 )
-from tricode.gf2 import BitMatrix, row_reduce, vec_from_support
+from tricode.gf2 import BitMatrix, row_reduce, support, vec_from_support
 
 
 # -- phase polynomial algebra -------------------------------------------------
@@ -331,14 +337,107 @@ def test_oracle_on_partial_plus_states(t2xs1_2layers):
         assert sim.equal_up_to_global_phase(lift)
 
 
+def interpolated_logical_phase(f: PhasePolynomial, logical_x: list[int]) -> PhasePolynomial:
+    """Reference for the Z_8 pullback in ``extract_logical_action``: evaluate
+    f at every sum_j lambda_j L_j (2^k points), interpolate the coefficients
+    of degree <= 3 by Moebius inversion, and reject a phase of higher degree."""
+    k = len(logical_x)
+    values = []
+    for m in range(1 << k):
+        x = 0
+        for j in range(k):
+            if (m >> j) & 1:
+                x ^= logical_x[j]
+        values.append(f.evaluate(x))
+    out = PhasePolynomial(k)
+    for size in range(4):
+        for combo in itertools.combinations(range(k), size):
+            c = 0
+            for r in range(size + 1):
+                for sub in itertools.combinations(combo, r):
+                    c += (-1) ** (size - r) * values[vec_from_support(sub)]
+            out._add(frozenset(combo), c)
+    for m in range(1 << k):
+        if out.evaluate(m) != values[m]:
+            raise ValueError("logical phase is not degree <= 3")
+    return out
+
+
 def test_extraction_interpolation_route_matches_symbolic(t3):
-    code = toric_code(t3, 3)
-    circ = ccz_circuit(t3)
-    symbolic = extract_logical_action(circ, code)
-    # force the enumerative path by adding a do-nothing T T-dagger pair
-    noisy = circ.compose(DiagonalCircuit(circ.n, [("T", (0,)), ("Tdg", (0,))]))
-    enumerated = extract_logical_action(noisy, code)
-    assert enumerated.poly.coeffs == symbolic.poly.coeffs
+    # the CCZ circuit (coefficients 4) and transversal T (coefficients 1, 7)
+    # both go through the Z_8 pullback; the 2^k interpolation is the reference
+    base = build_sigma_g_rotsym(2)
+    torus = mapping_torus(base, rotation_automorphism(base, 2, 1), 1)
+    cases = [(ccz_circuit(t3), toric_code(t3, 3))]
+    cases += [(transversal_t(code), code) for code in (color_code(t3), color_code(torus))]
+    for circ, code in cases:
+        act = extract_logical_action(circ, code)
+        ref = interpolated_logical_phase(PhasePolynomial.from_circuit(circ), code.logical_x)
+        assert code.k == 9
+        assert act.poly.coeffs == ref.coeffs
+    assert {g for g, _ in extract_logical_action(*cases[1]).gate_list()} == {"CCZ"}
+
+
+def test_z8_pull_back_matches_interpolation_on_random_bases():
+    # random S/T/CZ/CCZ polynomials over random logical bases: the pullback
+    # equals f at sum_j lambda_j L_j for every lambda, and the interpolation
+    rng = random.Random(8)
+    kinds = ("Z", "S", "Sdg", "T", "Tdg")
+    for _ in range(150):
+        n, k = rng.randint(3, 9), rng.randint(1, 5)
+        logical_x = [rng.getrandbits(n) for _ in range(k)]
+        gates = [(rng.choice(kinds), (rng.randrange(n),)) for _ in range(rng.randint(0, 6))]
+        gates += [("CZ", tuple(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 3))]
+        gates += [("CCZ", tuple(rng.sample(range(n), 3))) for _ in range(rng.randint(0, 3))]
+        f = PhasePolynomial.from_circuit(DiagonalCircuit(n, gates))
+        pulled = pull_back(f.coeffs, _incidence(logical_x, n))
+        assert all(key.bit_count() <= 3 and 0 < c < 8 for key, c in pulled.items())
+        for lam in range(1 << k):
+            z = 0
+            for j in range(k):
+                if (lam >> j) & 1:
+                    z ^= logical_x[j]
+            assert sum(c for key, c in pulled.items() if key & lam == key) % 8 == f.evaluate(z)
+        ref = interpolated_logical_phase(f, logical_x)
+        assert {frozenset(support(key)): c for key, c in pulled.items()} == ref.coeffs
+
+
+def test_extraction_rejects_degree_above_three():
+    # T on the pair (0, 2), each qubit in two logical X strings: the
+    # pulled-back phase has the monomial y0 y1 y2 y3 with coefficient 4
+    n = 4
+    code = CssCode(n, BitMatrix(0, n), BitMatrix(0, n),
+                   [0b0011, 0b0001, 0b1100, 0b0100], [0b0001, 0b0010, 0b0100, 0b1000], {})
+    circ = DiagonalCircuit(n, [("T", (0, 2))])
+    assert check_logical_gate(circ, code).passed
+    with pytest.raises(ValueError, match="degree <= 3"):
+        extract_logical_action(circ, code)
+    with pytest.raises(ValueError, match="degree <= 3"):
+        interpolated_logical_phase(PhasePolynomial.from_circuit(circ), code.logical_x)
+
+
+@pytest.mark.parametrize("genus, n, ccz", [(2, 432, 18), (4, 1008, 34)])
+def test_transversal_t_color_code_sigma_circle_rungs(genus, n, ccz):
+    # k = 3 b_1 = 15 and 27: beyond the reach of 2^k interpolation
+    t0 = time.perf_counter()
+    K = product_with_circle(build_sigma_g(genus), 1)
+    code = color_code(K)
+    circ = transversal_t(code)
+    chk = check_logical_gate(circ, code)
+    act = extract_logical_action(circ, code, chk)
+    elapsed = time.perf_counter() - t0
+    assert (code.n, code.k) == (n, 3 * homology.betti_all(K)[1])
+    assert chk.status == "PASS"
+    gates = act.gate_list()
+    assert len(gates) == ccz and all(kind == "CCZ" for kind, _ in gates)
+    f = PhasePolynomial.from_circuit(circ)
+    rng = random.Random(genus)
+    for lam in [rng.getrandbits(code.k) for _ in range(50)]:
+        z = 0
+        for j in support(lam):
+            z ^= code.logical_x[j]
+        assert act.poly.evaluate(lam) == f.evaluate(z)
+    assert elapsed < 10.0, f"Sigma_{genus} x S^1 color-code rung took {elapsed:.1f}s"
 
 
 # -- signed-overlap criterion soundness -----------------------------------------

@@ -95,21 +95,25 @@ def test_local_residual_equals_full_shift(t2xs1_2layers):
 
 
 def test_pull_back_matches_evaluation():
-    # the pulled-back ANF evaluates like the polynomial at the image point
+    # the pulled-back ANF evaluates like the polynomial at the image point,
+    # mod 8; with every coefficient 4 it is the GF(2) pullback (parity * 4)
     rng = random.Random(11)
-    for _ in range(40):
+    for trial in range(80):
         n, m = 6, 4
         gens = [rng.getrandbits(n) for _ in range(m)]
         masks = [sum(1 << a for a in range(m) if (gens[a] >> q) & 1) for q in range(n)]
         monos = {frozenset(rng.sample(range(n), rng.randint(0, 3))) for _ in range(5)}
-        pulled = pull_back(monos, masks)
+        coeffs = {S: 4 if trial % 2 else rng.choice((1, 2, 4)) for S in monos}
+        pulled = pull_back(coeffs, masks)
+        if trial % 2:
+            assert set(pulled.values()) <= {4}
         for y in range(1 << m):
             z = 0
             for a in range(m):
                 if (y >> a) & 1:
                     z ^= gens[a]
-            want = sum(all((z >> q) & 1 for q in S) for S in monos) % 2
-            got = sum(1 for t in pulled if t & y == t) % 2
+            want = sum(c for S, c in coeffs.items() if all((z >> q) & 1 for q in S)) % 8
+            got = sum(c for t, c in pulled.items() if t & y == t) % 8
             assert got == want
 
 

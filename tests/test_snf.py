@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -99,3 +102,39 @@ def test_large_entries_exact():
         M = matmul(M, T5)
     delta = [[M[i][j] - (1 if i == j else 0) for j in range(4)] for i in range(4)]
     assert smith_normal_form(delta).diagonal == [10 ** 4, 0, 0, 0]
+
+
+SELF_CHECKS_UNDER_O = """
+from tricode import mcg, snf, sullivan
+M = [[2, 4], [6, 8]]
+good = snf.smith_normal_form(M)
+for bad in (snf.SnfResult([2, 5], good.P, good.Q),
+            snf.SnfResult([0, 2], good.P, good.Q),
+            snf.SnfResult(good.diagonal, [[2, 0], [0, 1]], good.Q)):
+    try:
+        snf._verify(M, bad, 2, 2)
+    except RuntimeError:
+        pass
+    else:
+        raise SystemExit("corrupt SNF passed its verification")
+mcg.is_symplectic = lambda M, g: False
+try:
+    mcg.dehn_twist_matrix([1, 0, 0, 0], 2)
+except RuntimeError:
+    pass
+else:
+    raise SystemExit("non-symplectic twist passed its self-check")
+try:
+    sullivan.ThreeForm(3, {}).plus(sullivan.ThreeForm(4, {}))
+except ValueError:
+    pass
+else:
+    raise SystemExit("3-forms on 3 and 4 generators were added")
+"""
+
+
+def test_self_checks_raise_under_O():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", SELF_CHECKS_UNDER_O],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
