@@ -420,8 +420,8 @@ def run_manifest(path: str) -> tuple[int, list[str]]:
         except SystemExit as exc:  # argparse errors exit 2; a message exits 1
             rc = exc.code if isinstance(exc.code, int) else 1
             why = f"exit {rc}" if isinstance(exc.code, int) else str(exc.code)
-        except ValueError as exc:
-            rc, why = 1, f"ValueError: {exc}"
+        except (OSError, KeyError, ValueError) as exc:  # unreadable or malformed input
+            rc, why = 1, f"{type(exc).__name__}: {exc}"
         if rc != 0:
             lines.append(f"step {i} failed ({why}): {' '.join(step)}")
             return rc, lines

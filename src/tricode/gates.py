@@ -31,6 +31,7 @@ from .codes import CssCode
 from .gf2 import dot, extend_basis, row_reduce, support
 
 GATE_COEFF = {"Z": 4, "S": 2, "Sdg": 6, "T": 1, "Tdg": 7, "CZ": 4, "CCZ": 4}
+GATE_ARITY = {"Z": 1, "S": 1, "Sdg": 1, "T": 1, "Tdg": 1, "CZ": 2, "CCZ": 3}
 COEFF_GATE_1 = {4: "Z", 2: "S", 6: "Sdg", 1: "T", 7: "Tdg", 3: None, 5: None}
 
 
@@ -43,6 +44,9 @@ class DiagonalCircuit:
         for kind, qs in self.gates:
             if kind not in GATE_COEFF:
                 raise ValueError(f"unknown diagonal gate {kind!r}")
+            if len(qs) != GATE_ARITY[kind]:
+                raise ValueError(f"gate {kind} acts on {GATE_ARITY[kind]} qubit(s), "
+                                 f"not {len(qs)}: {qs}")
             if len(set(qs)) != len(qs) or any(not 0 <= q < self.n for q in qs):
                 raise ValueError(f"bad qubit tuple {qs} for gate {kind}")
 
@@ -505,21 +509,26 @@ def extract_logical_action(circuit: DiagonalCircuit, code: CssCode,
 
     The physical polynomial of any diagonal circuit is pulled back over Z_8
     through the substitution z -> sum_j lambda_j xbar_j (``pull_back``), so
-    the cost follows the overlaps of the logical X strings, not 2^k.  Raises
-    when a pulled-back monomial has degree > 3 (outside the CCZ hierarchy;
-    unreachable while Z, S and T act on single qubits).  Requires a passing
-    code-preservation check.
+    the cost follows the overlaps of the logical X strings, not 2^k.
+    Requires a passing code-preservation check.
     """
     if checked is None:
         checked = check_logical_gate(circuit, code)
     if not checked.passed:
         raise ValueError(f"not a logical gate: {checked.status} ({checked.detail})")
-    f = PhasePolynomial.from_circuit(circuit)
-    pulled = pull_back(f.coeffs, _incidence(code.logical_x, code.n))
+    poly = logical_phase(PhasePolynomial.from_circuit(circuit), code.logical_x)
+    return LogicalAction(code.k, code.logical_labels(), poly)
+
+
+def logical_phase(f: PhasePolynomial, logical_x: list[int]) -> PhasePolynomial:
+    """f pulled back over Z_8 onto the logical X strings, as a polynomial in
+    the k = len(logical_x) logical variables.  Raises when a monomial has
+    degree > 3 (outside the CCZ hierarchy; unreachable from a circuit, whose
+    Z, S and T act on single qubits)."""
+    pulled = pull_back(f.coeffs, _incidence(logical_x, f.n))
     if any(key.bit_count() > 3 for key in pulled):
         raise ValueError("logical phase is not degree <= 3 (not in the CCZ hierarchy)")
-    out = PhasePolynomial(code.k, {frozenset(support(key)): c for key, c in pulled.items()})
-    return LogicalAction(code.k, code.logical_labels(), out)
+    return PhasePolynomial(len(logical_x), {frozenset(support(key)): c for key, c in pulled.items()})
 
 
 # ---------------------------------------------------------------------------

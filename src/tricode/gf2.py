@@ -56,9 +56,6 @@ class BitMatrix:
         ncols = max((len(r) for r in entries), default=0)
         return cls(len(rows), ncols, rows)
 
-    def to_entries(self):
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
-
     def copy(self) -> "BitMatrix":
         return BitMatrix(self.nrows, self.ncols, list(self.rows))
 

@@ -5,8 +5,12 @@ Formats (documented in the README):
               "cycles": {name: {"dim": d, "cells": [..]}}}   (cycles optional)
   matrix     {"rows": r, "cols": c, "entries": [[..], ..]}
   cochain    {"dim": n, "support": [..]}
-  code       {"n": .., "hx": [[..]], "hz": [[..]], "logical_x": [..],
-              "logical_z": [..], "meta": [..], "extra": {..}}
+  code       {"format": 2, "n": .., "hx": [[..]], "hz": [[..]],
+              "logical_x": [[..]], "logical_z": [[..]], "meta": [..],
+              "extra": {..}}
+             hx, hz and the logicals are support lists (the qubits of each
+             row, increasing).  A code file without "format" is the older
+             dense layout (format 1: hx/hz rows of n 0/1 entries), still read.
   circuit    {"n": .., "gates": [["CCZ", [a, b, c]], ..]}
   hypergraph {"kind": "base"|"full", "vertices": [..], "hyperedges": [[..]]}
   form       {"m": m, "coeffs": {"1,2,3": 1, ..}}
@@ -114,9 +118,10 @@ def code_to_json(code: CssCode) -> dict:
                 val = [list(v) if isinstance(v, tuple) else v for v in val]
             extra[key] = val
     return {
+        "format": 2,
         "n": code.n,
-        "hx": code.hx.to_entries(),
-        "hz": code.hz.to_entries(),
+        "hx": [support(r) for r in code.hx.rows],
+        "hz": [support(r) for r in code.hz.rows],
         "logical_x": [support(v) for v in code.logical_x],
         "logical_z": [support(v) for v in code.logical_z],
         "meta": [list(q) for q in code.meta.get("qubit", [])],
@@ -124,18 +129,36 @@ def code_to_json(code: CssCode) -> dict:
     }
 
 
+def _matrix_from_json(name: str, rows: list, n: int, fmt: int) -> BitMatrix:
+    """hx or hz as bit-packed rows, from support lists (format 2) or dense
+    0/1 rows of length n (format 1)."""
+    if fmt == 1:
+        if any(len(r) != n for r in rows):
+            raise ValueError(f"{name} has a row whose length is not n = {n}")
+        return BitMatrix(len(rows), n, BitMatrix.from_entries(rows).rows)
+    for i, r in enumerate(rows):
+        if not isinstance(r, list):
+            raise ValueError(f"{name} row {i} is not a list of qubits: {r!r}")
+        prev = -1
+        for q in r:
+            if type(q) is not int or not prev < q < n:
+                raise ValueError(f"{name} row {i} is not an increasing list of "
+                                 f"qubits in 0..{n - 1}: {r!r}")
+            prev = q
+    return BitMatrix(len(rows), n, [vec_from_support(r) for r in rows])
+
+
 def code_from_json(data: dict) -> CssCode:
     n = data["n"]
-    for name in ("hx", "hz"):
-        if any(len(r) != n for r in data[name]):
-            raise ValueError(f"{name} has a row whose length is not n = {n}")
+    fmt = data.get("format", 1)
+    if type(fmt) is not int or fmt not in (1, 2):
+        raise ValueError(f"unknown code format {fmt!r} (expected 1 or 2)")
+    hx = _matrix_from_json("hx", data["hx"], n, fmt)
+    hz = _matrix_from_json("hz", data["hz"], n, fmt)
     if len(data["logical_x"]) != len(data["logical_z"]):
         raise ValueError("logical_x and logical_z differ in length")
     if any(not 0 <= q < n for s in data["logical_x"] + data["logical_z"] for q in s):
         raise ValueError(f"a logical support has a qubit outside 0..{n - 1}")
-    hx = BitMatrix.from_entries(data["hx"]) if data["hx"] else BitMatrix(0, n)
-    hz = BitMatrix.from_entries(data["hz"]) if data["hz"] else BitMatrix(0, n)
-    hx.ncols = hz.ncols = n
     meta = {"qubit": [tuple(q) for q in data.get("meta", [])]}
     for key, val in data.get("extra", {}).items():
         if key == "labels":

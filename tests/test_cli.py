@@ -248,6 +248,19 @@ def test_manifest_reports_failing_steps(workdir):
     assert lines[0] == "step 0 ok: code build k.json --type toric:3 --out c.json"
     assert lines[1].startswith("step 1 failed (ValueError: not a logical gate: FAIL")
     assert len(lines) == 2 and not os.path.exists("never.json")
+    # a missing input file and a code file without a required key
+    code = serialize.read("c.json")
+    del code["logical_x"]
+    serialize.write("badcode.json", code)
+    serialize.write("missing.manifest.json",
+                    {"steps": [["gate", "action", "missing.json", "c.json"]]})
+    serialize.write("nokey.manifest.json", {"steps": [["gate", "check", "one.json", "badcode.json"]]})
+    rc, lines = run_manifest("missing.manifest.json")
+    assert rc == 1 and len(lines) == 1
+    assert lines[0].startswith("step 0 failed (FileNotFoundError: ")
+    assert lines[0].endswith("'missing.json'): gate action missing.json c.json")
+    assert run_manifest("nokey.manifest.json") == (
+        1, ["step 0 failed (KeyError: 'logical_x'): gate check one.json badcode.json"])
 
 
 def test_empty_manifest_warns(workdir):
@@ -272,3 +285,9 @@ def test_circuit_json_roundtrip(workdir):
     circ = DiagonalCircuit(5, [("CCZ", (0, 1, 2)), ("T", (4,))])
     back = serialize.circuit_from_json(json.loads(serialize.dumps(serialize.circuit_to_json(circ))))
     assert back.n == circ.n and back.gates == circ.gates
+    for gates, message in [([["CCZ", [1]]], "gate CCZ acts on 3 qubit"),
+                           ([["T", [0, 2]]], "gate T acts on 1 qubit"),
+                           ([["CZ", [0, 1, 2]]], "gate CZ acts on 2 qubit"),
+                           ([["Z", []]], "gate Z acts on 1 qubit")]:
+        with pytest.raises(ValueError, match=message):
+            serialize.circuit_from_json({"n": 3, "gates": gates})

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -19,8 +20,11 @@ from tricode.codes import (
 from tricode.complexes import (
     barycentric_subdivide,
     build_sigma_g,
+    build_sigma_g_rotsym,
     build_torus3,
+    mapping_torus,
     product_with_circle,
+    rotation_automorphism,
 )
 from tricode.gates import ccz_circuit, check_logical_gate, extract_logical_action
 from tricode.gf2 import BitMatrix, dot, popcount, vec_from_support
@@ -253,19 +257,71 @@ def test_code_json_roundtrip(t3):
     assert back.check_logicals() == []
 
 
+def dense_code_json(code: CssCode) -> dict:
+    """A code in the older dense layout (format 1, no "format" key): hx/hz
+    rows of n 0/1 entries; everything else as in format 2."""
+    from tricode import serialize
+
+    data = serialize.code_to_json(code)
+    del data["format"]
+    for name in ("hx", "hz"):
+        data[name] = [[(r >> j) & 1 for j in range(code.n)] for r in getattr(code, name).rows]
+    return data
+
+
 def test_code_loader_rejects_bad_shapes(t3):
     from tricode import serialize
 
-    good = serialize.code_to_json(toric_code(t3, 1))
-    n = good["n"]
-    bad_cases = [
-        ({"hx": [row[:-1] for row in good["hx"]]}, "hx has a row whose length is not n = 7"),
-        ({"hz": good["hz"][:1] + [good["hz"][1] + [0]]}, "hz has a row whose length"),
+    code = toric_code(t3, 1)
+    dense = dense_code_json(code)
+    n = dense["n"]
+    dense_cases = [
+        ({"hx": [row[:-1] for row in dense["hx"]]}, "hx has a row whose length is not n = 7"),
+        ({"hz": dense["hz"][:1] + [dense["hz"][1] + [0]]}, "hz has a row whose length"),
+        ({"logical_z": dense["logical_z"][:-1]}, "differ in length"),
+        ({"logical_x": [[0, n]] + dense["logical_x"][1:]}, "qubit outside 0..6"),
+        ({"logical_z": dense["logical_z"][:2] + [[-1]]}, "qubit outside 0..6"),
+    ]
+    good = serialize.code_to_json(code)
+    assert good["format"] == 2 and good["hz"][0] == [0, 1, 3]
+    sparse_cases = [
+        ({"hz": good["hz"][:1] + [good["hz"][1] + [n]]}, "hz row 1 is not an increasing list"),
+        ({"hx": [[-1]]}, "hx row 0 is not an increasing list of qubits in 0..6"),
+        ({"hz": [[0, "1", 3]]}, "hz row 0 is not an increasing"),
+        ({"hz": [[0, 1.0, 3]]}, "hz row 0 is not an increasing"),
+        ({"hz": [[0, 3, 1]]}, "hz row 0 is not an increasing"),
+        ({"hz": [[0, 1, 1, 3]]}, "hz row 0 is not an increasing"),
+        ({"hx": [3]}, "hx row 0 is not a list"),
         ({"logical_z": good["logical_z"][:-1]}, "differ in length"),
         ({"logical_x": [[0, n]] + good["logical_x"][1:]}, "qubit outside 0..6"),
-        ({"logical_z": good["logical_z"][:2] + [[-1]]}, "qubit outside 0..6"),
+        ({"format": 3}, "unknown code format 3"),
+        ({"format": "2"}, "unknown code format '2'"),
+        ({"format": True}, "unknown code format True"),
     ]
-    for change, message in bad_cases:
-        with pytest.raises(ValueError, match=message):
-            serialize.code_from_json({**good, **change})
-    assert serialize.code_from_json(good).k == 3
+    for base, cases in ((dense, dense_cases), (good, sparse_cases)):
+        for change, message in cases:
+            with pytest.raises(ValueError, match=message):
+                serialize.code_from_json({**base, **change})
+    assert serialize.code_from_json(dense).k == serialize.code_from_json(good).k == 3
+
+
+def test_code_json_sparse_decodes_as_dense(t3):
+    from tricode import serialize
+
+    base = build_sigma_g_rotsym(2)
+    torus = mapping_torus(base, rotation_automorphism(base, 2, 1), 1)
+    for code in (toric_code(t3, 3), color_code(t3), color_code(torus)):
+        text = serialize.dumps(serialize.code_to_json(code))
+        sparse = serialize.code_from_json(json.loads(text))
+        dense = serialize.code_from_json(json.loads(serialize.dumps(dense_code_json(code))))
+        for back in (sparse, dense):
+            assert (back.n, back.k) == (code.n, code.k)
+            assert (back.hx.nrows, back.hx.ncols) == (code.hx.nrows, code.n)
+            assert (back.hz.nrows, back.hz.ncols) == (code.hz.nrows, code.n)
+        assert sparse.hx.rows == dense.hx.rows == code.hx.rows
+        assert sparse.hz.rows == dense.hz.rows == code.hz.rows
+        assert sparse.logical_x == dense.logical_x == code.logical_x
+        assert sparse.logical_z == dense.logical_z == code.logical_z
+        assert sparse.logical_labels() == dense.logical_labels() == code.logical_labels()
+        assert sparse.meta == dense.meta
+        assert sparse.meta.get("signs") == code.meta.get("signs")

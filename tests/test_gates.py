@@ -29,6 +29,7 @@ from tricode.gates import (
     cz_membrane_circuit,
     extract_logical_action,
     hypergraph_state_poly,
+    logical_phase,
     logical_state_lift,
     pull_back,
     transversal_t,
@@ -403,17 +404,19 @@ def test_z8_pull_back_matches_interpolation_on_random_bases():
 
 
 def test_extraction_rejects_degree_above_three():
-    # T on the pair (0, 2), each qubit in two logical X strings: the
-    # pulled-back phase has the monomial y0 y1 y2 y3 with coefficient 4
+    # a T-weight (coefficient 1) term on the pair z0 z2, each qubit in two
+    # logical X strings: the pulled-back phase has the monomial y0 y1 y2 y3
+    # with coefficient 4.  No circuit has that term (T acts on one qubit).
     n = 4
-    code = CssCode(n, BitMatrix(0, n), BitMatrix(0, n),
-                   [0b0011, 0b0001, 0b1100, 0b0100], [0b0001, 0b0010, 0b0100, 0b1000], {})
-    circ = DiagonalCircuit(n, [("T", (0, 2))])
-    assert check_logical_gate(circ, code).passed
+    logical_x = [0b0011, 0b0001, 0b1100, 0b0100]
+    with pytest.raises(ValueError, match="gate T acts on 1 qubit"):
+        DiagonalCircuit(n, [("T", (0, 2))])
+    f = PhasePolynomial(n, {frozenset({0, 2}): 1})
+    assert pull_back(f.coeffs, _incidence(logical_x, n))[0b1111] == 4
     with pytest.raises(ValueError, match="degree <= 3"):
-        extract_logical_action(circ, code)
+        logical_phase(f, logical_x)
     with pytest.raises(ValueError, match="degree <= 3"):
-        interpolated_logical_phase(PhasePolynomial.from_circuit(circ), code.logical_x)
+        interpolated_logical_phase(f, logical_x)
 
 
 @pytest.mark.parametrize("genus, n, ccz", [(2, 432, 18), (4, 1008, 34)])

@@ -1,0 +1,16 @@
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tricode"
+
+
+def test_no_assert_statements_in_package():
+    # `python -O` strips assert statements, so invariants of the package
+    # are enforced by raising exceptions instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert len(list(SRC.glob("*.py"))) > 10
+    assert found == []
