@@ -9,6 +9,7 @@ manifests produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -464,6 +465,7 @@ def cmd_manifest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: a manifest runs every step through main
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tricode", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -11,7 +11,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .complexes import DeltaComplex, barycentric_subdivide
-from .gf2 import BitMatrix, dot, dual_basis, extend_basis, popcount, vec_from_support
+from .gf2 import (BitMatrix, dot, dual_basis, extend_basis, kernel_from_rref, popcount, row_reduce,
+                  vec_from_support)
 from . import homology
 
 
@@ -121,24 +122,29 @@ def color_code(K: DeltaComplex) -> CssCode:
     D = sd.dims
     n = sd.n_cells(D)
 
+    # a flag's 6 edges are the 3 edges of its face 0 (vertices 123), edges 02
+    # and 01 of its face 3 (vertices 012) and edge 03 of its face 1 (023);
+    # its 4 vertices are the ends of edges 23 and 01
+    f1, f2, f3 = sd.face[1], sd.face[2], sd.face[3]
     vert_rows = [0] * sd.n_cells(0)
     edge_rows = [0] * sd.n_cells(1)
     for s in range(n):
-        verts = {sd.iterated_face(D, s, (i,))[1] for i in range(D + 1)}
-        edges = {
-            sd.iterated_face(D, s, keep)[1]
-            for keep in itertools.combinations(range(D + 1), 2)
-        }
-        for v in verts:
-            vert_rows[v] |= 1 << s
-        for e in edges:
-            edge_rows[e] |= 1 << s
+        bit = 1 << s
+        t0, t1, _, t3 = f3[s]
+        e23, e13, e12 = f2[t0]
+        _, e02, e01 = f2[t3]
+        for e in (e23, e13, e12, e02, e01, f2[t1][1]):
+            edge_rows[e] |= bit
+        for v in f1[e23] + f1[e01]:
+            vert_rows[v] |= bit
     hx = BitMatrix(len(vert_rows), n, vert_rows)
     hz = BitMatrix(len(edge_rows), n, edge_rows)
 
-    lx = extend_basis(hx.rows, hz.nullspace())
-    lz = extend_basis(hz.rows, hx.nullspace())
-    k = n - hx.rank() - hz.rank()
+    # one elimination each: ranks, null spaces and extension seeds share it
+    hx_rref, hz_rref = row_reduce(hx.rows), row_reduce(hz.rows)
+    lx = extend_basis(hx_rref[0], kernel_from_rref(*hz_rref, n))
+    lz = extend_basis(hz_rref[0], kernel_from_rref(*hx_rref, n))
+    k = n - len(hx_rref[0]) - len(hz_rref[0])
     if not len(lx) == len(lz) == k:
         raise RuntimeError("color code logical extraction failed")
     lx = dual_basis(lx, lz)

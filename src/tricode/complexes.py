@@ -559,65 +559,56 @@ def barycentric_subdivide(K: DeltaComplex) -> Subdivision:
     An n-simplex is a flag: a cell tau of K of dimension p together with a
     chain of vertex-position subsets A_0 < A_1 < ... < A_n = {0..p}.  The
     result records each simplex's chain of original cells (the flag map).
+
+    The n-simplices are numbered by p, then tau, then the chain's position in
+    ``chains[p][n]``, so every face index is arithmetic: face i < n drops A_i
+    (same cell), face n is the flag of the cell spanned by A_{n-1}, its chain
+    relabelled.  Chains, their face positions and the cells spanned by each
+    vertex subset are computed once, not per simplex.
     """
     import itertools
 
     dims = K.dims
-    b = _Builder(dims)
-
-    def chains_under(p: int, length: int):
-        """Strictly increasing chains A_0 < ... < A_length of nonempty subsets
-        of {0..p} whose top element is the full set."""
-        full = frozenset(range(p + 1))
-        if length == 0:
-            return [(full,)]
-        proper = [
-            frozenset(sub)
-            for r in range(1, p + 1)
-            for sub in itertools.combinations(range(p + 1), r)
-        ]
-        out = []
-
-        def rec(chain):
-            if len(chain) == length:
-                out.append(tuple(chain) + (full,))
-                return
-            for fs in proper:
-                if fs > chain[-1]:
-                    rec(chain + [fs])
-
-        for fs in proper:
-            rec([fs])
-        return out
-
-    def face_key(p: int, s: int, chain, i: int):
-        n = len(chain) - 1
-        if i < n:
-            return (p, s, chain[:i] + chain[i + 1:])
-        newtop = chain[n - 1]
-        d, idx = K.iterated_face(p, s, tuple(sorted(newtop)))
-        relabel = {v: k for k, v in enumerate(sorted(newtop))}
-        newchain = tuple(frozenset(relabel[v] for v in A) for A in chain[:n])
-        return (d, idx, newchain)
-
+    subsets, chains = [], []  # per p: nonempty subsets of {0..p} by size; chains per n
     for p in range(dims + 1):
-        for s in range(K.n_cells(p)):
-            for n in range(p + 1):
-                for chain in chains_under(p, n):
-                    key = (p, s, chain)
-                    if n == 0:
-                        b.add(0, key)
-                    else:
-                        b.add(n, key, tuple(face_key(p, s, chain, i) for i in range(n + 1)))
-    sd = b.freeze()
+        subsets.append([frozenset(c) for r in range(1, p + 2)
+                        for c in itertools.combinations(range(p + 1), r)])
+        # A_0 < ... < A_n = {0..p}, in lexicographic order of the subset list
+        chains.append([[c + (subsets[p][-1],) for c in itertools.combinations(subsets[p][:-1], n)
+                        if all(a < b for a, b in zip(c, c[1:]))] for n in range(p + 1)])
+    position = [[{c: i for i, c in enumerate(cs)} for cs in chains_p] for chains_p in chains]
+    # offset[n][p]: index of the first n-simplex over the p-cells of K
+    offset = [[0] * (dims + 1) for _ in range(dims + 1)]
+    for n in range(dims + 1):
+        for p in range(n, dims):
+            offset[n][p + 1] = offset[n][p] + K.n_cells(p) * len(chains[p][n])
+    # per n-chain, n >= 1: positions of faces i < n, A_{n-1}, position of face n
+    templates = [[[] for _ in range(p + 1)] for p in range(dims + 1)]
+    for p in range(dims + 1):
+        for n in range(1, p + 1):
+            for c in chains[p][n]:
+                relabel = {v: k for k, v in enumerate(sorted(c[n - 1]))}
+                newchain = tuple(frozenset(relabel[v] for v in A) for A in c[:n])
+                templates[p][n].append((
+                    tuple(position[p][n - 1][c[:i] + c[i + 1:]] for i in range(n)),
+                    c[n - 1], position[len(c[n - 1]) - 1][n - 1][newchain]))
+
+    face: list[list[tuple[int, ...]]] = [[] for _ in range(dims + 1)]
     cell_chain: list[list[tuple[Cell, ...]]] = [[] for _ in range(dims + 1)]
     subset_chain: list[list[tuple]] = [[] for _ in range(dims + 1)]
-    for n in range(dims + 1):
-        cell_chain[n] = [()] * sd.n_cells(n)
-        subset_chain[n] = [()] * sd.n_cells(n)
-        for (p, s, chain), i in b.index[n].items():
-            cell_chain[n][i] = tuple(K.iterated_face(p, s, tuple(sorted(A))) for A in chain)
-            subset_chain[n][i] = chain
+    for p in range(dims + 1):
+        for s in range(K.n_cells(p)):
+            cell_of = {A: K.iterated_face(p, s, tuple(sorted(A))) for A in subsets[p]}
+            for n in range(p + 1):
+                cell_chain[n] += [tuple(cell_of[A] for A in c) for c in chains[p][n]]
+                subset_chain[n] += chains[p][n]
+                same = offset[n - 1][p] + s * len(chains[p][n - 1]) if n else 0
+                for subs, top, newpos in templates[p][n]:
+                    d, idx = cell_of[top]
+                    face[n].append(tuple(same + j for j in subs) + (
+                        offset[n - 1][d] + idx * len(chains[d][n - 1]) + newpos,))
+    face[0] = [()] * len(cell_chain[0])
+    sd = DeltaComplex(face)
     for i, fl in enumerate(cell_chain[0]):
         d, idx = fl[0]
         sd.labels[(0, i)] = f"bary:{K.label(d, idx)}"

@@ -76,16 +76,19 @@ class BitMatrix:
         return out
 
     def matmul(self, other: "BitMatrix") -> "BitMatrix":
+        """Row i of the product is the XOR of the rows of ``other`` picked out
+        by the set bits of row i, so the work follows the bits of self."""
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} "
                              f"by {other.nrows}x{other.ncols}")
-        ot = other.transpose()
+        orows = other.rows
         rows = []
         for r in self.rows:
+            if r >> self.ncols:
+                raise ValueError(f"row has a bit at or above column {self.ncols}")
             acc = 0
-            for j, c in enumerate(ot.rows):
-                if dot(r, c):
-                    acc |= 1 << j
+            for j in support(r):
+                acc ^= orows[j]
             rows.append(acc)
         return BitMatrix(self.nrows, other.ncols, rows)
 
@@ -100,23 +103,26 @@ class BitMatrix:
 
     def nullspace(self) -> list[int]:
         """Basis of {v : M v = 0}, in deterministic order."""
-        basis, pivots = row_reduce(self.rows)
-        pivot_set = set(pivots)
-        out = []
-        for j in range(self.ncols):
-            if j in pivot_set:
-                continue
-            v = 1 << j
-            for row, p in zip(basis, pivots):
-                if (row >> j) & 1:
-                    v |= 1 << p
-            out.append(v)
-        return out
+        return kernel_from_rref(*row_reduce(self.rows), self.ncols)
 
     def solve(self, b: int) -> int | None:
         """One solution x of M x = b, or None if inconsistent."""
         rows = [r | ((b >> i) & 1) << self.ncols for i, r in enumerate(self.rows)]
         return solve_augmented(rows, self.ncols, 1)[0]
+
+
+def _insert(by_pivot: dict[int, int], r: int) -> int:
+    """Forward-eliminate r by the stored rows whose pivots (lowest set bits) it
+    hits and store the remainder under its own pivot.  Returns the remainder,
+    0 when r already lies in the span of the stored rows."""
+    while r:
+        p = (r & -r).bit_length() - 1
+        b = by_pivot.get(p)
+        if b is None:
+            by_pivot[p] = r
+            return r
+        r ^= b
+    return 0
 
 
 def row_reduce(rows) -> tuple[list[int], list[int]]:
@@ -129,13 +135,7 @@ def row_reduce(rows) -> tuple[list[int], list[int]]:
     """
     by_pivot: dict[int, int] = {}
     for r in rows:
-        while r:
-            p = (r & -r).bit_length() - 1
-            b = by_pivot.get(p)
-            if b is None:
-                by_pivot[p] = r
-                break
-            r ^= b
+        _insert(by_pivot, r)
     pivots = sorted(by_pivot)
     above = 0  # pivot columns already reduced
     for p in reversed(pivots):
@@ -148,6 +148,20 @@ def row_reduce(rows) -> tuple[list[int], list[int]]:
         by_pivot[p] = r
         above |= 1 << p
     return [by_pivot[p] for p in pivots], pivots
+
+
+def kernel_from_rref(basis: list[int], pivots: list[int], ncols: int) -> list[int]:
+    """Null space basis of a matrix with RREF (basis, pivots): one vector per
+    free column j < ncols, in increasing j, with bit p set when the RREF row
+    with pivot p has bit j (and bit j itself)."""
+    free = (1 << ncols) - 1
+    for p in pivots:
+        free &= ~(1 << p)
+    vecs = {j: 1 << j for j in support(free)}
+    for row, p in zip(basis, pivots):
+        for j in support(row & free):
+            vecs[j] |= 1 << p
+    return list(vecs.values())
 
 
 def solve_augmented(rows: list[int], ncols: int, m: int) -> list[int | None]:
@@ -171,32 +185,16 @@ def solve_augmented(rows: list[int], ncols: int, m: int) -> list[int | None]:
 
 
 def in_span(basis_rows, v: int) -> bool:
-    basis, pivots = row_reduce(basis_rows)
-    for b, p in zip(basis, pivots):
-        if (v >> p) & 1:
-            v ^= b
-    return v == 0
+    return not extend_basis(basis_rows, [v])
 
 
 def extend_basis(old_rows: list[int], candidates: list[int]) -> list[int]:
-    """Candidates that enlarge span(old_rows), greedily and deterministically."""
-    basis, pivots = row_reduce(old_rows)
-    out = []
-    for c in candidates:
-        r = c
-        for b, p in zip(basis, pivots):
-            if (r >> p) & 1:
-                r ^= b
-        if r == 0:
-            continue
-        out.append(c)
-        p = (r & -r).bit_length() - 1
-        for i in range(len(basis)):
-            if (basis[i] >> p) & 1:
-                basis[i] ^= r
-        basis.append(r)
-        pivots.append(p)
-    return out
+    """Candidates that enlarge span(old_rows), greedily and deterministically.
+    Passing an RREF basis as old_rows costs no elimination."""
+    by_pivot: dict[int, int] = {}
+    for r in old_rows:
+        _insert(by_pivot, r)
+    return [c for c in candidates if _insert(by_pivot, c)]
 
 
 def dual_basis(vecs: list[int], against: list[int]) -> list[int] | None:

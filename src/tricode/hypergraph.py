@@ -71,17 +71,11 @@ def base_hypergraph(form: TripleForm) -> Hypergraph:
     """One hyperedge per unit triple-intersection coefficient.
 
     Raises if any requested triple is UNKNOWN-ALGEBRAIC (never guessed)."""
-    unknown = [t for t, v in form.coefficients.items() if v == UNKNOWN]
-    if unknown:
-        raise ValueError(
-            f"{len(unknown)} UNKNOWN-ALGEBRAIC coefficients; cannot build the base hypergraph"
-        )
-    edges = [
-        tuple(form.labels[i] for i in sorted(t))
-        for t, v in sorted(form.coefficients.items(), key=lambda kv: sorted(kv[0]))
-        if v == 1
-    ]
-    return Hypergraph("base", list(form.labels), edges)
+    h = base_hypergraph_partial(form)
+    if h.unknown_triples:
+        raise ValueError(f"{len(h.unknown_triples)} UNKNOWN-ALGEBRAIC coefficients; "
+                         "cannot build the base hypergraph")
+    return h
 
 
 def base_hypergraph_partial(form: TripleForm) -> Hypergraph:

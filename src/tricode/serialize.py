@@ -129,13 +129,8 @@ def code_to_json(code: CssCode) -> dict:
     }
 
 
-def _matrix_from_json(name: str, rows: list, n: int, fmt: int) -> BitMatrix:
-    """hx or hz as bit-packed rows, from support lists (format 2) or dense
-    0/1 rows of length n (format 1)."""
-    if fmt == 1:
-        if any(len(r) != n for r in rows):
-            raise ValueError(f"{name} has a row whose length is not n = {n}")
-        return BitMatrix(len(rows), n, BitMatrix.from_entries(rows).rows)
+def _check_supports(name: str, rows: list, n: int) -> None:
+    """Every row must be a strictly increasing list of ints in 0..n-1."""
     for i, r in enumerate(rows):
         if not isinstance(r, list):
             raise ValueError(f"{name} row {i} is not a list of qubits: {r!r}")
@@ -145,6 +140,16 @@ def _matrix_from_json(name: str, rows: list, n: int, fmt: int) -> BitMatrix:
                 raise ValueError(f"{name} row {i} is not an increasing list of "
                                  f"qubits in 0..{n - 1}: {r!r}")
             prev = q
+
+
+def _matrix_from_json(name: str, rows: list, n: int, fmt: int) -> BitMatrix:
+    """hx or hz as bit-packed rows, from support lists (format 2) or dense
+    0/1 rows of length n (format 1)."""
+    if fmt == 1:
+        if any(len(r) != n for r in rows):
+            raise ValueError(f"{name} has a row whose length is not n = {n}")
+        return BitMatrix(len(rows), n, BitMatrix.from_entries(rows).rows)
+    _check_supports(name, rows, n)
     return BitMatrix(len(rows), n, [vec_from_support(r) for r in rows])
 
 
@@ -157,8 +162,8 @@ def code_from_json(data: dict) -> CssCode:
     hz = _matrix_from_json("hz", data["hz"], n, fmt)
     if len(data["logical_x"]) != len(data["logical_z"]):
         raise ValueError("logical_x and logical_z differ in length")
-    if any(not 0 <= q < n for s in data["logical_x"] + data["logical_z"] for q in s):
-        raise ValueError(f"a logical support has a qubit outside 0..{n - 1}")
+    _check_supports("logical_x", data["logical_x"], n)
+    _check_supports("logical_z", data["logical_z"], n)
     meta = {"qubit": [tuple(q) for q in data.get("meta", [])]}
     for key, val in data.get("extra", {}).items():
         if key == "labels":

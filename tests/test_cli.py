@@ -291,3 +291,33 @@ def test_circuit_json_roundtrip(workdir):
                            ([["Z", []]], "gate Z acts on 1 qubit")]:
         with pytest.raises(ValueError, match=message):
             serialize.circuit_from_json({"n": 3, "gates": gates})
+
+
+def test_parser_built_once_per_process(workdir):
+    # test_manifest_outputs_deterministic runs the manifest twice on the cached parser
+    from tricode.cli import build_parser
+
+    assert build_parser() is build_parser()
+    assert main(["complex", "build", "--preset", "t3", "--out", "first.json"]) == 0
+    for bad in (["complex", "build", "--no-such-flag"], ["code", "build"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    assert main(["complex", "build", "--preset", "t3", "--out", "again.json"]) == 0
+    assert open("again.json", "rb").read() == open("first.json", "rb").read()
+
+
+def test_manifest_reports_repeated_and_float_logical_qubits(workdir):
+    assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
+    assert main(["code", "build", "t3.json", "--type", "toric:3", "--out", "c.json"]) == 0
+    assert main(["gate", "ccz", "t3.json", "--out", "ccz.json"]) == 0
+    good = serialize.read("c.json")
+    first = good["logical_x"][0]
+    for name, row in (("repeated", [first[0]] + first), ("float", [0.5])):
+        serialize.write(f"{name}.json", dict(good, logical_x=[row] + good["logical_x"][1:]))
+        serialize.write(f"{name}.manifest.json",
+                        {"steps": [["gate", "check", "ccz.json", f"{name}.json"]]})
+        rc, lines = run_manifest(f"{name}.manifest.json")
+        assert rc == 1 and len(lines) == 1
+        assert lines[0].startswith("step 0 failed (ValueError: logical_x row 0 is not an increasing")
+        assert lines[0].endswith(f"): gate check ccz.json {name}.json")

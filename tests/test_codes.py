@@ -279,8 +279,9 @@ def test_code_loader_rejects_bad_shapes(t3):
         ({"hx": [row[:-1] for row in dense["hx"]]}, "hx has a row whose length is not n = 7"),
         ({"hz": dense["hz"][:1] + [dense["hz"][1] + [0]]}, "hz has a row whose length"),
         ({"logical_z": dense["logical_z"][:-1]}, "differ in length"),
-        ({"logical_x": [[0, n]] + dense["logical_x"][1:]}, "qubit outside 0..6"),
-        ({"logical_z": dense["logical_z"][:2] + [[-1]]}, "qubit outside 0..6"),
+        ({"logical_x": [[0, n]] + dense["logical_x"][1:]},
+         "logical_x row 0 is not an increasing list of qubits in 0..6"),
+        ({"logical_z": dense["logical_z"][:2] + [[-1]]}, "logical_z row 2 is not an increasing"),
     ]
     good = serialize.code_to_json(code)
     assert good["format"] == 2 and good["hz"][0] == [0, 1, 3]
@@ -293,7 +294,11 @@ def test_code_loader_rejects_bad_shapes(t3):
         ({"hz": [[0, 1, 1, 3]]}, "hz row 0 is not an increasing"),
         ({"hx": [3]}, "hx row 0 is not a list"),
         ({"logical_z": good["logical_z"][:-1]}, "differ in length"),
-        ({"logical_x": [[0, n]] + good["logical_x"][1:]}, "qubit outside 0..6"),
+        ({"logical_x": [[0, n]] + good["logical_x"][1:]}, "logical_x row 0 is not an increasing"),
+        ({"logical_x": [[0] + good["logical_x"][0]] + good["logical_x"][1:]},
+         "logical_x row 0 is not an increasing"),
+        ({"logical_z": good["logical_z"][:1] + [[0.5]] + good["logical_z"][2:]},
+         r"logical_z row 1 is not an increasing list of qubits in 0..6: \[0.5\]"),
         ({"format": 3}, "unknown code format 3"),
         ({"format": "2"}, "unknown code format '2'"),
         ({"format": True}, "unknown code format True"),

@@ -1,0 +1,255 @@
+"""The sparse GF(2) kernels and the arithmetic barycentric subdivision against
+the dense routes they replaced.
+
+``dense_matmul`` runs a dot product for every (row, column) pair,
+``dense_nullspace`` reads every column of every RREF row, ``scan_extend_basis``
+reduces each candidate by every basis row, and ``builder_subdivide`` keys
+every flag by its cell and subset chain and recomputes chains and iterated
+faces per simplex.  The fast paths must agree with them exactly.
+"""
+
+import itertools
+import random
+import time
+
+import pytest
+
+from tricode import complexes
+from tricode.codes import color_code
+from tricode.complexes import _Builder, Subdivision, barycentric_subdivide
+from tricode.gates import check_logical_gate, extract_logical_action, transversal_t
+from tricode.gf2 import BitMatrix, dot, extend_basis, in_span, row_reduce
+
+from test_local_check import t3_cover
+
+
+# -- references ------------------------------------------------------------------
+
+
+def dense_matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    bt = b.transpose()
+    rows = []
+    for r in a.rows:
+        acc = 0
+        for j, c in enumerate(bt.rows):
+            if dot(r, c):
+                acc |= 1 << j
+        rows.append(acc)
+    return BitMatrix(a.nrows, b.ncols, rows)
+
+
+def dense_nullspace(m: BitMatrix) -> list[int]:
+    basis, pivots = row_reduce(m.rows)
+    pivot_set = set(pivots)
+    out = []
+    for j in range(m.ncols):
+        if j in pivot_set:
+            continue
+        v = 1 << j
+        for row, p in zip(basis, pivots):
+            if (row >> j) & 1:
+                v |= 1 << p
+        out.append(v)
+    return out
+
+
+def scan_extend_basis(old_rows: list[int], candidates: list[int]) -> list[int]:
+    basis, pivots = row_reduce(old_rows)
+    out = []
+    for c in candidates:
+        r = c
+        for b, p in zip(basis, pivots):
+            if (r >> p) & 1:
+                r ^= b
+        if r == 0:
+            continue
+        out.append(c)
+        p = (r & -r).bit_length() - 1
+        for i in range(len(basis)):
+            if (basis[i] >> p) & 1:
+                basis[i] ^= r
+        basis.append(r)
+        pivots.append(p)
+    return out
+
+
+def builder_subdivide(K: complexes.DeltaComplex) -> Subdivision:
+    dims = K.dims
+    b = _Builder(dims)
+
+    def chains_under(p: int, length: int):
+        full = frozenset(range(p + 1))
+        if length == 0:
+            return [(full,)]
+        proper = [
+            frozenset(sub)
+            for r in range(1, p + 1)
+            for sub in itertools.combinations(range(p + 1), r)
+        ]
+        out = []
+
+        def rec(chain):
+            if len(chain) == length:
+                out.append(tuple(chain) + (full,))
+                return
+            for fs in proper:
+                if fs > chain[-1]:
+                    rec(chain + [fs])
+
+        for fs in proper:
+            rec([fs])
+        return out
+
+    def face_key(p: int, s: int, chain, i: int):
+        n = len(chain) - 1
+        if i < n:
+            return (p, s, chain[:i] + chain[i + 1:])
+        newtop = chain[n - 1]
+        d, idx = K.iterated_face(p, s, tuple(sorted(newtop)))
+        relabel = {v: k for k, v in enumerate(sorted(newtop))}
+        newchain = tuple(frozenset(relabel[v] for v in A) for A in chain[:n])
+        return (d, idx, newchain)
+
+    for p in range(dims + 1):
+        for s in range(K.n_cells(p)):
+            for n in range(p + 1):
+                for chain in chains_under(p, n):
+                    key = (p, s, chain)
+                    if n == 0:
+                        b.add(0, key)
+                    else:
+                        b.add(n, key, tuple(face_key(p, s, chain, i) for i in range(n + 1)))
+    sd = b.freeze()
+    cell_chain = [[] for _ in range(dims + 1)]
+    subset_chain = [[] for _ in range(dims + 1)]
+    for n in range(dims + 1):
+        cell_chain[n] = [()] * sd.n_cells(n)
+        subset_chain[n] = [()] * sd.n_cells(n)
+        for (p, s, chain), i in b.index[n].items():
+            cell_chain[n][i] = tuple(K.iterated_face(p, s, tuple(sorted(A))) for A in chain)
+            subset_chain[n][i] = chain
+    for i, fl in enumerate(cell_chain[0]):
+        d, idx = fl[0]
+        sd.labels[(0, i)] = f"bary:{K.label(d, idx)}"
+    return Subdivision(sd, cell_chain, subset_chain)
+
+
+# -- kernels on random matrices ----------------------------------------------------
+
+
+def random_matrix(rng: random.Random, nrows: int, ncols: int, kind: str) -> BitMatrix:
+    if kind == "zero rows":
+        rows = [0 if rng.random() < 0.5 else rng.getrandbits(ncols) for _ in range(nrows)]
+    elif kind == "full rank":
+        # row i has lowest bit i, so the rows are independent
+        rows = [(1 << i) | (rng.getrandbits(ncols) >> (i + 1) << (i + 1)) for i in range(nrows)]
+        rng.shuffle(rows)
+    elif kind == "sparse":
+        rows = [sum(1 << j for j in range(ncols) if rng.random() < 0.15) for _ in range(nrows)]
+    else:
+        rows = [rng.getrandbits(ncols) if ncols else 0 for _ in range(nrows)]
+    return BitMatrix(nrows, ncols, rows)
+
+
+SHAPES = [(0, 0), (0, 5), (5, 0), (1, 1), (3, 17), (17, 3), (12, 12), (8, 70), (70, 8), (40, 40)]
+KINDS = ["dense", "zero rows", "full rank", "sparse"]
+ANY_SHAPE = ["dense", "zero rows", "sparse"]  # "full rank" needs nrows <= ncols
+
+
+def matrices(seed: int):
+    rng = random.Random(seed)
+    for (r, c), kind in itertools.product(SHAPES, KINDS):
+        if kind == "full rank" and r > c:
+            continue
+        for _ in range(3):
+            yield random_matrix(rng, r, c, kind)
+
+
+def test_matmul_matches_dense_reference():
+    rng = random.Random(1)
+    count = 0
+    for a in matrices(2):
+        for inner in (0, 1, 9, 33):
+            b = random_matrix(rng, a.ncols, inner, rng.choice(ANY_SHAPE))
+            assert a.matmul(b) == dense_matmul(a, b)
+            count += 1
+    assert count > 400
+
+
+def test_matmul_errors():
+    a, b = BitMatrix(2, 3, [0b101, 0b011]), BitMatrix(4, 2, [1, 2, 3, 0])
+    with pytest.raises(ValueError, match="cannot multiply 2x3 by 4x2"):
+        a.matmul(b)
+    wide = BitMatrix(2, 3, [0b101, 0b1000])  # row 1 has bit 3 of a 3-column matrix
+    with pytest.raises(ValueError, match="bit at or above column 3"):
+        wide.matmul(BitMatrix(3, 2, [1, 2, 3]))
+
+
+def test_nullspace_matches_dense_reference():
+    for m in matrices(3):
+        ker = m.nullspace()
+        assert ker == dense_nullspace(m)
+        assert len(ker) == m.ncols - m.rank()
+        assert all(m.matvec(v) == 0 for v in ker)
+
+
+def test_extend_basis_matches_scan_reference():
+    rng = random.Random(4)
+    for m in matrices(5):
+        cands = random_matrix(rng, rng.randrange(0, 20), m.ncols, rng.choice(ANY_SHAPE)).rows
+        cands += [rng.choice(m.rows) ^ rng.choice(m.rows)] if m.rows else []
+        got = extend_basis(m.rows, cands)
+        assert got == scan_extend_basis(m.rows, cands)
+        assert extend_basis(row_reduce(m.rows)[0], cands) == got
+        assert all(in_span(m.rows, r) for r in m.rows)
+        full = m.rows + got
+        assert all(in_span(full, c) for c in cands)
+        assert len(row_reduce(full)[0]) == len(row_reduce(m.rows)[0]) + len(got)
+
+
+# -- subdivision -------------------------------------------------------------------
+
+
+def _mapping_torus():
+    base = complexes.build_sigma_g_rotsym(2)
+    return complexes.mapping_torus(base, complexes.rotation_automorphism(base, 2, 1), 1)
+
+
+SUBDIVIDED = {
+    "T3": complexes.build_torus3,
+    "sd(T3)": lambda: barycentric_subdivide(complexes.build_torus3()).complex,
+    "sigma-rot:2 mapping torus": _mapping_torus,
+    "Sigma_2 x S1": lambda: complexes.product_with_circle(complexes.build_sigma_g(2), 1),
+    "T3 L=2 cover": lambda: t3_cover(2),
+    "Sigma_1": lambda: complexes.build_sigma_g(1),
+    "point": complexes.build_point,
+}
+
+
+@pytest.mark.parametrize("name", list(SUBDIVIDED))
+def test_subdivision_matches_builder_reference(name):
+    K = SUBDIVIDED[name]()
+    got, want = barycentric_subdivide(K), builder_subdivide(K)
+    assert got.complex.face == want.complex.face
+    assert got.complex.labels == want.complex.labels
+    assert got.complex.cycles == want.complex.cycles == {}
+    assert got.cell_chain == want.cell_chain
+    assert got.subset_chain == want.subset_chain
+    assert complexes.validate(got.complex) == []
+
+
+# -- a ladder rung --------------------------------------------------------------------
+
+
+def test_t3_cover_3_color_code_rung():
+    t0 = time.perf_counter()
+    code = color_code(t3_cover(3))
+    circ = transversal_t(code)
+    chk = check_logical_gate(circ, code)
+    act = extract_logical_action(circ, code, chk)
+    elapsed = time.perf_counter() - t0
+    assert (code.n, code.k) == (3888, 9)
+    assert chk.status == "PASS"
+    gates = act.gate_list()
+    assert len(gates) == 6 and all(kind == "CCZ" for kind, _ in gates)
+    assert elapsed < 10.0, f"T^3 L = 3 color-code rung took {elapsed:.1f}s"
