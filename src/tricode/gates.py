@@ -7,17 +7,14 @@ Everything here is exact and symbolic (residuals are never matrices):
 * cup-product circuits: one CCZ per 3-simplex / one CZ per membrane 2-simplex
   coupling front and back edges across toric-code copies;
 * transversal T on color codes, signed by the flag bipartition;
-* code-space preservation, decided over a local spanning set of ker hz:
-  the X-stabilizer rows plus the logical X strings in ker hz (completed from
-  a nullspace basis only when they fall short).  For {Z, CZ, CCZ} circuits
-  each stabilizer's conjugation residual is built from the monomials that
-  touch it and pulled back to a polynomial over the spanning set, which is
-  zero iff the residual vanishes on ker hz.  T-type layers use exact coset
-  enumeration within a budget, else the signed-overlap sufficient criterion
-  against the generators each stabilizer touches;
+* code-space preservation, decided exactly for every diagonal circuit by one
+  Z_8 pullback of its phase polynomial (``pull_back``) onto a local spanning
+  set of ker hz: the X-stabilizer rows plus the logical X strings in ker hz
+  (completed from a nullspace basis only when they fall short).  The circuit
+  preserves the code space iff no monomial of the pulled-back polynomial
+  contains a stabilizer variable;
 * extraction of the induced logical gate as a phase polynomial over the
-  logical qubits: every diagonal circuit is pulled back over Z_8 onto the
-  logical X strings through the same primitive (``pull_back``), for any k;
+  logical qubits, read from the same pullback's logical monomials, for any k;
   plus an exact sparse coset-state simulator as oracle.
 """
 
@@ -256,11 +253,14 @@ def transversal_t(code: CssCode) -> DiagonalCircuit:
 
 @dataclass
 class GateCheck:
-    status: str  # PASS | FAIL | INCONCLUSIVE
-    mode: str  # polarization | exact-coset | sufficient-criterion | vacuous
+    status: str  # PASS | FAIL
+    mode: str  # pullback | vacuous
     witness_stabilizer: int | None = None
     witness_vector: int | None = None
     detail: str = ""
+    # on PASS, the phase pulled back onto the logical X strings, {bitmask over
+    # the logical qubits: coefficient mod 8}; None when one is outside ker hz
+    logical: dict[int, int] | None = field(default=None, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -278,23 +278,24 @@ def pull_back(coeffs: dict[frozenset, int], masks: list[int]) -> dict[int, int]:
     Returns the algebraic normal form {bitmask over the y: coefficient mod 8}.
     """
     out: dict[int, int] = {}
+    get = out.get
     for S, c in coeffs.items():
         terms = [(c % 8, [0])]  # (running weight, partial keys) groups
         for q in S:
             bits = _powers(masks[q])
             nxt = []
             for w, keys in terms:
-                nxt.append((w, [key | b for key in keys for b in bits]))
+                subsets = [(w, bits)]
                 if w & 3:  # (-2) * w is nonzero mod 8
-                    pairs = [a | b for a, b in itertools.combinations(bits, 2)]
-                    nxt.append((-2 * w % 8, [key | r for key in keys for r in pairs]))
+                    subsets.append((-2 * w % 8, list(map(sum, itertools.combinations(bits, 2)))))
                 if w & 1:  # 4 * w is nonzero mod 8
-                    triples = [a | b | d for a, b, d in itertools.combinations(bits, 3)]
-                    nxt.append((4, [key | r for key in keys for r in triples]))
+                    subsets.append((4, list(map(sum, itertools.combinations(bits, 3)))))
+                for v, rs in subsets:
+                    nxt.append((v, rs if keys == [0] else [key | r for key in keys for r in rs]))
             terms = nxt
         for w, keys in terms:
             for key in keys:
-                out[key] = out.get(key, 0) + w
+                out[key] = get(key, 0) + w
     return {key: v % 8 for key, v in out.items() if v % 8}
 
 
@@ -316,12 +317,17 @@ def _incidence(vectors: list[int], n: int) -> list[int]:
     return masks
 
 
-def _kernel_generators(code: CssCode, dim: int) -> list[int]:
-    """A local spanning set of ker hz (of dimension ``dim``): the nonzero
-    X-stabilizer rows and logical X strings that lie in ker hz, extended by
-    nullspace vectors only if they do not span it (never for a well-formed
-    code)."""
-    gens = [g for g in code.hx.rows + code.logical_x if g]
+def _kernel_generators(code: CssCode) -> tuple[list[int], list[int], bool]:
+    """A local spanning set G of ker hz with its incidence masks.
+
+    G is the X-stabilizer rows (variable a = hx row a), then the logical X
+    strings (variable m + j = logical j; zeroed when outside ker hz), then
+    nullspace vectors only if these do not span ker hz (never for a
+    well-formed code).  Returns G, the masks and whether every logical X
+    lies in ker hz.  Raises on an X-stabilizer row outside ker hz.
+    """
+    m = code.hx.nrows
+    gens = code.hx.rows + code.logical_x
     masks = _incidence(gens, code.n)
     outside = 0  # generators with odd overlap with some Z-stabilizer row
     for r in code.hz.rows:
@@ -329,161 +335,58 @@ def _kernel_generators(code: CssCode, dim: int) -> list[int]:
         for q in support(r):
             odd ^= masks[q]
         outside |= odd
-    gens = [g for a, g in enumerate(gens) if not (outside >> a) & 1]
-    if len(row_reduce(gens)[0]) < dim:
-        gens += extend_basis(gens, code.hz.nullspace())
-    return gens
+    if outside & ((1 << m) - 1):
+        row = (outside & -outside).bit_length() - 1
+        raise ValueError(f"X-stabilizer row {row} has odd overlap with a Z-stabilizer row "
+                         "(not a CSS code)")
+    if outside:
+        gens = [0 if (outside >> a) & 1 else g for a, g in enumerate(gens)]
+        masks = [mask & ~outside for mask in masks]
+    if len(extend_basis([], gens)) < code.n - code.hz.rank():
+        extra = extend_basis(gens, code.hz.nullspace())
+        masks = [mask | e << len(gens) for mask, e in zip(masks, _incidence(extra, code.n))]
+        gens += extra
+    return gens, masks, not outside
 
 
-def _local_residual(by_qubit: list[list[frozenset]], x: int) -> set[frozenset]:
-    """Monomials of f(z + x) - f(z) for a polynomial with every coefficient 4,
-    from the monomials of f touching supp(x): each such S contributes
-    keep * (prod over flip of (1 + z_i) - prod over flip of z_i), i.e. the
-    proper subsets of flip = S & supp(x) joined to keep = S - flip."""
-    seen: set[frozenset] = set()
-    res: set[frozenset] = set()
-    for q in support(x):
-        for S in by_qubit[q]:
-            if S in seen:
-                continue
-            seen.add(S)
-            flip = [i for i in S if (x >> i) & 1]
-            keep = S.difference(flip)
-            for r in range(len(flip)):
-                for sub in itertools.combinations(flip, r):
-                    res ^= {keep.union(sub)}
-    return res
-
-
-def check_logical_gate(circuit: DiagonalCircuit, code: CssCode,
-                       exhaustive_budget: int = 1 << 20) -> GateCheck:
+def check_logical_gate(circuit: DiagonalCircuit, code: CssCode) -> GateCheck:
     """Does the diagonal circuit preserve the code space?
 
-    Code states are supported on ker hz, which is spanned by the local set G
-    of X-stabilizer rows and logical X strings in ker hz (``_kernel_generators``).
+    It does iff its phase f is constant on every coset z + S, for z in ker hz
+    and S the X-stabilizer group.  f is pulled back once through
+    z = sum_a y_a g_a over the local spanning set G of ker hz
+    (``_kernel_generators``, ``pull_back``).  The Z_8 algebraic normal form
+    of f(sum_a y_a g_a) is unique, so f is constant on the cosets iff no
+    monomial contains a stabilizer variable; the monomials over the logical
+    variables are then the logical action, kept for ``extract_logical_action``.
 
-    {Z, CZ, CCZ} circuits (mode ``polarization``): for every X-stabilizer
-    generator x the conjugation residual f(z + x) - f(z) must vanish on
-    ker hz.  It is built only from the monomials touching supp(x) and pulled
-    back through z = sum_a y_a g_a (``pull_back`` with every coefficient 4);
-    it vanishes iff the pulled-back polynomial is zero.  A minimal nonzero
-    monomial T gives the witness vector sum_{a in T} g_a, where the residual
-    is 4.
-
-    T-type circuits: the phase function must be constant on every coset of
-    the X-stabilizer group inside ker hz, checked exactly by enumeration up
-    to the budget (mode ``exact-coset``), then by the signed-overlap
-    criterion over G (weights 0 mod 8, pairwise overlaps 0 mod 4, triple
-    overlaps 0 mod 2, signed by the bipartition); INCONCLUSIVE when neither
-    route decides.  FAIL and INCONCLUSIVE details index G.
+    On FAIL the witness stabilizer is the hx row of the lowest stabilizer
+    variable a in a monomial: the first row x whose residual f(z + x) - f(z)
+    does not vanish on ker hz.  The witness vector z is the sum of the other
+    generators of a smallest monomial T containing a; there the residual
+    equals the coefficient of T.
     """
     if circuit.n != code.n:
         raise ValueError(f"circuit has {circuit.n} qubits but the code has {code.n}")
-    f = PhasePolynomial.from_circuit(circuit)
-    dim = code.n - code.hz.rank()  # of ker hz
-    if f.is_pauli_z_layer():
-        gens = _kernel_generators(code, dim)
-        masks = _incidence(gens, code.n)
-        by_qubit: list[list[frozenset]] = [[] for _ in range(code.n)]
-        for S in f.coeffs:
-            for q in S:
-                by_qubit[q].append(S)
-        for idx, x in enumerate(code.hx.rows):
-            res = _local_residual(by_qubit, x)
-            pulled = pull_back(dict.fromkeys(res, 4), masks)
-            if pulled:
-                T = min(pulled, key=lambda t: (t.bit_count(), t))
-                witness = 0
-                for a in support(T):
-                    witness ^= gens[a]
-                poly = PhasePolynomial(code.n, {S: 4 for S in res})
-                return GateCheck("FAIL", "polarization", idx, witness,
-                                 f"residual of stabilizer {idx} is {_fmt_poly(poly)}; "
-                                 f"nonzero on the sum of generators {support(T)}")
-        mode = "polarization" if any(code.hx.rows) else "vacuous"
-        return GateCheck("PASS", mode)
-    # T-type layer
-    if 1 << dim <= exhaustive_budget:
-        zbasis = code.hz.nullspace()
-        stab_basis, stab_pivots = row_reduce(code.hx.rows)
-
-        def coset_rep(z: int) -> int:
-            for b, p in zip(stab_basis, stab_pivots):
-                if (z >> p) & 1:
-                    z ^= b
-            return z
-
-        seen: dict[int, tuple[int, int]] = {}
-        z = 0
-        gray_prev = 0
-        for m in range(1 << dim):
-            gray = m ^ (m >> 1)
-            changed = gray ^ gray_prev
-            gray_prev = gray
-            if changed:
-                z ^= zbasis[changed.bit_length() - 1]
-            val = f.evaluate(z)
-            rep = coset_rep(z)
-            if rep in seen:
-                v0, z0 = seen[rep]
-                if v0 != val:
-                    return GateCheck("FAIL", "exact-coset", None, z ^ z0,
-                                     f"phase differs on one coset: {v0} vs {val}")
-            else:
-                seen[rep] = (val, z)
-        return GateCheck("PASS", "exact-coset")
-    crit = _signed_overlap_criterion(f, code, _kernel_generators(code, dim))
-    if crit is None:
-        return GateCheck("INCONCLUSIVE", "sufficient-criterion", detail="criterion inapplicable")
-    ok, why = crit
-    if ok:
-        return GateCheck("PASS", "sufficient-criterion",
-                         detail="SUFFICIENT-CRITERION: not an exhaustive check")
-    return GateCheck("INCONCLUSIVE", "sufficient-criterion", detail=why)
-
-
-def _signed_overlap_criterion(f: PhasePolynomial, code: CssCode,
-                              zbasis: list[int]) -> tuple[bool, str] | None:
-    """Sufficient condition for a transversal +-T layer to be logical.
-
-    ``zbasis`` may be any spanning set of ker hz: the conditions are
-    linear / bilinear in the support, so the verdict depends only on the
-    span.  Only the vectors meeting a stabilizer can break its conditions.
-    """
-    if f.degree() != 1:
-        return None
-    plus = minus = 0
-    for S, c in f.coeffs.items():
-        if not S:
-            continue
-        if c == 1:
-            plus |= 1 << min(S)
-        elif c == 7:
-            minus |= 1 << min(S)
-        else:
-            return None
-    if (plus | minus).bit_count() != code.n:
-        return None
-
-    def sw(v: int) -> int:
-        return (v & plus).bit_count() - (v & minus).bit_count()
-
-    for gi, x in enumerate(code.hx.rows):
-        if sw(x) % 8:
-            return False, f"stabilizer {gi}: signed weight {sw(x)} != 0 mod 8"
-        near = [(a, za & x) for a, za in enumerate(zbasis) if za & x]
-        for a, xa in near:
-            if sw(xa) % 4:
-                return False, f"stabilizer {gi}, support {a}: overlap != 0 mod 4"
-        for (a, xa), (b, xb) in itertools.combinations(near, 2):
-            if sw(xa & xb) % 2:
-                return False, f"stabilizer {gi}: triple overlap ({a},{b}) odd"
-    return True, ""
-
-
-def _fmt_poly(p: PhasePolynomial) -> str:
-    terms = [f"{c}*z{sorted(S)}" if S else str(c) for S, c in sorted(p.coeffs.items(), key=lambda kv: sorted(kv[0]))]
-    return " + ".join(terms) if terms else "0"
+    gens, masks, logicals_inside = _kernel_generators(code)
+    m, k = code.hx.nrows, len(code.logical_x)
+    pulled = pull_back(PhasePolynomial.from_circuit(circuit).coeffs, masks)
+    stab = (1 << m) - 1
+    hit = [key for key in pulled if key & stab]
+    if hit:
+        a = min(key & -key for key in hit).bit_length() - 1
+        T = min((key for key in hit if (key >> a) & 1), key=lambda t: (t.bit_count(), t))
+        others = support(T ^ 1 << a)
+        witness = 0
+        for b in others:
+            witness ^= gens[b]
+        at = f"the sum of generators {others}" if others else "0"
+        return GateCheck("FAIL", "pullback", a, witness,
+                         f"stabilizer {a}: f(z + x) - f(z) = {pulled[T]} at z = {at}")
+    logical = None
+    if logicals_inside:
+        logical = {key >> m: c for key, c in pulled.items() if not key >> (m + k)}
+    return GateCheck("PASS", "pullback" if any(code.hx.rows) else "vacuous", logical=logical)
 
 
 # ---------------------------------------------------------------------------
@@ -507,28 +410,35 @@ def extract_logical_action(circuit: DiagonalCircuit, code: CssCode,
     """The induced logical diagonal, as a phase polynomial over the logical
     qubits (labels from the code metadata).
 
-    The physical polynomial of any diagonal circuit is pulled back over Z_8
-    through the substitution z -> sum_j lambda_j xbar_j (``pull_back``), so
-    the cost follows the overlaps of the logical X strings, not 2^k.
-    Requires a passing code-preservation check.
+    It is read off the code-space check's Z_8 pullback (``checked``, the
+    result of ``check_logical_gate`` for this circuit and code, is run when
+    it is missing or carries no pullback), so the cost follows the overlaps
+    of the generators, not 2^k.  Requires a passing check and every logical
+    X string in ker hz.
     """
-    if checked is None:
+    if checked is None or checked.passed and checked.logical is None:
         checked = check_logical_gate(circuit, code)
     if not checked.passed:
         raise ValueError(f"not a logical gate: {checked.status} ({checked.detail})")
-    poly = logical_phase(PhasePolynomial.from_circuit(circuit), code.logical_x)
-    return LogicalAction(code.k, code.logical_labels(), poly)
+    if checked.logical is None:
+        j = next(j for j, lx in enumerate(code.logical_x) if code.hz.matvec(lx))
+        raise ValueError(f"logical X {j} has a Z-syndrome (not in ker hz)")
+    return LogicalAction(code.k, code.logical_labels(), _logical_poly(checked.logical, code.k))
 
 
 def logical_phase(f: PhasePolynomial, logical_x: list[int]) -> PhasePolynomial:
-    """f pulled back over Z_8 onto the logical X strings, as a polynomial in
-    the k = len(logical_x) logical variables.  Raises when a monomial has
-    degree > 3 (outside the CCZ hierarchy; unreachable from a circuit, whose
-    Z, S and T act on single qubits)."""
-    pulled = pull_back(f.coeffs, _incidence(logical_x, f.n))
+    """f pulled back over Z_8 onto the logical X strings alone, as a
+    polynomial in the k = len(logical_x) logical variables."""
+    return _logical_poly(pull_back(f.coeffs, _incidence(logical_x, f.n)), len(logical_x))
+
+
+def _logical_poly(pulled: dict[int, int], k: int) -> PhasePolynomial:
+    """A pulled-back phase over k logical variables as a polynomial.  Raises
+    when a monomial has degree > 3 (outside the CCZ hierarchy; unreachable
+    from a circuit, whose Z, S and T act on single qubits)."""
     if any(key.bit_count() > 3 for key in pulled):
         raise ValueError("logical phase is not degree <= 3 (not in the CCZ hierarchy)")
-    return PhasePolynomial(len(logical_x), {frozenset(support(key)): c for key, c in pulled.items()})
+    return PhasePolynomial(k, {frozenset(support(key)): c for key, c in pulled.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ class BitMatrix:
         return all(r == 0 for r in self.rows)
 
     def rank(self) -> int:
-        return len(row_reduce(self.rows)[0])
+        return len(extend_basis([], self.rows))
 
     def row_space_basis(self) -> list[int]:
         return row_reduce(self.rows)[0]
@@ -218,21 +218,12 @@ def dual_basis(vecs: list[int], against: list[int]) -> list[int] | None:
 
 
 def invert(rows: list[int], n: int) -> list[int] | None:
-    """Inverse of an n x n GF(2) matrix given as packed rows, or None."""
-    work = list(rows)
-    inv = [1 << i for i in range(n)]
-    for j in range(n):
-        sel = None
-        for i in range(j, n):
-            if (work[i] >> j) & 1:
-                sel = i
-                break
-        if sel is None:
-            return None
-        work[j], work[sel] = work[sel], work[j]
-        inv[j], inv[sel] = inv[sel], inv[j]
-        for i in range(n):
-            if i != j and (work[i] >> j) & 1:
-                work[i] ^= work[j]
-                inv[i] ^= inv[j]
-    return inv
+    """Inverse of an n x n GF(2) matrix given as packed rows, or None.
+
+    The RREF of [A | I] is [I | A^-1] exactly when its pivots are 0..n-1."""
+    if any(r >> n for r in rows):
+        raise ValueError(f"row has a bit at or above column {n}")
+    basis, pivots = row_reduce([r | 1 << (n + i) for i, r in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return [r >> n for r in basis]

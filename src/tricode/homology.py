@@ -81,11 +81,6 @@ class HomologyBasis:
         return len(self.cycles)
 
 
-def _complete(subspace: list[int], ambient: list[int]) -> list[int]:
-    """Representatives extending span(subspace) to span(ambient)."""
-    return extend_basis(subspace, ambient)
-
-
 def homology_basis(K: DeltaComplex, n: int) -> HomologyBasis:
     """Cycle and cocycle representatives with identity pairing.
 
@@ -93,8 +88,8 @@ def homology_basis(K: DeltaComplex, n: int) -> HomologyBasis:
     im delta_{n-1} inside ker delta_n, then are recombined so that
     cocycle_j(cycle_i) = delta_ij.
     """
-    cycles = _complete(boundary_space(K, n), cycle_space(K, n))
-    cocycles = _complete(coboundary_space(K, n), cocycle_space(K, n))
+    cycles = extend_basis(boundary_space(K, n), cycle_space(K, n))
+    cocycles = extend_basis(coboundary_space(K, n), cocycle_space(K, n))
     if not len(cycles) == len(cocycles) == betti(K, n):
         raise RuntimeError(f"{len(cycles)} cycles and {len(cocycles)} cocycles "
                            f"for b_{n} = {betti(K, n)}")
@@ -116,7 +111,7 @@ def dual_cocycles(K: DeltaComplex, n: int, cycles: list[int]) -> list[int]:
 
     Raises if the given cycles do not span H_n (pairing not invertible).
     """
-    cocycles = _complete(coboundary_space(K, n), cocycle_space(K, n))
+    cocycles = extend_basis(coboundary_space(K, n), cocycle_space(K, n))
     if len(cycles) != len(cocycles):
         raise ValueError(f"{len(cycles)} cycles given, H_{n} has rank {len(cocycles)}")
     out = dual_basis(cocycles, cycles)

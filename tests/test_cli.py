@@ -263,6 +263,25 @@ def test_manifest_reports_failing_steps(workdir):
         1, ["step 0 failed (KeyError: 'logical_x'): gate check one.json badcode.json"])
 
 
+def test_manifest_reports_action_with_logical_outside_ker_hz(workdir):
+    # one edge added to logical X 0 gives it a Z-syndrome: the check still
+    # passes (the generators are completed), the action is refused
+    assert main(["complex", "build", "--preset", "product:1,2", "--out", "k.json"]) == 0
+    assert main(["code", "build", "k.json", "--type", "toric:3", "--out", "c.json"]) == 0
+    code = serialize.read("c.json")
+    code["logical_x"][0] = sorted(set(code["logical_x"][0]) ^ {0})
+    serialize.write("bent.json", code)
+    serialize.write("bent.manifest.json", {"steps": [
+        ["gate", "ccz", "k.json", "--out", "ccz.json"],
+        ["gate", "check", "ccz.json", "bent.json"],
+        ["gate", "action", "ccz.json", "bent.json"]]})
+    rc, lines = run_manifest("bent.manifest.json")
+    assert rc == 1
+    assert lines[1] == "step 1 ok: gate check ccz.json bent.json"
+    assert lines[2] == ("step 2 failed (ValueError: logical X 0 has a Z-syndrome "
+                        "(not in ker hz)): gate action ccz.json bent.json")
+
+
 def test_empty_manifest_warns(workdir):
     serialize.write("empty.json", {})
     rc, lines = run_manifest("empty.json")

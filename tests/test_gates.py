@@ -36,6 +36,8 @@ from tricode.gates import (
 )
 from tricode.gf2 import BitMatrix, row_reduce, support, vec_from_support
 
+from test_local_check import exact_coset_verdict
+
 
 # -- phase polynomial algebra -------------------------------------------------
 
@@ -165,7 +167,7 @@ def test_ccz_check_nontrivial_stabilizers(t2xs1_2layers):
     code = toric_code(t2xs1_2layers, 3)
     assert any(code.hx.rows)
     chk = check_logical_gate(ccz_circuit(t2xs1_2layers), code)
-    assert chk.passed and chk.mode == "polarization"
+    assert chk.passed and chk.mode == "pullback"
 
 
 def test_non_cycle_membrane_fails_check(t2xs1_2layers):
@@ -181,9 +183,7 @@ def test_non_cycle_membrane_fails_check(t2xs1_2layers):
 def test_transversal_t_color_code(t3):
     code = color_code(t3)
     chk = check_logical_gate(transversal_t(code), code)
-    assert chk.status == "PASS"
-    assert chk.mode == "sufficient-criterion"
-    assert "SUFFICIENT" in chk.detail
+    assert (chk.status, chk.mode, chk.detail) == ("PASS", "pullback", "")
 
 
 def test_random_ccz_circuit_fails(t2xs1_2layers):
@@ -443,7 +443,7 @@ def test_transversal_t_color_code_sigma_circle_rungs(genus, n, ccz):
     assert elapsed < 10.0, f"Sigma_{genus} x S^1 color-code rung took {elapsed:.1f}s"
 
 
-# -- signed-overlap criterion soundness -----------------------------------------
+# -- exactness on small codes ------------------------------------------------------
 
 
 def random_small_css(rng) -> CssCode | None:
@@ -462,29 +462,21 @@ def random_small_css(rng) -> CssCode | None:
 
 
 def test_criterion_soundness_on_random_codes():
+    # +-T layers: the pullback verdict equals exact coset enumeration
     rng = random.Random(99)
-    checked = 0
-    agreements = 0
+    verdicts = []
     for _ in range(300):
         code = random_small_css(rng)
         if code is None:
             continue
         signs = [rng.choice((1, -1)) for _ in range(code.n)]
         circ = DiagonalCircuit(code.n, [("T" if s > 0 else "Tdg", (q,)) for q, s in enumerate(signs)])
-        f = PhasePolynomial.from_circuit(circ)
-        zbasis = code.hz.nullspace()
-        from tricode.gates import _signed_overlap_criterion
-
-        crit = _signed_overlap_criterion(f, code, zbasis)
-        exhaustive = check_logical_gate(circ, code, exhaustive_budget=1 << 16)
-        assert exhaustive.mode == "exact-coset"
-        checked += 1
-        if crit is not None and crit[0]:
-            # criterion PASS must imply exhaustive PASS
-            assert exhaustive.passed, "criterion accepted a non-logical gate"
-            agreements += 1
-    assert checked >= 200
-    assert agreements >= 1  # the criterion fires on some instances
+        chk = check_logical_gate(circ, code)
+        assert chk.mode == ("pullback" if any(code.hx.rows) else "vacuous")
+        assert chk.passed == exact_coset_verdict(circ, code)
+        verdicts.append(chk.passed)
+    assert len(verdicts) >= 200
+    assert 1 <= sum(verdicts) < len(verdicts)
 
 
 def test_criterion_passes_on_smallest_color_code():
@@ -501,12 +493,13 @@ def test_criterion_passes_on_smallest_color_code():
     code = CssCode(n, hx, hz, [], [], {})
     signs = [1 if bin(v).count("1") % 2 == 0 else -1 for v in range(8)]
     circ = DiagonalCircuit(n, [("T" if s > 0 else "Tdg", (q,)) for q, s in enumerate(signs)])
-    exhaustive = check_logical_gate(circ, code, exhaustive_budget=1 << 16)
-    assert exhaustive.passed and exhaustive.mode == "exact-coset"
-    from tricode.gates import PhasePolynomial, _signed_overlap_criterion
-
-    crit = _signed_overlap_criterion(PhasePolynomial.from_circuit(circ), code, code.hz.nullspace())
-    assert crit is not None and crit[0]
+    chk = check_logical_gate(circ, code)
+    assert (chk.status, chk.mode) == ("PASS", "pullback")
+    assert exact_coset_verdict(circ, code)
+    # a single T is not logical on it
+    single = DiagonalCircuit(n, [("T", (0,))])
+    assert check_logical_gate(single, code).status == "FAIL"
+    assert not exact_coset_verdict(single, code)
 
 
 def test_cz_route_matches_triple_cup_route(s2xs1):

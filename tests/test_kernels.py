@@ -3,9 +3,10 @@ the dense routes they replaced.
 
 ``dense_matmul`` runs a dot product for every (row, column) pair,
 ``dense_nullspace`` reads every column of every RREF row, ``scan_extend_basis``
-reduces each candidate by every basis row, and ``builder_subdivide`` keys
-every flag by its cell and subset chain and recomputes chains and iterated
-faces per simplex.  The fast paths must agree with them exactly.
+reduces each candidate by every basis row, ``gauss_jordan_invert`` sweeps
+pivot columns with row swaps, and ``builder_subdivide`` keys every flag by
+its cell and subset chain and recomputes chains and iterated faces per
+simplex.  The fast paths must agree with them exactly.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from tricode import complexes
 from tricode.codes import color_code
 from tricode.complexes import _Builder, Subdivision, barycentric_subdivide
 from tricode.gates import check_logical_gate, extract_logical_action, transversal_t
-from tricode.gf2 import BitMatrix, dot, extend_basis, in_span, row_reduce
+from tricode.gf2 import BitMatrix, dot, extend_basis, in_span, invert, row_reduce
 
 from test_local_check import t3_cover
 
@@ -71,6 +72,26 @@ def scan_extend_basis(old_rows: list[int], candidates: list[int]) -> list[int]:
         basis.append(r)
         pivots.append(p)
     return out
+
+
+def gauss_jordan_invert(rows: list[int], n: int) -> list[int] | None:
+    work = list(rows)
+    inv = [1 << i for i in range(n)]
+    for j in range(n):
+        sel = None
+        for i in range(j, n):
+            if (work[i] >> j) & 1:
+                sel = i
+                break
+        if sel is None:
+            return None
+        work[j], work[sel] = work[sel], work[j]
+        inv[j], inv[sel] = inv[sel], inv[j]
+        for i in range(n):
+            if i != j and (work[i] >> j) & 1:
+                work[i] ^= work[j]
+                inv[i] ^= inv[j]
+    return inv
 
 
 def builder_subdivide(K: complexes.DeltaComplex) -> Subdivision:
@@ -205,6 +226,28 @@ def test_extend_basis_matches_scan_reference():
         full = m.rows + got
         assert all(in_span(full, c) for c in cands)
         assert len(row_reduce(full)[0]) == len(row_reduce(m.rows)[0]) + len(got)
+
+
+def test_invert_matches_gauss_jordan_reference():
+    rng = random.Random(6)
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(0, 12)
+        kind = rng.choice(KINDS)
+        rows = random_matrix(rng, n, n, kind).rows
+        if kind == "dense" and n > 1 and rng.random() < 0.3:
+            rows[rng.randrange(n)] = rng.choice(rows) ^ rng.choice(rows)  # often singular
+        got = invert(rows, n)
+        assert got == gauss_jordan_invert(rows, n)
+        seen.add(got is None)
+        if got is not None:
+            assert BitMatrix(n, n, rows).matmul(BitMatrix(n, n, got)).rows == [1 << i for i in range(n)]
+    assert seen == {True, False}
+
+
+def test_invert_rejects_wide_rows():
+    with pytest.raises(ValueError, match="bit at or above column 2"):
+        invert([0b01, 0b110], 2)
 
 
 # -- subdivision -------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""The local code-space check against its dense reference.
+"""The code-space check against its dense references.
 
-``check_logical_gate`` decides code-space preservation over a local spanning
-set of ker hz.  The references here are the dense routes it replaced:
-``PhasePolynomial.vanishes_on_span`` of each stabilizer's full residual over
-a nullspace basis of hz ({Z, CZ, CCZ} circuits), and
-``_signed_overlap_criterion`` over that basis (+-T layers).
+``check_logical_gate`` decides code-space preservation by one Z_8 pullback
+over a local spanning set of ker hz.  The references here are the routes it
+replaced: ``PhasePolynomial.vanishes_on_span`` of each stabilizer's full
+residual over a nullspace basis of hz ({Z, CZ, CCZ} circuits), and exact
+enumeration of ker hz with a Gray code (any diagonal circuit).
 """
 
+import itertools
 import random
 import time
 
@@ -15,19 +16,20 @@ import pytest
 from tricode import complexes, homology
 from tricode.codes import CssCode, color_code, systole_bfs, toric_code
 from tricode.gates import (
+    GATE_COEFF,
     DiagonalCircuit,
+    GateCheck,
     PhasePolynomial,
     _kernel_generators,
-    _local_residual,
-    _signed_overlap_criterion,
     ccz_circuit,
     check_logical_gate,
     cz_membrane_circuit,
     extract_logical_action,
+    logical_phase,
     pull_back,
     transversal_t,
 )
-from tricode.gf2 import BitMatrix, row_reduce
+from tricode.gf2 import BitMatrix, extend_basis, row_reduce, vec_from_support
 
 
 def t3_cover(L: int) -> complexes.DeltaComplex:
@@ -56,17 +58,61 @@ def dense_first_failure(circ: DiagonalCircuit, code: CssCode) -> int | None:
     return None
 
 
+def kernel_points(code: CssCode) -> list[int]:
+    """Every vector of ker hz, in Gray-code order over a nullspace basis."""
+    zbasis = code.hz.nullspace()
+    points, z = [0], 0
+    for m in range(1, 1 << len(zbasis)):
+        z ^= zbasis[(m & -m).bit_length() - 1]
+        points.append(z)
+    return points
+
+
+def exact_coset_verdict(circ: DiagonalCircuit, code: CssCode) -> bool:
+    """Is the phase constant on every coset of the X-stabilizer group inside
+    ker hz?  Exhaustive, so only for small ker hz."""
+    f = PhasePolynomial.from_circuit(circ)
+    stab_basis, stab_pivots = row_reduce(code.hx.rows)
+    seen: dict[int, int] = {}
+    for z in kernel_points(code):
+        rep = z
+        for b, p in zip(stab_basis, stab_pivots):
+            if (rep >> p) & 1:
+                rep ^= b
+        val = f.evaluate(z)
+        if seen.setdefault(rep, val) != val:
+            return False
+    return True
+
+
+def first_failing_row(circ: DiagonalCircuit, code: CssCode) -> int | None:
+    """Index of the first X-stabilizer row x with f(z + x) != f(z) for some z
+    in ker hz, by enumeration; None when there is none."""
+    f = PhasePolynomial.from_circuit(circ)
+    points = kernel_points(code)
+    for idx, x in enumerate(code.hx.rows):
+        if any(f.evaluate(z ^ x) != f.evaluate(z) for z in points):
+            return idx
+    return None
+
+
+def assert_witness(chk, circ: DiagonalCircuit, code: CssCode):
+    """A FAIL witness z lies in ker hz and f(z + x) != f(z) for the witness
+    stabilizer row x."""
+    assert (chk.status, chk.mode) == ("FAIL", "pullback")
+    f = PhasePolynomial.from_circuit(circ)
+    z, x = chk.witness_vector, code.hx.rows[chk.witness_stabilizer]
+    assert code.hz.matvec(z) == 0
+    assert f.evaluate(z ^ x) != f.evaluate(z)
+
+
 def assert_agrees_with_dense(circ: DiagonalCircuit, code: CssCode):
     chk = check_logical_gate(circ, code)
     bad = dense_first_failure(circ, code)
     assert chk.passed == (bad is None)
     if not chk.passed:
-        assert (chk.status, chk.mode) == ("FAIL", "polarization")
         assert chk.witness_stabilizer == bad
-        f = PhasePolynomial.from_circuit(circ)
-        res = f.shifted(code.hx.rows[bad]).minus(f)
-        assert code.hz.matvec(chk.witness_vector) == 0
-        assert res.evaluate(chk.witness_vector) != 0
+        assert_witness(chk, circ, code)
     return chk
 
 
@@ -75,23 +121,6 @@ def drop(circ: DiagonalCircuit, i: int) -> DiagonalCircuit:
 
 
 # -- building blocks -------------------------------------------------------------
-
-
-def test_local_residual_equals_full_shift(t2xs1_2layers):
-    K = t2xs1_2layers
-    code = toric_code(K, 3)
-    rng = random.Random(7)
-    circ = DiagonalCircuit(code.n, ccz_circuit(K).gates
-                           + [("CZ", (0, 5)), ("Z", (3,)), ("CCZ", (1, 2, 40))])
-    f = PhasePolynomial.from_circuit(circ)
-    by_qubit = [[] for _ in range(code.n)]
-    for S in f.coeffs:
-        for q in S:
-            by_qubit[q].append(S)
-    for x in code.hx.rows + [rng.getrandbits(code.n) for _ in range(10)]:
-        full = f.shifted(x).minus(f)
-        assert set(full.coeffs.values()) <= {4}
-        assert _local_residual(by_qubit, x) == set(full.coeffs)
 
 
 def test_pull_back_matches_evaluation():
@@ -166,61 +195,108 @@ def test_non_cycle_membranes_agree(t2xs1_2layers):
 def test_every_t_flip_on_t3_color_code():
     code = color_code(complexes.build_torus3())
     circ = transversal_t(code)
-    zbasis = code.hz.nullspace()
     assert check_logical_gate(circ, code).passed
+    assert len(circ.gates) == 144
     for i, (kind, qs) in enumerate(circ.gates):
         gates = list(circ.gates)
         gates[i] = ("Tdg" if kind == "T" else "T", qs)
         flipped = DiagonalCircuit(circ.n, gates)
-        dense = _signed_overlap_criterion(PhasePolynomial.from_circuit(flipped), code, zbasis)
         chk = check_logical_gate(flipped, code)
-        assert dense is not None and not dense[0]
-        assert (chk.status, chk.mode) == ("INCONCLUSIVE", "sufficient-criterion")
-        # the same stabilizer breaks the criterion over either spanning set
-        assert chk.detail.split(":")[0].split(",")[0] == dense[1].split(":")[0].split(",")[0]
+        assert_witness(chk, flipped, code)
+        # only the rows through the flipped qubit see a changed residual
+        assert (code.hx.rows[chk.witness_stabilizer] >> qs[0]) & 1
 
 
-def per_bit_signed_overlap(f, code, zbasis):
-    """The signed-overlap criterion with per-bit signed sums over every
-    pair of supports: the reference for the masked, local version."""
-    sign = {}
-    for S, c in f.coeffs.items():
-        if c not in (1, 7) or len(S) != 1:
-            return None
-        sign[min(S)] = 1 if c == 1 else -1
-    if len(sign) != code.n:
-        return None
-
-    def sw(v):
-        return sum(sign[i] for i in range(code.n) if (v >> i) & 1)
-
-    for gi, x in enumerate(code.hx.rows):
-        if sw(x) % 8:
-            return False, f"stabilizer {gi}: signed weight {sw(x)} != 0 mod 8"
-        for a, za in enumerate(zbasis):
-            if sw(x & za) % 4:
-                return False, f"stabilizer {gi}, support {a}: overlap != 0 mod 4"
-        for a in range(len(zbasis)):
-            for b in range(a + 1, len(zbasis)):
-                if sw(x & zbasis[a] & zbasis[b]) % 2:
-                    return False, f"stabilizer {gi}: triple overlap ({a},{b}) odd"
-    return True, ""
+def random_circuit(rng: random.Random, n: int, quiet: int = 0) -> DiagonalCircuit:
+    """Random gates of every kind; qubits are drawn from the bits of ``quiet``
+    (when it has enough) half of the time, so that some circuits pass."""
+    pool = [q for q in range(n) if (quiet >> q) & 1]
+    gates = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice(sorted(GATE_COEFF))
+        arity = {"CZ": 2, "CCZ": 3}.get(kind, 1)
+        qubits = pool if len(pool) >= arity and rng.random() < 0.5 else range(n)
+        gates.append((kind, tuple(rng.sample(list(qubits), arity))))
+    return DiagonalCircuit(n, gates)
 
 
-def test_signed_overlap_matches_per_bit_reference():
-    rng = random.Random(17)
-    branches = set()
-    for _ in range(3000):
-        n = rng.randint(4, 10)
-        hx_rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 3))]
-        zbasis = [rng.getrandbits(n) for _ in range(rng.randint(1, 5))]
-        code = CssCode(n, BitMatrix(len(hx_rows), n, hx_rows), BitMatrix(0, n, []), [], [], {})
-        f = PhasePolynomial.from_circuit(DiagonalCircuit(
-            n, [(rng.choice(("T", "Tdg")), (q,)) for q in range(n)]))
-        got = _signed_overlap_criterion(f, code, zbasis)
-        assert got == per_bit_signed_overlap(f, code, zbasis)
-        branches.add(got[1].split(" ")[2] if not got[0] else "pass")
-    assert branches == {"signed", "support", "triple", "pass"}
+def symmetrized(circ: DiagonalCircuit, code: CssCode) -> DiagonalCircuit:
+    """The circuit with phase sum over s in the X-stabilizer group of
+    f(z + s): constant on every coset, so it passes (global phase dropped)."""
+    f = PhasePolynomial.from_circuit(circ)
+    total = PhasePolynomial(circ.n)
+    group = [0]
+    for x in row_reduce(code.hx.rows)[0]:
+        group += [s ^ x for s in group]
+    for s in group:
+        for S, c in f.shifted(s).coeffs.items():
+            total._add(S, c)
+    gates = []
+    for S, c in total.coeffs.items():
+        if len(S) == 1:
+            gates += [("T", tuple(S))] * c
+        elif S:
+            gates.append(({2: "CZ", 3: "CCZ"}[len(S)], tuple(sorted(S))))
+    return DiagonalCircuit(circ.n, gates)
+
+
+def random_code(rng: random.Random) -> CssCode:
+    """A small CSS code with nonzero X stabilizers, with logical X strings
+    half of the time (else the spanning set is completed from a nullspace)."""
+    n = rng.randint(4, 9)
+    hx_rows = [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(rng.randint(1, 3))]
+    hx = BitMatrix(len(hx_rows), n, hx_rows)
+    null = hx.nullspace()
+    rng.shuffle(null)
+    hz_rows = null[: rng.randint(0, len(null))]
+    hz = BitMatrix(len(hz_rows), n, hz_rows)
+    lx = lz = []
+    if rng.random() < 0.5:
+        lx = extend_basis(row_reduce(hx_rows)[0], hz.nullspace())
+        lz = extend_basis(row_reduce(hz_rows)[0], hx.nullspace())
+    return CssCode(n, hx, hz, lx, lz, {})
+
+
+def test_random_circuits_agree_with_exact_coset_enumeration():
+    rng = random.Random(2024)
+    verdicts = {True: 0, False: 0}
+    kinds = set()
+    for _ in range(600):
+        code = random_code(rng)
+        quiet = (1 << code.n) - 1
+        for x in code.hx.rows:
+            quiet &= ~x
+        circ = random_circuit(rng, code.n, quiet if rng.random() < 0.5 else 0)
+        if rng.random() < 0.3:
+            circ = symmetrized(circ, code)
+        chk = check_logical_gate(circ, code)
+        want = exact_coset_verdict(circ, code)
+        assert chk.passed == want
+        assert first_failing_row(circ, code) == (None if want else chk.witness_stabilizer)
+        if not want:
+            assert_witness(chk, circ, code)
+        verdicts[want] += 1
+        kinds |= {kind for kind, _ in circ.gates}
+    assert min(verdicts.values()) >= 40
+    assert kinds == set(GATE_COEFF)
+
+
+def test_partial_t_layers_on_the_cube_code():
+    # [[8, 3, 2]]: X = all corners of a cube, Z on its faces.  Some T/Tdg
+    # layers on a face break only the triple-overlap (degree 3) condition.
+    n = 8
+    faces = [vec_from_support(v for v in range(n) if (v >> axis) & 1 == side)
+             for axis in range(3) for side in (0, 1)]
+    code = CssCode(n, BitMatrix(1, n, [0xFF]), BitMatrix(6, n, faces), [], [], {})
+    verdicts = []
+    for choice in itertools.product((None, "T", "Tdg"), repeat=n):
+        circ = DiagonalCircuit(n, [(kind, (q,)) for q, kind in enumerate(choice) if kind])
+        chk = check_logical_gate(circ, code)
+        assert chk.passed == exact_coset_verdict(circ, code)
+        if not chk.passed:
+            assert_witness(chk, circ, code)
+        verdicts.append(chk.passed)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 # -- completing the spanning set --------------------------------------------------
@@ -237,7 +313,7 @@ def random_css(rng) -> CssCode:
 
 
 def kernel_generators(code: CssCode) -> list[int]:
-    return _kernel_generators(code, code.n - code.hz.rank())
+    return _kernel_generators(code)[0]
 
 
 def assert_spans_kernel(code: CssCode):
@@ -257,11 +333,10 @@ def test_codes_without_logicals_get_the_dense_verdict():
         seen.add(assert_agrees_with_dense(DiagonalCircuit(code.n, gates), code).status)
         signs = [rng.choice(("T", "Tdg")) for _ in range(code.n)]
         t_layer = DiagonalCircuit(code.n, [(s, (q,)) for q, s in enumerate(signs)])
-        dense = _signed_overlap_criterion(PhasePolynomial.from_circuit(t_layer), code,
-                                          code.hz.nullspace())
-        chk = check_logical_gate(t_layer, code, exhaustive_budget=1)
-        assert chk.mode == "sufficient-criterion"
-        assert chk.passed == dense[0]
+        chk = check_logical_gate(t_layer, code)
+        assert chk.mode == ("pullback" if any(code.hx.rows) else "vacuous")
+        assert chk.passed == exact_coset_verdict(t_layer, code)
+        seen.add(chk.status)
     assert seen == {"PASS", "FAIL"}
 
 
@@ -290,6 +365,38 @@ def test_logical_outside_ker_hz(t2xs1_2layers):
     assert assert_agrees_with_dense(circ, bent).passed
     for i in (0, 7, 20):
         assert_agrees_with_dense(drop(circ, i), bent)
+    # the action's logical variables must be generators, so it is refused
+    with pytest.raises(ValueError, match="logical X 0 has a Z-syndrome"):
+        extract_logical_action(circ, bent)
+    assert len(extract_logical_action(circ, code).gate_list()) == 6
+
+
+def test_action_is_the_logical_part_of_the_check_pullback(t2xs1_2layers):
+    # the logical monomials of the check's pullback equal f pulled back onto
+    # the logical X strings alone
+    K = t2xs1_2layers
+    code = toric_code(K, 3)
+    short = CssCode(code.n, code.hx, code.hz, code.logical_x[2:], code.logical_z[2:], {})
+    cc = color_code(K)
+    for circ, c in ((ccz_circuit(K), code), (ccz_circuit(K), short), (transversal_t(cc), cc)):
+        chk = check_logical_gate(circ, c)
+        f = PhasePolynomial.from_circuit(circ)
+        assert extract_logical_action(circ, c, chk).poly.coeffs == logical_phase(f, c.logical_x).coeffs
+    # a check result without the pullback is run again, so it cannot vouch
+    # for a circuit that is not logical
+    assert extract_logical_action(ccz_circuit(K), code, GateCheck("PASS", "pullback")).poly.coeffs \
+        == extract_logical_action(ccz_circuit(K), code).poly.coeffs
+    with pytest.raises(ValueError, match="not a logical gate: FAIL"):
+        extract_logical_action(drop(ccz_circuit(K), 0), code, GateCheck("PASS", "pullback"))
+
+
+def test_non_css_code_raises():
+    n = 4
+    hx = BitMatrix(2, n, [0b0011, 0b1100])
+    hz = BitMatrix(1, n, [0b0110])  # odd overlap with both X rows
+    code = CssCode(n, hx, hz, [], [], {})
+    with pytest.raises(ValueError, match="X-stabilizer row 0 has odd overlap"):
+        check_logical_gate(DiagonalCircuit(n, [("CZ", (0, 1))]), code)
 
 
 # -- guards -----------------------------------------------------------------------
@@ -323,7 +430,7 @@ def test_t3_cover_4_rung():
     length, _ = systole_bfs(K)
     elapsed = time.perf_counter() - t0
     assert code.n == 1344
-    assert (chk.status, chk.mode) == ("PASS", "polarization")
+    assert (chk.status, chk.mode) == ("PASS", "pullback")
     gates = act.gate_list()
     assert len(gates) == 6 and all(kind == "CCZ" for kind, _ in gates)
     assert length == 4
