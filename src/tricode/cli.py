@@ -112,6 +112,8 @@ def cmd_homology(args) -> int:
             _emit(args, {"betti": list(bs)}, "betti: " + " ".join(map(str, bs)))
         return 0
     if args.action == "basis":
+        if args.dim is None:
+            raise SystemExit("homology basis needs --dim N")
         hb = homology.homology_basis(K, args.dim)
         obj = {
             "dim": args.dim,
@@ -135,8 +137,13 @@ def cmd_snf(args) -> int:
 def cmd_cup(args) -> int:
     K = _load_complex(args.file)
     if args.action == "triple":
+        if args.cocycles is None:
+            raise SystemExit("cup triple needs --cocycles i,j,k")
         basis = cup.canonical_cocycle_basis(K, 1)
         i, j, k = (int(t) for t in args.cocycles.split(","))
+        if not all(0 <= t < len(basis) for t in (i, j, k)):
+            raise SystemExit(f"--cocycles {args.cocycles}: indices must lie in 0..{len(basis) - 1} "
+                             f"(b_1 = {len(basis)})")
         v = cup.triple_cup_integral(K, basis[i], basis[j], basis[k])
         _emit(args, {"cocycles": [i, j, k], "integral": v}, f"integral = {v}")
         return 0
@@ -179,6 +186,10 @@ def cmd_code(args) -> int:
         code = serialize.code_from_json(serialize.read(args.file))
         method = {"bfs": "systole-bfs"}.get(args.method, args.method)
         if method == "systole-bfs":
+            if args.complex is None:
+                raise SystemExit(f"--method {args.method} needs --complex FILE")
+            if args.sector == "x":
+                raise SystemExit(f"--method {args.method} bounds d_z only, not --sector x")
             code.meta["complex"] = _load_complex(args.complex)
         res = codes.distance(code, method, budget=args.budget, sector=args.sector)
         obj = {"dx": res.dx, "dz": res.dz, "flag": res.flagged(), "note": res.note}

@@ -238,47 +238,41 @@ def distance(code: CssCode, method: str = "exact", budget: int = 1 << 26,
 
 
 def systole_bfs(K: DeltaComplex) -> tuple[int, int]:
-    """Shortest homologically nontrivial edge cycle via label-tracked BFS.
+    """Shortest homologically nontrivial edge cycle, by fundamental cycles.
 
-    States are (vertex, homology class so far); the class vector of an edge
-    is its evaluation against the canonical H^1 cocycle basis.
+    A BFS tree from each root closes one walk tree(u) + uw + tree(w) per edge
+    uw, with class cls(u) ^ cls(uw) ^ cls(w) against H^1 class representatives.
+    Every shortest nontrivial cycle through the root is one of them (Erickson
+    and Whittlesey, SODA 2005); being shortest it is simple, so the returned
+    chain has weight equal to the length.
     """
-    from collections import deque
-
-    cocycles = homology.homology_basis(K, 1).cocycles
-    k = len(cocycles)
-    if k == 0:
+    _, _, cocycles, coboundaries = homology.chain_spaces(K, 1)
+    reps = extend_basis(coboundaries, cocycles)
+    if not reps:
         raise ValueError("no nontrivial cycles")
-    V = K.n_cells(0)
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(V)]  # (vertex, class, edge)
-    for e, (f0, f1) in enumerate((K.face[1][i][0], K.face[1][i][1]) for i in range(K.n_cells(1))):
-        cls = vec_from_support(j for j, c in enumerate(cocycles) if (c >> e) & 1)
-        v0, v1 = f1, f0  # [v0 v1]: d_1 = v0, d_0 = v1
-        adj[v0].append((v1, cls, e))
-        adj[v1].append((v0, cls, e))
+    V, ends = K.n_cells(0), K.face[1]  # edge [v0 v1] has faces (v1, v0)
+    ecls = [vec_from_support(j for j, c in enumerate(reps) if (c >> e) & 1) for e in range(len(ends))]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]  # (neighbour, edge)
+    for e, (v1, v0) in enumerate(ends):
+        adj[v0].append((v1, e))
+        adj[v1].append((v0, e))
     best = None
-    best_cert = 0
-    for start in range(V):
-        dist = {(start, 0): (0, 0)}  # state -> (length, chain)
-        q = deque([(start, 0)])
-        while q:
-            v, cls = q.popleft()
-            d, chain = dist[(v, cls)]
-            if best is not None and d >= best:
-                continue
-            for (w, ecls, e) in adj[v]:
-                nstate = (w, cls ^ ecls)
-                if nstate not in dist:
-                    dist[nstate] = (d + 1, chain ^ (1 << e))
-                    q.append(nstate)
-        for cls in range(1, 1 << k):
-            if (start, cls) in dist:
-                d, chain = dist[(start, cls)]
-                if best is None or d < best:
-                    best, best_cert = d, chain
+    for root in range(V):
+        dist, cls, chain = {root: 0}, {root: 0}, {root: 0}  # tree path from the root
+        order = [root]
+        for v in order:
+            for w, e in adj[v]:
+                if w not in dist:
+                    dist[w], cls[w], chain[w] = dist[v] + 1, cls[v] ^ ecls[e], chain[v] ^ 1 << e
+                    order.append(w)
+        for e, (v1, v0) in enumerate(ends):
+            if v0 in dist and cls[v0] ^ ecls[e] ^ cls[v1]:
+                length = dist[v0] + 1 + dist[v1]
+                if best is None or length < best[0]:
+                    best = (length, chain[v0] ^ chain[v1] ^ 1 << e)
     if best is None:
         raise RuntimeError("no homologically nontrivial edge cycle found")
-    return best, best_cert
+    return best
 
 
 def stabilizer_weights(code: CssCode) -> dict[str, list[int]]:

@@ -125,10 +125,6 @@ class PhasePolynomial:
     def constant(self) -> int:
         return self.coeffs.get(frozenset(), 0)
 
-    def is_pauli_z_layer(self) -> bool:
-        """All coefficients in {0, 4}: a (-1)-phase polynomial."""
-        return all(c == 4 for c in self.coeffs.values())
-
     def to_circuit(self) -> DiagonalCircuit:
         """Inverse of from_circuit for standard coefficients; raises when a
         monomial has no gate in {Z, S, Sdg, T, Tdg, CZ, CCZ}."""
@@ -150,29 +146,6 @@ class PhasePolynomial:
                 raise ValueError(f"monomial {set(S)} with coefficient {c} not expressible")
             gates.append((kind, tuple(sorted(S))))
         return DiagonalCircuit(self.n, gates)
-
-    def vanishes_on_span(self, basis: list[int]) -> tuple[bool, int | None]:
-        """Does f vanish identically (mod 8) on the GF(2) span of ``basis``?
-
-        For degree <= 3 with coefficients in {0, 4} this is decided exactly by
-        the values on 0, the basis, basis pairs and basis triples
-        (polarization of a cubic form over GF(2)); a witness vector is
-        returned on failure.  This is the dense reference for the local
-        check in ``check_logical_gate``.
-        """
-        if not self.is_pauli_z_layer():
-            raise ValueError("vanishing check expects coefficients in {0, 4}")
-        if self.degree() > 3:
-            raise ValueError("vanishing check implemented for degree <= 3")
-        probes: list[int] = [0]
-        probes += basis
-        probes += [a ^ b for a, b in itertools.combinations(basis, 2)]
-        if self.degree() >= 3:
-            probes += [a ^ b ^ c for a, b, c in itertools.combinations(basis, 3)]
-        for z in probes:
-            if self.evaluate(z):
-                return False, z
-        return True, None
 
 
 @dataclass
@@ -424,12 +397,6 @@ def extract_logical_action(circuit: DiagonalCircuit, code: CssCode,
         j = next(j for j, lx in enumerate(code.logical_x) if code.hz.matvec(lx))
         raise ValueError(f"logical X {j} has a Z-syndrome (not in ker hz)")
     return LogicalAction(code.k, code.logical_labels(), _logical_poly(checked.logical, code.k))
-
-
-def logical_phase(f: PhasePolynomial, logical_x: list[int]) -> PhasePolynomial:
-    """f pulled back over Z_8 onto the logical X strings alone, as a
-    polynomial in the k = len(logical_x) logical variables."""
-    return _logical_poly(pull_back(f.coeffs, _incidence(logical_x, f.n)), len(logical_x))
 
 
 def _logical_poly(pulled: dict[int, int], k: int) -> PhasePolynomial:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import DeltaComplex
-from .gf2 import (BitMatrix, dot, dual_basis, extend_basis, row_reduce, solve_augmented,
-                  vec_from_support)
+from .gf2 import (BitMatrix, dot, dual_basis, extend_basis, kernel_from_rref, row_reduce,
+                  solve_augmented, vec_from_support)
 
 
 def boundary_matrix(K: DeltaComplex, n: int) -> BitMatrix:
@@ -26,34 +26,18 @@ def boundary_matrix(K: DeltaComplex, n: int) -> BitMatrix:
     return BitMatrix(K.n_cells(n - 1), K.n_cells(n), rows)
 
 
-def coboundary_matrix(K: DeltaComplex, n: int) -> BitMatrix:
-    """delta_n : C^n -> C^{n+1}, the transpose of del_{n+1}."""
-    return boundary_matrix(K, n + 1).transpose()
+def chain_spaces(K: DeltaComplex, n: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(cycles, boundaries, cocycles, coboundaries) in degree n, from one
+    elimination of del_n and one of del_{n+1}^T.
 
-
-def cycle_space(K: DeltaComplex, n: int) -> list[int]:
-    if n == 0:
-        return [1 << v for v in range(K.n_cells(0))]
-    return boundary_matrix(K, n).nullspace()
-
-
-def boundary_space(K: DeltaComplex, n: int) -> list[int]:
-    if n >= K.dims:
-        return []
-    return row_reduce(boundary_matrix(K, n + 1).transpose().rows)[0]
-
-
-def cocycle_space(K: DeltaComplex, n: int) -> list[int]:
-    if n == K.dims:
-        return [1 << s for s in range(K.n_cells(n))]
-    return coboundary_matrix(K, n).nullspace()
-
-
-def coboundary_space(K: DeltaComplex, n: int) -> list[int]:
-    # im delta_{n-1} = column space of del_n^T = row space of del_n
-    if n == 0:
-        return []
-    return row_reduce(boundary_matrix(K, n).rows)[0]
+    ker del_n and ker delta_n = ker del_{n+1}^T are read off the RREFs; the
+    RREF bases span im delta_{n-1} (the row space of del_n) and im del_{n+1}.
+    del_0 has no rows and del_{d+1} no columns, so every degree is covered.
+    """
+    c = K.n_cells(n)
+    down = row_reduce(boundary_matrix(K, n).rows)
+    up = row_reduce(boundary_matrix(K, n + 1).transpose().rows)
+    return kernel_from_rref(*down, c), up[0], kernel_from_rref(*up, c), down[0]
 
 
 def betti(K: DeltaComplex, n: int) -> int:
@@ -66,7 +50,9 @@ def betti(K: DeltaComplex, n: int) -> int:
 
 
 def betti_all(K: DeltaComplex) -> tuple[int, ...]:
-    return tuple(betti(K, n) for n in range(K.dims + 1))
+    """Every Betti number, ranking each of del_1..del_d once."""
+    ranks = [0] + [boundary_matrix(K, n).rank() for n in range(1, K.dims + 1)] + [0]
+    return tuple(K.n_cells(n) - ranks[n] - ranks[n + 1] for n in range(K.dims + 1))
 
 
 @dataclass
@@ -88,11 +74,12 @@ def homology_basis(K: DeltaComplex, n: int) -> HomologyBasis:
     im delta_{n-1} inside ker delta_n, then are recombined so that
     cocycle_j(cycle_i) = delta_ij.
     """
-    cycles = extend_basis(boundary_space(K, n), cycle_space(K, n))
-    cocycles = extend_basis(coboundary_space(K, n), cocycle_space(K, n))
-    if not len(cycles) == len(cocycles) == betti(K, n):
-        raise RuntimeError(f"{len(cycles)} cycles and {len(cocycles)} cocycles "
-                           f"for b_{n} = {betti(K, n)}")
+    cycles, boundaries, cocycles, coboundaries = chain_spaces(K, n)
+    cycles = extend_basis(boundaries, cycles)
+    cocycles = extend_basis(coboundaries, cocycles)
+    b = K.n_cells(n) - len(coboundaries) - len(boundaries)
+    if not len(cycles) == len(cocycles) == b:
+        raise RuntimeError(f"{len(cycles)} cycles and {len(cocycles)} cocycles for b_{n} = {b}")
     # invertible since both bases are complete
     new_cocycles = dual_basis(cocycles, cycles)
     if new_cocycles is None:
@@ -111,7 +98,8 @@ def dual_cocycles(K: DeltaComplex, n: int, cycles: list[int]) -> list[int]:
 
     Raises if the given cycles do not span H_n (pairing not invertible).
     """
-    cocycles = extend_basis(coboundary_space(K, n), cocycle_space(K, n))
+    _, _, cocycles, coboundaries = chain_spaces(K, n)
+    cocycles = extend_basis(coboundaries, cocycles)
     if len(cycles) != len(cocycles):
         raise ValueError(f"{len(cycles)} cycles given, H_{n} has rank {len(cocycles)}")
     out = dual_basis(cocycles, cycles)
@@ -169,11 +157,12 @@ def poincare_duals(K: DeltaComplex, zs: list[int], q: int | None = None,
     if not zs:
         return []
     ncells = K.n_cells(p)
-    if beta_basis is None:
-        beta_basis = homology_basis(K, q).cocycles
+    if beta_basis is None:  # H^q class representatives: only the span mod coboundaries matters
+        _, _, cocycles, coboundaries = chain_spaces(K, q)
+        beta_basis = extend_basis(coboundaries, cocycles)
     # integral(c cup beta) = sum over top simplices of c(front) beta(back)
     faces = [(K.front(d, s, p), K.back(d, s, q)) for s in range(K.n_cells(d))]
-    rows = list(coboundary_matrix(K, p).rows) if p < d else []
+    rows = boundary_matrix(K, p + 1).transpose().rows
     for beta in beta_basis:
         row = 0
         for front, back in faces:

@@ -340,3 +340,32 @@ def test_manifest_reports_repeated_and_float_logical_qubits(workdir):
         assert rc == 1 and len(lines) == 1
         assert lines[0].startswith("step 0 failed (ValueError: logical_x row 0 is not an increasing")
         assert lines[0].endswith(f"): gate check ccz.json {name}.json")
+
+
+def test_manifest_reports_missing_or_bad_arguments(workdir):
+    # each of these used to escape run_manifest as a traceback, or (bfs with
+    # --sector x) printed a d_z that was not asked for
+    assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
+    assert main(["code", "build", "t3.json", "--type", "toric:3", "--out", "c.json"]) == 0
+    for step, why in [
+        (["homology", "basis", "t3.json"], "homology basis needs --dim N"),
+        (["cup", "triple", "t3.json"], "cup triple needs --cocycles i,j,k"),
+        (["cup", "triple", "t3.json", "--cocycles", "0,1,3"],
+         "--cocycles 0,1,3: indices must lie in 0..2 (b_1 = 3)"),
+        (["cup", "triple", "t3.json", "--cocycles=-1,1,2"],
+         "--cocycles -1,1,2: indices must lie in 0..2 (b_1 = 3)"),
+        (["code", "distance", "c.json", "--method", "bfs"], "--method bfs needs --complex FILE"),
+        (["code", "distance", "c.json", "--method", "bfs", "--complex", "t3.json", "--sector", "x"],
+         "--method bfs bounds d_z only, not --sector x"),
+    ]:
+        serialize.write("one.manifest.json", {"steps": [step]})
+        assert run_manifest("one.manifest.json") == (
+            1, [f"step 0 failed ({why}): {' '.join(step)}"]), step
+    # the arguments they ask for make each step run
+    for step in (["homology", "basis", "t3.json", "--dim", "1", "--out", "hb.json"],
+                 ["cup", "triple", "t3.json", "--cocycles", "0,1,2", "--out", "tr.json"],
+                 ["code", "distance", "c.json", "--method", "bfs", "--complex", "t3.json",
+                  "--sector", "z", "--out", "dz.json"]):
+        assert main(step) == 0
+    assert serialize.read("tr.json")["integral"] == 1
+    assert serialize.read("dz.json")["dz"] == 1

@@ -27,7 +27,7 @@ from tricode.complexes import (
     rotation_automorphism,
 )
 from tricode.gates import ccz_circuit, check_logical_gate, extract_logical_action
-from tricode.gf2 import BitMatrix, dot, popcount, vec_from_support
+from tricode.gf2 import BitMatrix, dot, in_span, popcount, vec_from_support
 from tricode.hypergraph import base_hypergraph, form_from_cup, lift_full, magic_state_complexity
 
 from conftest import tetrahedron_boundary
@@ -113,6 +113,7 @@ def test_sigma8_circle_2_layers_rung():
     circ = ccz_circuit(K)
     chk = check_logical_gate(circ, code)
     act = extract_logical_action(circ, code, chk)
+    dz, _ = systole_bfs(K)
     elapsed = time.perf_counter() - t0
     assert homology.betti_all(K) == (1, 17, 17, 1)
     assert len(form.known_unit_triples()) == 8
@@ -124,6 +125,7 @@ def test_sigma8_circle_2_layers_rung():
     assert chk.status == "PASS"
     gates = act.gate_list()
     assert len(gates) == 48 and all(kind == "CCZ" for kind, _ in gates)
+    assert dz == 1  # a loop edge of the one-vertex surface
     assert elapsed < 10.0, f"Sigma_8 x S^1 (2 layers) rung took {elapsed:.1f}s"
 
 
@@ -234,6 +236,56 @@ def test_systole_bfs_upper_bound(t3):
     assert popcount(cert2) == 2
     # certificate is a homologically nontrivial cycle
     assert homology.boundary_matrix(sub.complex, 1).matvec(cert2) == 0
+
+
+def class_tracked_systole(K):
+    """Reference: BFS over (vertex, homology class so far) states, V * 2^k of
+    them; the class of an edge is its evaluation against the H^1 basis."""
+    from collections import deque
+
+    cocycles = homology.homology_basis(K, 1).cocycles
+    k = len(cocycles)
+    V = K.n_cells(0)
+    adj = [[] for _ in range(V)]
+    for e, (v1, v0) in enumerate(K.face[1]):
+        cls = vec_from_support(j for j, c in enumerate(cocycles) if (c >> e) & 1)
+        adj[v0].append((v1, cls))
+        adj[v1].append((v0, cls))
+    best = None
+    for start in range(V):
+        dist = {(start, 0): 0}
+        q = deque([(start, 0)])
+        while q:
+            v, cls = q.popleft()
+            if best is not None and dist[(v, cls)] >= best:
+                continue
+            for w, ecls in adj[v]:
+                if (w, cls ^ ecls) not in dist:
+                    dist[(w, cls ^ ecls)] = dist[(v, cls)] + 1
+                    q.append((w, cls ^ ecls))
+        for cls in range(1, 1 << k):
+            if (start, cls) in dist and (best is None or dist[(start, cls)] < best):
+                best = dist[(start, cls)]
+    return best
+
+
+def test_systole_matches_class_tracked_reference(t3):
+    from test_local_check import t3_cover
+
+    base = build_sigma_g_rotsym(2)
+    family = [t3, barycentric_subdivide(t3).complex, t3_cover(2), t3_cover(3),
+              mapping_torus(base, rotation_automorphism(base, 2, 1), 1)]
+    family += [product_with_circle(build_sigma_g(g), layers) for g in (1, 2, 4) for layers in (1, 2)]
+    for K in family:
+        length, cert = systole_bfs(K)
+        assert length == class_tracked_systole(K), K.counts
+        # the certificate is a cycle of that weight outside the boundaries
+        assert popcount(cert) == length
+        assert homology.boundary_matrix(K, 1).matvec(cert) == 0
+        _, boundaries, _, _ = homology.chain_spaces(K, 1)
+        assert not in_span(boundaries, cert)
+    with pytest.raises(ValueError, match="no nontrivial cycles"):
+        systole_bfs(tetrahedron_boundary())
 
 
 def test_systole_bfs_through_code_api(t3):

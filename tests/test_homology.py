@@ -1,11 +1,14 @@
 import copy
 import random
+import sys
 
 import pytest
 
-from tricode import homology
-from tricode.complexes import (build_sigma_g, build_sigma_g_rotsym, build_torus3, mapping_torus,
+from tricode import gf2, homology
+from tricode.complexes import (barycentric_subdivide, build_point, build_sigma_g,
+                               build_sigma_g_rotsym, build_torus3, mapping_torus,
                                product_with_circle, rotation_automorphism)
+from tricode.cup import named_dual_cocycles
 from tricode.gf2 import BitMatrix, dot, in_span, row_reduce, solve_augmented, vec_from_support
 
 from conftest import tetrahedron_boundary
@@ -44,7 +47,7 @@ def test_homology_basis_t3(t3):
     assert hb.rank == 3
     assert hb.pairing == [1, 2, 4]
     d1 = homology.boundary_matrix(t3, 1)
-    delta1 = homology.coboundary_matrix(t3, 1)
+    delta1 = homology.boundary_matrix(t3, 2).transpose()
     for z in hb.cycles:
         assert d1.matvec(z) == 0
     for c in hb.cocycles:
@@ -60,7 +63,7 @@ def test_homology_basis_sphere_empty():
 
 def test_named_cycles_span_h1(t3):
     hb = homology.homology_basis(t3, 1)
-    boundaries = homology.boundary_space(t3, 1)
+    _, boundaries, _, _ = homology.chain_spaces(t3, 1)
     span = hb.cycles + boundaries
     classes = []
     for nm in ("a", "b", "c"):
@@ -78,7 +81,7 @@ def test_poincare_dual_t3(t3):
 
 
 def test_poincare_dual_boundary_is_trivial(t3):
-    b = homology.boundary_space(t3, 2)[0]
+    b = homology.chain_spaces(t3, 2)[1][0]
     pd = homology.poincare_dual(t3, b)
     hb = homology.homology_basis(t3, 1)
     assert all(dot(pd, z) == 0 for z in hb.cycles)
@@ -248,7 +251,7 @@ def test_poincare_duals_batch_equals_single_solves():
     rng = random.Random(23)
     for K in _closed_3_complexes():
         hb2 = homology.homology_basis(K, 2)
-        boundaries = homology.boundary_space(K, 2)
+        _, boundaries, _, _ = homology.chain_spaces(K, 2)
         named = [vec_from_support(cells) for d, cells in K.cycles.values() if d == 2]
         zs = named + hb2.cycles + [0]
         for _ in range(4):  # random homologous representatives
@@ -302,3 +305,113 @@ def test_named_basis_returns_dual_cocycles(t3):
     assert names == ["a", "b", "c"]
     assert cocycles == homology.dual_cocycles(t3, 1, cycles)
     assert [[dot(c, z) for c in cocycles] for z in cycles] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+# -- one elimination per boundary matrix ------------------------------------------
+
+
+def ref_cycle_space(K, n):
+    """Reference: the four helpers chain_spaces replaced, one elimination each."""
+    if n == 0:
+        return [1 << v for v in range(K.n_cells(0))]
+    return homology.boundary_matrix(K, n).nullspace()
+
+
+def ref_boundary_space(K, n):
+    if n >= K.dims:
+        return []
+    return row_reduce(homology.boundary_matrix(K, n + 1).transpose().rows)[0]
+
+
+def ref_cocycle_space(K, n):
+    if n == K.dims:
+        return [1 << s for s in range(K.n_cells(n))]
+    return homology.boundary_matrix(K, n + 1).transpose().nullspace()
+
+
+def ref_coboundary_space(K, n):
+    if n == 0:
+        return []
+    return row_reduce(homology.boundary_matrix(K, n).rows)[0]
+
+
+def _spaces_complexes():
+    from test_local_check import t3_cover
+
+    t3 = build_torus3()
+    base = build_sigma_g_rotsym(2)
+    return [t3, barycentric_subdivide(t3).complex, t3_cover(2),
+            product_with_circle(build_sigma_g(2), 2),
+            mapping_torus(base, rotation_automorphism(base, 2, 1), 1),
+            build_sigma_g(2), tetrahedron_boundary(), build_point()]
+
+
+def test_chain_spaces_match_the_four_reference_helpers():
+    for K in _spaces_complexes():
+        for n in range(-1, K.dims + 2):
+            refs = (ref_cycle_space(K, n), ref_boundary_space(K, n),
+                    ref_cocycle_space(K, n), ref_coboundary_space(K, n))
+            assert homology.chain_spaces(K, n) == refs, (K.counts, n)
+
+
+def test_betti_all_and_default_duals_match_per_call_forms():
+    for K in _spaces_complexes():
+        assert homology.betti_all(K) == tuple(homology.betti(K, n) for n in range(K.dims + 1))
+        if K.dims < 2 or not homology.betti(K, K.dims):
+            continue  # no fundamental class: no Poincare duals
+        q = K.dims - 1
+        hb = homology.homology_basis(K, q)
+        _, boundaries, _, _ = homology.chain_spaces(K, q)
+        zs = hb.cycles + boundaries[:3] + [0]
+        assert homology.poincare_duals(K, zs) == homology.poincare_duals(
+            K, zs, beta_basis=hb.cocycles)
+
+
+def test_named_basis_of_a_sphere_is_empty():
+    # b_1 = 0 and no named 1-cycle: the empty basis, not None
+    S = tetrahedron_boundary()
+    assert homology.named_basis(S, 1) == ([], [], [])
+    assert named_dual_cocycles(S, 1) == {}
+
+
+def _count_eliminations(monkeypatch):
+    """Count gf2.row_reduce calls (under every name a tricode module bound
+    it to) and BitMatrix.rank calls."""
+    counts = {"row_reduce": 0, "rank": 0}
+    original, original_rank = gf2.row_reduce, gf2.BitMatrix.rank
+
+    def counted(rows):
+        counts["row_reduce"] += 1
+        return original(rows)
+
+    def counted_rank(self):
+        counts["rank"] += 1
+        return original_rank(self)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tricode") and getattr(mod, "row_reduce", None) is original:
+            monkeypatch.setattr(mod, "row_reduce", counted)
+    monkeypatch.setattr(gf2.BitMatrix, "rank", counted_rank)
+    return counts
+
+
+def test_one_elimination_per_boundary_matrix(monkeypatch):
+    from test_local_check import t3_cover
+    from tricode.codes import systole_bfs, toric_code
+    from tricode.hypergraph import form_from_cup
+
+    cover = t3_cover(3)
+    sigma4 = product_with_circle(build_sigma_g(4), 2)
+    counts = _count_eliminations(monkeypatch)
+
+    def spent(fn, *args):
+        counts.update(row_reduce=0, rank=0)
+        fn(*args)
+        return counts["row_reduce"], counts["rank"]
+
+    assert spent(homology.betti_all, cover) == (0, 3)
+    assert spent(form_from_cup, cover) == (3, 2)
+    assert spent(toric_code, cover, 3) == (3, 2)
+    assert spent(systole_bfs, cover) == (2, 0)
+    assert spent(form_from_cup, sigma4) == (6, 2)
+    assert spent(toric_code, sigma4, 3) == (6, 2)
