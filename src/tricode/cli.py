@@ -206,6 +206,8 @@ def cmd_gate(args) -> int:
               f"{len(circ.gates)} CCZ gates on {circ.n} qubits")
         return 0
     if args.action == "cz":
+        if args.membrane is None:
+            raise SystemExit("gate cz needs --membrane FILE")
         K = _load_complex(args.file)
         dim, z = serialize.cochain_from_json(serialize.read(args.membrane))
         if dim != 2:
@@ -251,6 +253,10 @@ def cmd_gate(args) -> int:
 
 
 def cmd_mcg(args) -> int:
+    flag = {"twist": "curve", "torus-homology": "matrix", "thurston": "n",
+            "thickened": "sequence"}.get(args.action)
+    if flag and getattr(args, flag) is None:
+        raise SystemExit(f"mcg {args.action} needs --{flag}")
     if args.action == "twist":
         g = args.genus
         if ":" in args.curve:

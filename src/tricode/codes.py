@@ -68,16 +68,13 @@ def toric_code(K: DeltaComplex, copies: int = 1) -> CssCode:
     hx1 = homology.boundary_matrix(K, 1)  # rows: vertex stars
     hz1 = homology.boundary_matrix(K, 2).transpose()  # rows: face boundaries
 
-    nb = homology.named_basis(K, 1)
-    if nb is not None:
-        names, cycles, cocycles = nb
+    names, cycles, cocycles = homology.logical_basis(K, 1)
+    if names is None:
+        labels1 = [f"h{i}" for i in range(len(cycles))]
+    else:
         labels1 = homology.dual_2cycle_labels(K, cycles)
         if None in labels1:
             labels1 = names
-    else:
-        hb = homology.homology_basis(K, 1)
-        cycles, cocycles = hb.cycles, hb.cocycles
-        labels1 = [f"h{i}" for i in range(hb.rank)]
 
     n = copies * E
     hx_rows = [r << (cpy * E) for cpy in range(copies) for r in hx1.rows]
@@ -214,7 +211,8 @@ def distance(code: CssCode, method: str = "exact", budget: int = 1 << 26,
     exact: enumeration of supports in order of increasing weight, capped at
     ``budget`` candidates (flagged partial bound when exceeded).
     systole-bfs: upper bound from the shortest homologically nontrivial edge
-    cycle of the underlying complex (meta must carry it), flagged UPPER BOUND.
+    cycle of the underlying complex (meta must carry it), flagged UPPER BOUND;
+    only for a toric code whose qubits are that complex's edges.
     """
     if code.k == 0:
         return DistanceResult(None, None, True, note="k = 0: distance undefined")
@@ -232,6 +230,10 @@ def distance(code: CssCode, method: str = "exact", budget: int = 1 << 26,
         K = code.meta.get("complex")
         if K is None:
             raise ValueError("systole-bfs needs code.meta['complex']")
+        kind, edges = code.meta.get("kind"), code.meta.get("edges")
+        if kind != "toric" or edges != K.n_cells(1):
+            raise ValueError(f"systole-bfs bounds d_z of a toric code on the complex's edges only "
+                             f"(code kind {kind!r} on {edges} edges, complex {K.n_cells(1)} edges)")
         w, cert = systole_bfs(K)
         return DistanceResult(None, w, False, None, cert, "edge-systole upper bound for d_z")
     raise ValueError(f"unknown method {method!r}")
@@ -251,7 +253,7 @@ def systole_bfs(K: DeltaComplex) -> tuple[int, int]:
     if not reps:
         raise ValueError("no nontrivial cycles")
     V, ends = K.n_cells(0), K.face[1]  # edge [v0 v1] has faces (v1, v0)
-    ecls = [vec_from_support(j for j, c in enumerate(reps) if (c >> e) & 1) for e in range(len(ends))]
+    ecls = BitMatrix(len(reps), len(ends), reps).transpose().rows
     adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]  # (neighbour, edge)
     for e, (v1, v0) in enumerate(ends):
         adj[v0].append((v1, e))

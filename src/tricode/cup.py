@@ -63,22 +63,25 @@ def integrate(K: DeltaComplex, c: Cochain) -> int:
     return popcount(c.values) & 1
 
 
+def spine_edges(K: DeltaComplex, n: int) -> list[tuple[int, ...]]:
+    """For each n-simplex [v0 .. vn], its spine: the edges [v_{i-1} v_i] for
+    i = 1..n.  Empty when K has no n-simplices."""
+    return [tuple(K.back(i, K.front(n, s, i), 1) for i in range(1, n + 1))
+            for s in range(K.n_cells(n))]
+
+
 def triple_cup_integral(K: DeltaComplex, a: Cochain, b: Cochain, c: Cochain) -> int:
     """integral over K of a cup b cup c for 1-cochains on a closed 3-complex.
 
-    Evaluated directly, one product per 3-simplex: a([v0 v1]) b([v1 v2])
-    c([v2 v3]); equality with the nested cup evaluation is a unit test.
+    Evaluated directly, one product per 3-simplex on its spine: a([v0 v1])
+    b([v1 v2]) c([v2 v3]); equality with the nested cup evaluation is a test.
     """
     if K.dims != 3:
         raise ValueError("triple cup integral needs a 3-complex")
     if (a.dim, b.dim, c.dim) != (1, 1, 1):
         raise ValueError("triple cup integral takes three 1-cochains")
     total = 0
-    for s in range(K.n_cells(3)):
-        mid2 = K.face[3][s][3]  # [v0 v1 v2]
-        e1 = K.face[2][mid2][2]  # [v0 v1]
-        e2 = K.face[2][mid2][0]  # [v1 v2]
-        e3 = K.back(3, s, 1)  # [v2 v3]
+    for e1, e2, e3 in spine_edges(K, 3):
         total ^= a(e1) & b(e2) & c(e3)
     return total
 
@@ -114,10 +117,9 @@ def leibniz_defect(K: DeltaComplex, a: Cochain, b: Cochain) -> int:
 
 def named_dual_cocycles(K: DeltaComplex, n: int = 1) -> dict[str, Cochain]:
     """Cocycles dual to the builder's named n-cycles (pairing = identity)."""
-    nb = homology.named_basis(K, n)
-    if nb is None:
+    names, _, duals = homology.logical_basis(K, n)
+    if names is None:
         raise ValueError(f"builder cycles do not form a basis of H_{n}")
-    names, _, duals = nb
     return {nm: Cochain(n, d) for nm, d in zip(names, duals)}
 
 

@@ -23,9 +23,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from . import homology
 from .complexes import DeltaComplex
 from .codes import CssCode
-from .gf2 import dot, extend_basis, row_reduce, support
+from .cup import spine_edges
+from .gf2 import BitMatrix, dot, extend_basis, row_reduce, support
 
 GATE_COEFF = {"Z": 4, "S": 2, "Sdg": 6, "T": 1, "Tdg": 7, "CZ": 4, "CCZ": 4}
 GATE_ARITY = {"Z": 1, "S": 1, "Sdg": 1, "T": 1, "Tdg": 1, "CZ": 2, "CCZ": 3}
@@ -179,14 +181,7 @@ def ccz_circuit(K: DeltaComplex) -> DiagonalCircuit:
     """One CCZ per 3-simplex [v0 v1 v2 v3], coupling copy-1 edge [v0 v1],
     copy-2 edge [v1 v2], copy-3 edge [v2 v3] of three identical toric codes."""
     E = K.n_cells(1)
-    gates = []
-    if K.dims >= 3:
-        for s in range(K.n_cells(3)):
-            mid = K.face[3][s][3]
-            e1 = K.face[2][mid][2]
-            e2 = K.face[2][mid][0]
-            e3 = K.back(3, s, 1)
-            gates.append(("CCZ", (e1, E + e2, 2 * E + e3)))
+    gates = [("CCZ", (e1, E + e2, 2 * E + e3)) for e1, e2, e3 in spine_edges(K, 3)]
     return DiagonalCircuit(3 * E, gates).canonical()
 
 
@@ -197,16 +192,11 @@ def cz_membrane_circuit(K: DeltaComplex, z2: int, copies: tuple[int, int],
     i, j = copies
     if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError("copies must be two distinct labels in 1..3")
-    from . import homology
-
     if check and homology.boundary_matrix(K, 2).matvec(z2) != 0:
         raise ValueError("membrane support is not a 2-cycle")
     E = K.n_cells(1)
-    gates = []
-    for s in support(z2):
-        e1 = K.face[2][s][2]
-        e2 = K.face[2][s][0]
-        gates.append(("CZ", ((i - 1) * E + e1, (j - 1) * E + e2)))
+    spine = spine_edges(K, 2)
+    gates = [("CZ", ((i - 1) * E + spine[s][0], (j - 1) * E + spine[s][1])) for s in support(z2)]
     return DiagonalCircuit(3 * E, gates).canonical()
 
 
@@ -281,15 +271,6 @@ def _powers(v: int) -> list[int]:
     return out
 
 
-def _incidence(vectors: list[int], n: int) -> list[int]:
-    """Per qubit q, the bitmask of the vectors whose support contains q."""
-    masks = [0] * n
-    for a, v in enumerate(vectors):
-        for q in support(v):
-            masks[q] |= 1 << a
-    return masks
-
-
 def _kernel_generators(code: CssCode) -> tuple[list[int], list[int], bool]:
     """A local spanning set G of ker hz with its incidence masks.
 
@@ -301,7 +282,7 @@ def _kernel_generators(code: CssCode) -> tuple[list[int], list[int], bool]:
     """
     m = code.hx.nrows
     gens = code.hx.rows + code.logical_x
-    masks = _incidence(gens, code.n)
+    masks = BitMatrix(len(gens), code.n, gens).transpose().rows  # per qubit: the generators on it
     outside = 0  # generators with odd overlap with some Z-stabilizer row
     for r in code.hz.rows:
         odd = 0
@@ -312,14 +293,10 @@ def _kernel_generators(code: CssCode) -> tuple[list[int], list[int], bool]:
         row = (outside & -outside).bit_length() - 1
         raise ValueError(f"X-stabilizer row {row} has odd overlap with a Z-stabilizer row "
                          "(not a CSS code)")
-    if outside:
-        gens = [0 if (outside >> a) & 1 else g for a, g in enumerate(gens)]
-        masks = [mask & ~outside for mask in masks]
+    gens = [0 if (outside >> a) & 1 else g for a, g in enumerate(gens)]
     if len(extend_basis([], gens)) < code.n - code.hz.rank():
-        extra = extend_basis(gens, code.hz.nullspace())
-        masks = [mask | e << len(gens) for mask, e in zip(masks, _incidence(extra, code.n))]
-        gens += extra
-    return gens, masks, not outside
+        gens += extend_basis(gens, code.hz.nullspace())
+    return gens, BitMatrix(len(gens), code.n, gens).transpose().rows, not outside
 
 
 def check_logical_gate(circuit: DiagonalCircuit, code: CssCode) -> GateCheck:

@@ -74,7 +74,12 @@ def homology_basis(K: DeltaComplex, n: int) -> HomologyBasis:
     im delta_{n-1} inside ker delta_n, then are recombined so that
     cocycle_j(cycle_i) = delta_ij.
     """
-    cycles, boundaries, cocycles, coboundaries = chain_spaces(K, n)
+    return _canonical_basis(K, n, chain_spaces(K, n))
+
+
+def _canonical_basis(K: DeltaComplex, n: int, spaces) -> HomologyBasis:
+    """homology_basis from the chain_spaces(K, n) already computed."""
+    cycles, boundaries, cocycles, coboundaries = spaces
     cycles = extend_basis(boundaries, cycles)
     cocycles = extend_basis(coboundaries, cocycles)
     b = K.n_cells(n) - len(coboundaries) - len(boundaries)
@@ -113,18 +118,23 @@ def named_cycle_vector(K: DeltaComplex, name: str) -> tuple[int, int]:
     return dim, vec_from_support(cells)
 
 
-def named_basis(K: DeltaComplex, n: int) -> tuple[list[str], list[int], list[int]] | None:
-    """The builder-provided named n-cycles with their dual cocycles, if the
-    cycles form a homology basis."""
+def logical_basis(K: DeltaComplex, n: int) -> tuple[list[str] | None, list[int], list[int]]:
+    """(names, cycles, dual cocycles) of H_n from one chain_spaces call.
+
+    The builder's named n-cycles are the basis when there are b_n of them and
+    their pairing with the H^n class representatives is invertible; otherwise
+    names is None and the basis is homology_basis's canonical one.
+    """
+    spaces = chain_spaces(K, n)
+    _, boundaries, cocycles, coboundaries = spaces
     names = [nm for nm, (d, _) in K.cycles.items() if d == n]
-    if len(names) != betti(K, n):
-        return None
-    cycles = [named_cycle_vector(K, nm)[1] for nm in names]
-    try:
-        cocycles = dual_cocycles(K, n, cycles)
-    except ValueError:
-        return None
-    return names, cycles, cocycles
+    if len(names) == K.n_cells(n) - len(coboundaries) - len(boundaries):
+        cycles = [named_cycle_vector(K, nm)[1] for nm in names]
+        duals = dual_basis(extend_basis(coboundaries, cocycles), cycles)
+        if duals is not None:
+            return names, cycles, duals
+    hb = _canonical_basis(K, n, spaces)
+    return None, hb.cycles, hb.cocycles
 
 
 def poincare_dual(K: DeltaComplex, z: int, q: int | None = None,

@@ -13,6 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from . import homology
+from .cup import spine_edges
+from .gf2 import BitMatrix, support
 from .mcg import TripleForm, UNKNOWN
 
 
@@ -30,39 +33,38 @@ class Hypergraph:
         return {v: self.degree(v) for v in self.vertices}
 
 
-def form_from_cup(K, cocycles=None, labels=None) -> TripleForm:
-    """Triple form of a closed 3-complex from cup-product integrals over a
-    1-cocycle basis (labels name the dual 2-cycle classes).
+def form_from_cup(K) -> TripleForm:
+    """Triple form of a closed 3-complex: the integrals of a_i cup a_j cup a_l
+    over one H^1 basis (``homology.logical_basis``), labelled by the dual
+    2-cycle classes.
 
-    Integrals with a repeated class are computed too and must vanish; a
-    nonzero one has no hyperedge reading and raises.
+    One pass over the 3-simplices: with mask(e) the classes whose cocycle is 1
+    on edge e, a simplex with spine (e1, e2, e3) toggles every i <= j <= l with
+    i in mask(e1), j in mask(e2) and l in mask(e3).  Integrals with a repeated
+    class must vanish; a nonzero one has no hyperedge reading and raises.
     """
-    from . import cup as cupmod
-    from . import homology
-
-    if cocycles is None:
-        named = homology.named_basis(K, 1)
-        if named is not None:
-            names, cycles, duals = named
-            labels = [f"dual({nm})" if lab is None else lab
-                      for nm, lab in zip(names, homology.dual_2cycle_labels(K, cycles))]
-            cocycles = [cupmod.Cochain(1, c) for c in duals]
-        else:
-            cocycles = cupmod.canonical_cocycle_basis(K, 1)
+    if K.dims != 3:
+        raise ValueError("triple cup integral needs a 3-complex")
+    names, cycles, cocycles = homology.logical_basis(K, 1)
     k = len(cocycles)
-    if labels is None:
+    if names is None:
         labels = [f"h{i}" for i in range(k)]
-    form = TripleForm(list(labels))
+    else:
+        labels = [f"dual({nm})" if lab is None else lab
+                  for nm, lab in zip(names, homology.dual_2cycle_labels(K, cycles))]
+    mask = BitMatrix(k, K.n_cells(1), cocycles).transpose().rows
+    parity = [0] * (k * k)  # bit l of parity[i * k + j]: integral (i, j, l)
+    for e1, e2, e3 in spine_edges(K, 3):
+        m2, m3 = mask[e2], mask[e3]
+        for i in support(mask[e1]):
+            for j in support(m2 >> i << i):
+                parity[i * k + j] ^= m3 >> j << j
+    form = TripleForm(labels)
     for i, j, l in itertools.combinations_with_replacement(range(k), 3):
-        v = cupmod.triple_cup_integral(K, cocycles[i], cocycles[j], cocycles[l])
-        if len({i, j, l}) < 3:
-            if v:
-                raise ValueError(
-                    f"repeated-class triple integral ({i},{j},{l}) is nonzero; "
-                    "no hyperedge reading"
-                )
-            continue
-        if v:
+        if (parity[i * k + j] >> l) & 1:
+            if len({i, j, l}) < 3:
+                raise ValueError(f"repeated-class triple integral ({i},{j},{l}) is nonzero; "
+                                 "no hyperedge reading")
             form.coefficients[frozenset({i, j, l})] = 1
     return form
 

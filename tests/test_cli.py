@@ -8,6 +8,7 @@ import pytest
 
 from tricode import serialize
 from tricode.cli import main, run_manifest
+from tricode.gf2 import vec_from_support
 
 MANIFEST = os.path.join(os.path.dirname(__file__), "..", "manifests", "t3.manifest.json")
 
@@ -344,9 +345,14 @@ def test_manifest_reports_repeated_and_float_logical_qubits(workdir):
 
 def test_manifest_reports_missing_or_bad_arguments(workdir):
     # each of these used to escape run_manifest as a traceback, or (bfs with
-    # --sector x) printed a d_z that was not asked for
+    # --sector x, or on a color code) printed a d_z that was not asked for
+    # or not bounded by the edge systole
     assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
     assert main(["code", "build", "t3.json", "--type", "toric:3", "--out", "c.json"]) == 0
+    assert main(["code", "build", "t3.json", "--type", "color", "--out", "cc.json"]) == 0
+    K = serialize.complex_from_json(serialize.read("t3.json"))
+    serialize.write("memb.json", serialize.cochain_to_json(2, vec_from_support(K.cycles["axb"][1])))
+    serialize.write("n.json", serialize.matrix_to_json([[4, 8], [0, 4]]))
     for step, why in [
         (["homology", "basis", "t3.json"], "homology basis needs --dim N"),
         (["cup", "triple", "t3.json"], "cup triple needs --cocycles i,j,k"),
@@ -357,6 +363,14 @@ def test_manifest_reports_missing_or_bad_arguments(workdir):
         (["code", "distance", "c.json", "--method", "bfs"], "--method bfs needs --complex FILE"),
         (["code", "distance", "c.json", "--method", "bfs", "--complex", "t3.json", "--sector", "x"],
          "--method bfs bounds d_z only, not --sector x"),
+        (["code", "distance", "cc.json", "--method", "bfs", "--sector", "z", "--complex", "t3.json"],
+         "ValueError: systole-bfs bounds d_z of a toric code on the complex's edges only "
+         "(code kind 'color' on None edges, complex 7 edges)"),
+        (["mcg", "twist", "--genus", "2"], "mcg twist needs --curve"),
+        (["mcg", "torus-homology"], "mcg torus-homology needs --matrix"),
+        (["mcg", "thurston"], "mcg thurston needs --n"),
+        (["mcg", "thickened"], "mcg thickened needs --sequence"),
+        (["gate", "cz", "t3.json"], "gate cz needs --membrane FILE"),
     ]:
         serialize.write("one.manifest.json", {"steps": [step]})
         assert run_manifest("one.manifest.json") == (
@@ -365,7 +379,13 @@ def test_manifest_reports_missing_or_bad_arguments(workdir):
     for step in (["homology", "basis", "t3.json", "--dim", "1", "--out", "hb.json"],
                  ["cup", "triple", "t3.json", "--cocycles", "0,1,2", "--out", "tr.json"],
                  ["code", "distance", "c.json", "--method", "bfs", "--complex", "t3.json",
-                  "--sector", "z", "--out", "dz.json"]):
+                  "--sector", "z", "--out", "dz.json"],
+                 ["mcg", "twist", "--genus", "2", "--curve", "a:1", "--out", "tw.json"],
+                 ["mcg", "torus-homology", "--matrix", "tw.json", "--coeff", "z2"],
+                 ["mcg", "thurston", "--n", "n.json"],
+                 ["mcg", "thickened", "--sequence", "b:2 b:1 f:1"],
+                 ["gate", "cz", "t3.json", "--membrane", "memb.json", "--out", "cz.json"]):
         assert main(step) == 0
     assert serialize.read("tr.json")["integral"] == 1
     assert serialize.read("dz.json")["dz"] == 1
+    assert len(serialize.read("cz.json")["gates"]) == 2

@@ -296,6 +296,19 @@ def test_systole_bfs_through_code_api(t3):
     assert res.flagged() == "UPPER BOUND"
 
 
+def test_systole_bfs_rejects_codes_it_does_not_bound(t3):
+    # the edge systole of T^3 is 1, below the color code's true d_z = 2
+    cc = color_code(t3)
+    cc.meta["complex"] = t3
+    assert distance(cc, "exact", sector="z").dz == 2
+    with pytest.raises(ValueError, match="code kind 'color' on None edges"):
+        distance(cc, "systole-bfs")
+    code = toric_code(t3, 3)
+    code.meta["complex"] = barycentric_subdivide(t3).complex
+    with pytest.raises(ValueError, match="code kind 'toric' on 7 edges, complex 170 edges"):
+        distance(code, "systole-bfs")
+
+
 def test_code_json_roundtrip(t3):
     from tricode import serialize
 

@@ -14,6 +14,7 @@ from tricode.cup import (
     integrate,
     leibniz_defect,
     named_dual_cocycles,
+    spine_edges,
     surface_intersection_form,
     triple_cup_integral,
 )
@@ -81,6 +82,17 @@ def test_triple_cup_t3_coordinates(t3):
     d = named_dual_cocycles(t3, 1)
     for perm in itertools.permutations("abc"):
         assert triple_cup_integral(t3, d[perm[0]], d[perm[1]], d[perm[2]]) == 1
+
+
+def test_spine_edges_are_consecutive_vertex_pairs():
+    from test_hypergraph import cup_ladder
+
+    for K in cup_ladder():
+        for n in (2, 3):
+            assert spine_edges(K, n) == [
+                tuple(K.iterated_face(n, s, (i - 1, i))[1] for i in range(1, n + 1))
+                for s in range(K.n_cells(n))], (K.counts, n)
+    assert spine_edges(build_sigma_g(2), 3) == []
 
 
 def test_triple_cup_matches_nested(t3):

@@ -1,6 +1,13 @@
+import itertools
+import random
+
 import pytest
 
-from tricode.complexes import build_sigma_g, build_torus3, product_with_circle
+from tricode import homology
+from tricode.complexes import (barycentric_subdivide, build_sigma_g, build_sigma_g_rotsym,
+                               build_torus3, mapping_torus, product_with_circle,
+                               rotation_automorphism)
+from tricode.cup import Cochain, triple_cup_integral
 from tricode.hypergraph import (
     base_hypergraph,
     base_hypergraph_partial,
@@ -130,3 +137,70 @@ def test_hypergraph_json_roundtrip(t3):
     assert back.kind == h.kind
     assert back.vertices == h.vertices
     assert back.hyperedges == h.hyperedges
+
+
+def cup_ladder():
+    """T^3, sd(T^3), the L = 2 and 3 covers, the sigma-rot:2 mapping torus and
+    Sigma_g x S^1 for g = 1, 2, 4 with 1 and 2 layers."""
+    from test_local_check import t3_cover
+
+    t3, base = build_torus3(), build_sigma_g_rotsym(2)
+    family = [t3, barycentric_subdivide(t3).complex, t3_cover(2), t3_cover(3),
+              mapping_torus(base, rotation_automorphism(base, 2, 1), 1)]
+    return family + [product_with_circle(build_sigma_g(g), layers)
+                     for g in (1, 2, 4) for layers in (1, 2)]
+
+
+def ref_form_from_cup(K) -> TripleForm:
+    """Reference: one triple_cup_integral per i <= j <= l, over the basis and
+    with the labels form_from_cup uses."""
+    names, cycles, cocycles = homology.logical_basis(K, 1)
+    k = len(cocycles)
+    if names is None:
+        labels = [f"h{i}" for i in range(k)]
+    else:
+        labels = [f"dual({nm})" if lab is None else lab
+                  for nm, lab in zip(names, homology.dual_2cycle_labels(K, cycles))]
+    basis = [Cochain(1, c) for c in cocycles]
+    form = TripleForm(labels)
+    for i, j, l in itertools.combinations_with_replacement(range(k), 3):
+        v = triple_cup_integral(K, basis[i], basis[j], basis[l])
+        if len({i, j, l}) < 3:
+            if v:
+                raise ValueError(f"repeated-class triple integral ({i},{j},{l}) is nonzero; "
+                                 "no hyperedge reading")
+            continue
+        if v:
+            form.coefficients[frozenset({i, j, l})] = 1
+    return form
+
+
+def _form_or_error(fn, K):
+    try:
+        form = fn(K)
+    except ValueError as exc:
+        return str(exc)
+    return form.labels, form.coefficients
+
+
+def test_form_from_cup_matches_per_triple_reference():
+    for K in cup_ladder():
+        assert _form_or_error(form_from_cup, K) == _form_or_error(ref_form_from_cup, K), K.counts
+    with pytest.raises(ValueError, match="needs a 3-complex"):
+        form_from_cup(build_sigma_g(2))
+
+
+def test_form_from_cup_matches_reference_on_arbitrary_cochains(monkeypatch):
+    # arbitrary 1-cochains, not only cocycles: repeated-class integrals are then
+    # often nonzero, and both must raise at the same first triple
+    K = barycentric_subdivide(build_torus3()).complex
+    E, rng = K.n_cells(1), random.Random(11)
+    outcomes = set()
+    for _ in range(40):
+        cochains = [rng.getrandbits(E) & rng.getrandbits(E) & rng.getrandbits(E)
+                    for _ in range(rng.randint(0, 6))]
+        monkeypatch.setattr(homology, "logical_basis", lambda K, n: (None, cochains, cochains))
+        got = _form_or_error(form_from_cup, K)
+        assert got == _form_or_error(ref_form_from_cup, K)
+        outcomes.add(type(got))
+    assert outcomes == {str, tuple}

@@ -21,7 +21,6 @@ from tricode.gates import (
     DiagonalCircuit,
     GateCheck,
     PhasePolynomial,
-    _incidence,
     _kernel_generators,
     _logical_poly,
     ccz_circuit,
@@ -79,7 +78,8 @@ def vanishes_on_span(f: PhasePolynomial, basis: list[int]) -> tuple[bool, int | 
 def logical_phase(f: PhasePolynomial, logical_x: list[int]) -> PhasePolynomial:
     """f pulled back over Z_8 onto the logical X strings alone, as a
     polynomial in the k = len(logical_x) logical variables."""
-    return _logical_poly(pull_back(f.coeffs, _incidence(logical_x, f.n)), len(logical_x))
+    masks = BitMatrix(len(logical_x), f.n, logical_x).transpose().rows
+    return _logical_poly(pull_back(f.coeffs, masks), len(logical_x))
 
 
 def dense_first_failure(circ: DiagonalCircuit, code: CssCode) -> int | None:

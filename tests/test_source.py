@@ -1,4 +1,5 @@
 import ast
+import collections
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tricode"
@@ -48,4 +49,33 @@ def test_every_private_function_is_used_in_the_package():
             for tree in trees.values() for tok in _walk_outside(tree, node))
         if not used:
             dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert dead == []
+
+
+def _names(node):
+    """Every name, attribute and string constant in the tree under node."""
+    for tok in ast.walk(node):
+        if isinstance(tok, ast.Name):
+            yield tok.id
+        elif isinstance(tok, ast.Attribute):
+            yield tok.attr
+        elif isinstance(tok, ast.Constant) and isinstance(tok.value, str):
+            yield tok.value
+
+
+def test_every_public_definition_is_referenced():
+    # a public module-level function or class that nothing in src/, scripts/,
+    # tests/ or benchmark/ names outside its own definition (as a name, an
+    # attribute or a string, as the benchmark's traced layers do) is dead code
+    root = SRC.parent.parent
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for folder in ("src", "scripts", "tests", "benchmark")
+             for path in sorted((root / folder).rglob("*.py"))}
+    everywhere = collections.Counter(name for tree in trees.values() for name in _names(tree))
+    defs = [(path, node) for path in sorted(SRC.glob("*.py")) for node in trees[path].body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+    assert len(defs) > 100
+    dead = [f"{path.name}:{node.lineno} {node.name}" for path, node in defs
+            if everywhere[node.name] == collections.Counter(_names(node))[node.name]]
     assert dead == []

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -74,6 +75,16 @@ def test_two_prong_tree():
     assert rep.max_degree == 2
     assert rep.degrees["G1"] == 2
     assert roundtrip_check(mu).passed
+
+
+def test_form_json_roundtrip():
+    from tricode import serialize
+
+    mu = genus13_tree_form()
+    data = json.loads(serialize.dumps(serialize.form_to_json(mu)))
+    assert data["m"] == mu.m and len(data["coeffs"]) == len(mu.coeffs) > 0
+    back = serialize.form_from_json(data)
+    assert (back.m, back.coeffs) == (mu.m, mu.coeffs)
 
 
 def test_genus13_six_factor_tree():
