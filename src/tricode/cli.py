@@ -80,14 +80,19 @@ def cmd_complex(args) -> int:
         _emit(args, serialize.complex_to_json(K),
               f"built {args.preset}: counts {K.counts}")
         return 0
-    K = _load_complex(args.file)
     if args.action == "validate":
+        try:
+            K = _load_complex(args.file)
+        except ValueError as exc:  # indices out of range: nothing else can be read
+            _emit(args, {"valid": False, "violations": [str(exc)]}, str(exc))
+            return 1
         bad = complexes.validate(K)
         report = {"valid": not bad, "violations": bad, "counts": K.counts,
                   "closed": complexes.is_closed(K)}
         text = "well-formed" if not bad else "\n".join(bad)
         _emit(args, report, text)
         return 0 if not bad else 1
+    K = _load_complex(args.file)
     if args.action == "subdivide":
         sub = complexes.barycentric_subdivide(K)
         _emit(args, serialize.complex_to_json(sub.complex),
@@ -184,14 +189,7 @@ def cmd_code(args) -> int:
         return 0
     if args.action == "distance":
         code = serialize.code_from_json(serialize.read(args.file))
-        method = {"bfs": "systole-bfs"}.get(args.method, args.method)
-        if method == "systole-bfs":
-            if args.complex is None:
-                raise SystemExit(f"--method {args.method} needs --complex FILE")
-            if args.sector == "x":
-                raise SystemExit(f"--method {args.method} bounds d_z only, not --sector x")
-            code.meta["complex"] = _load_complex(args.complex)
-        res = codes.distance(code, method, budget=args.budget, sector=args.sector)
+        res = codes.distance(code, args.method, budget=args.budget, sector=args.sector)
         obj = {"dx": res.dx, "dz": res.dz, "flag": res.flagged(), "note": res.note}
         _emit(args, obj, f"d_x={res.dx} d_z={res.dz} [{res.flagged()}]")
         return 0
@@ -522,10 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
     cd.add_argument("action", choices=("build", "distance"))
     cd.add_argument("file")
     cd.add_argument("--type", default="toric:1", help="toric:copies | color")
-    cd.add_argument("--method", default="exact", choices=("exact", "bfs", "systole-bfs"))
+    cd.add_argument("--method", default="exact", choices=("exact", "bfs"))
     cd.add_argument("--sector", default="both", choices=("both", "x", "z"))
     cd.add_argument("--budget", type=int, default=1 << 22)
-    cd.add_argument("--complex", help="complex JSON for systole-bfs")
+    cd.add_argument("--complex", help="not read: the distance comes from the code file alone")
     common(cd)
     cd.set_defaults(func=cmd_code)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .complexes import DeltaComplex, barycentric_subdivide
 from .gf2 import (BitMatrix, dot, dual_basis, extend_basis, kernel_from_rref, popcount, row_reduce,
-                  vec_from_support)
+                  support, vec_from_support)
 from . import homology
 
 
@@ -179,17 +179,28 @@ class DistanceResult:
         return "exact" if self.exact else "UPPER BOUND"
 
 
-def _min_weight_logical(stab_rows: list[int], commute_rows: list[int],
-                        pair_ops: list[int], n: int, budget: int) -> tuple[int | None, int | None, bool]:
-    """Minimum weight of v with commute_rows . v = 0 and some pairing with
-    pair_ops nonzero, by exhaustive enumeration in order of weight.
-
-    Returns (weight, certificate, exact); (None, None, True) when k = 0 and
-    a flagged partial bound when the budget runs out.
+def _min_weight_logical(commute_rows: list[int], pair_ops: list[int], n: int,
+                        budget: int | None, sector: str) -> tuple[int | None, int | None, bool]:
+    """(weight, certificate, exact) of a lightest v in ker commute_rows with a
+    nonzero pairing with pair_ops; (None, None, True) if none exists.  If each
+    qubit lies in at most two rows it is an edge of the check graph (a vertex
+    per row, a hub for missing ends), v is its shortest cycle of nonzero
+    pair_ops class.  Else ``budget`` supports are enumerated; None refuses.
     """
     if not pair_ops:
         return None, None, True
-    M = BitMatrix(len(commute_rows), n, commute_rows)
+    hub = len(commute_rows)
+    M = BitMatrix(hub, n, commute_rows)
+    ends = [support(c) for c in M.transpose().rows]
+    crowded = next((q for q, e in enumerate(ends) if len(e) > 2), None)
+    if crowded is None:
+        ecls = BitMatrix(len(pair_ops), n, pair_ops).transpose().rows
+        found = _shortest_nontrivial_cycle(hub + 1, [(e + [hub, hub])[:2] for e in ends], ecls)
+        return (*found, True) if found else (None, None, True)
+    if budget is None:
+        raise ValueError(f"bfs finds d_{sector} only when every qubit lies in at most two "
+                         f"{'XZ'[sector == 'x']} checks; qubit {crowded} lies in "
+                         f"{len(ends[crowded])} of them")
     spent = 0
     for w in range(1, n + 1):
         for comb in itertools.combinations(range(n), w):
@@ -197,84 +208,68 @@ def _min_weight_logical(stab_rows: list[int], commute_rows: list[int],
             if spent > budget:
                 return None, None, False
             v = vec_from_support(comb)
-            if M.matvec(v) != 0:
-                continue
-            if any(dot(v, p) for p in pair_ops):
+            if M.matvec(v) == 0 and any(dot(v, p) for p in pair_ops):
                 return w, v, True
     return None, None, True
 
 
 def distance(code: CssCode, method: str = "exact", budget: int = 1 << 26,
              sector: str = "both") -> DistanceResult:
-    """(d_x, d_z) with a minimum-weight certificate.
+    """(d_x, d_z) with minimum-weight certificates, from the code alone.
 
-    exact: enumeration of supports in order of increasing weight, capped at
-    ``budget`` candidates (flagged partial bound when exceeded).
-    systole-bfs: upper bound from the shortest homologically nontrivial edge
-    cycle of the underlying complex (meta must carry it), flagged UPPER BOUND;
-    only for a toric code whose qubits are that complex's edges.
+    exact: the check graph's shortest nonzero-class cycle where every qubit
+    lies in at most two of the sector's checks (d_z of toric codes, d_x of
+    surface ones), else enumeration of ``budget`` supports.  bfs: the check
+    graph only, ValueError for a sector that is not a graph.
     """
+    if method not in ("exact", "bfs"):
+        raise ValueError(f"unknown method {method!r}")
     if code.k == 0:
         return DistanceResult(None, None, True, note="k = 0: distance undefined")
-    if method == "exact":
-        dz = cz = dx = cx = None
-        ez = ex = True
-        if sector in ("both", "z"):
-            dz, cz, ez = _min_weight_logical(code.hz.rows, code.hx.rows, code.logical_x, code.n, budget)
-        if sector in ("both", "x"):
-            dx, cx, ex = _min_weight_logical(code.hx.rows, code.hz.rows, code.logical_z, code.n, budget)
-        exact = ez and ex
-        note = "" if exact else f"budget {budget} exceeded; partial search only"
-        return DistanceResult(dx, dz, exact, cx, cz, note)
-    if method == "systole-bfs":
-        K = code.meta.get("complex")
-        if K is None:
-            raise ValueError("systole-bfs needs code.meta['complex']")
-        kind, edges = code.meta.get("kind"), code.meta.get("edges")
-        if kind != "toric" or edges != K.n_cells(1):
-            raise ValueError(f"systole-bfs bounds d_z of a toric code on the complex's edges only "
-                             f"(code kind {kind!r} on {edges} edges, complex {K.n_cells(1)} edges)")
-        w, cert = systole_bfs(K)
-        return DistanceResult(None, w, False, None, cert, "edge-systole upper bound for d_z")
-    raise ValueError(f"unknown method {method!r}")
+    found = {s: _min_weight_logical(checks, pairs, code.n, budget if method == "exact" else None, s)
+             for s, checks, pairs in (("z", code.hx.rows, code.logical_x),
+                                      ("x", code.hz.rows, code.logical_z)) if sector in ("both", s)}
+    (dz, cz, ez), (dx, cx, ex) = (found.get(s, (None, None, True)) for s in "zx")
+    note = "" if ez and ex else f"budget {budget} exceeded; partial search only"
+    return DistanceResult(dx, dz, ez and ex, cx, cz, note)
 
 
-def systole_bfs(K: DeltaComplex) -> tuple[int, int]:
-    """Shortest homologically nontrivial edge cycle, by fundamental cycles.
-
-    A BFS tree from each root closes one walk tree(u) + uw + tree(w) per edge
-    uw, with class cls(u) ^ cls(uw) ^ cls(w) against H^1 class representatives.
-    Every shortest nontrivial cycle through the root is one of them (Erickson
-    and Whittlesey, SODA 2005); being shortest it is simple, so the returned
-    chain has weight equal to the length.
-    """
-    _, _, cocycles, coboundaries = homology.chain_spaces(K, 1)
-    reps = extend_basis(coboundaries, cocycles)
-    if not reps:
-        raise ValueError("no nontrivial cycles")
-    V, ends = K.n_cells(0), K.face[1]  # edge [v0 v1] has faces (v1, v0)
-    ecls = BitMatrix(len(reps), len(ends), reps).transpose().rows
+def _shortest_nontrivial_cycle(V: int, ends, ecls: list[int]) -> tuple[int, int] | None:
+    """(length, edge set) of a shortest cycle of nonzero class, edge e joining
+    ends[e] with class ecls[e]; None if every cycle has class 0.  The BFS tree
+    of each root closes a walk tree(u) + uw + tree(w) per edge uw; a shortest
+    nontrivial cycle through the root is one of them (Erickson and
+    Whittlesey, SODA 2005), and simple, so its weight is its length.  A BFS
+    stops once 2 dist + 1 >= best."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(V)]  # (neighbour, edge)
-    for e, (v1, v0) in enumerate(ends):
-        adj[v0].append((v1, e))
-        adj[v1].append((v0, e))
+    for e, (a, b) in enumerate(ends):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
     best = None
     for root in range(V):
-        dist, cls, chain = {root: 0}, {root: 0}, {root: 0}  # tree path from the root
-        order = [root]
+        dist, cls, chain, order = {root: 0}, {root: 0}, {root: 0}, [root]  # chain: tree path
         for v in order:
+            if best is not None and 2 * dist[v] + 1 >= best[0]:
+                break
             for w, e in adj[v]:
                 if w not in dist:
                     dist[w], cls[w], chain[w] = dist[v] + 1, cls[v] ^ ecls[e], chain[v] ^ 1 << e
                     order.append(w)
-        for e, (v1, v0) in enumerate(ends):
-            if v0 in dist and cls[v0] ^ ecls[e] ^ cls[v1]:
-                length = dist[v0] + 1 + dist[v1]
-                if best is None or length < best[0]:
-                    best = (length, chain[v0] ^ chain[v1] ^ 1 << e)
-    if best is None:
-        raise RuntimeError("no homologically nontrivial edge cycle found")
+                elif cls[v] ^ ecls[e] ^ cls[w] and (best is None or dist[v] + 1 + dist[w] < best[0]):
+                    best = (dist[v] + 1 + dist[w], chain[v] ^ chain[w] ^ 1 << e)
     return best
+
+
+def systole_bfs(K: DeltaComplex) -> tuple[int, int]:
+    """(length, edge set) of a shortest homologically nontrivial edge cycle:
+    the d_z search of ``distance`` with edge classes read off H^1
+    representatives, so it equals d_z of toric_code(K)."""
+    _, _, cocycles, coboundaries = homology.chain_spaces(K, 1)
+    reps = extend_basis(coboundaries, cocycles)
+    if not reps:
+        raise ValueError("no nontrivial cycles")
+    ecls = BitMatrix(len(reps), K.n_cells(1), reps).transpose().rows
+    return _shortest_nontrivial_cycle(K.n_cells(0), K.face[1], ecls)
 
 
 def stabilizer_weights(code: CssCode) -> dict[str, list[int]]:

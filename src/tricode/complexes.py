@@ -78,18 +78,29 @@ class DeltaComplex:
         return sum((-1) ** n * c for n, c in enumerate(self.counts))
 
 
-def validate(K: DeltaComplex) -> list[str]:
-    """All invariant violations (empty list == well-formed)."""
+def index_violations(K: DeltaComplex) -> list[str]:
+    """Face arities and face and cycle indices out of range: what every
+    reader of K relies on (empty list == safe to index)."""
     bad: list[str] = []
-    for n in range(1, K.dims + 1):
+    for n in range(K.dims + 1):
+        below, arity = K.n_cells(n - 1), n + 1 if n else 0
         for s, fs in enumerate(K.face[n]):
-            if len(fs) != n + 1:
-                bad.append(f"{n}-simplex {s}: expected {n + 1} faces, got {len(fs)}")
+            if len(fs) != arity:
+                bad.append(f"{n}-simplex {s}: expected {arity} faces, got {len(fs)}")
                 continue
             for i, f in enumerate(fs):
-                if not (0 <= f < K.n_cells(n - 1)):
+                if type(f) is not int or not 0 <= f < below:
                     bad.append(f"{n}-simplex {s}: face {i} index {f} out of range")
-    if bad:
+    for name, (dim, cells) in K.cycles.items():
+        ok = type(dim) is int and 0 <= dim <= K.dims
+        if not ok or any(type(c) is not int or not 0 <= c < K.n_cells(dim) for c in cells):
+            bad.append(f"cycle {name!r}: cell index out of range")
+    return bad
+
+
+def validate(K: DeltaComplex) -> list[str]:
+    """All invariant violations (empty list == well-formed)."""
+    if bad := index_violations(K):
         return bad
     for n in range(2, K.dims + 1):
         for s in range(K.n_cells(n)):
@@ -97,12 +108,8 @@ def validate(K: DeltaComplex) -> list[str]:
             for j in range(n + 1):
                 for i in range(j):
                     # d_i d_j = d_{j-1} d_i for i < j
-                    lhs = K.face[n - 1][fs[j]][i]
-                    rhs = K.face[n - 1][fs[i]][j - 1]
-                    if lhs != rhs:
-                        bad.append(
-                            f"{n}-simplex {s}: d_{i} d_{j} != d_{j - 1} d_{i}"
-                        )
+                    if K.face[n - 1][fs[j]][i] != K.face[n - 1][fs[i]][j - 1]:
+                        bad.append(f"{n}-simplex {s}: d_{i} d_{j} != d_{j - 1} d_{i}")
     for n in range(2, K.dims + 1):
         # del del = 0 over GF(2)
         for s in range(K.n_cells(n)):
@@ -112,9 +119,6 @@ def validate(K: DeltaComplex) -> list[str]:
                     acc[g] = acc.get(g, 0) ^ 1
             if any(acc.values()):
                 bad.append(f"{n}-simplex {s}: del del != 0")
-    for name, (dim, cells) in K.cycles.items():
-        if dim > K.dims or any(c >= K.n_cells(dim) for c in cells):
-            bad.append(f"cycle {name!r}: cell index out of range")
     return bad
 
 

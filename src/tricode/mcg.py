@@ -74,19 +74,15 @@ def humphries_curve(name: str, g: int = 2) -> list[int]:
 def curve_class(spec: str, g: int) -> list[int]:
     """Parse a:i | b:i | f:i (f_i = b_{i+1} - b_i) into an H_1 vector."""
     kind, _, idx = spec.partition(":")
-    i = int(idx)
-    v = [0] * (2 * g)
-    if kind == "a":
-        v[i - 1] = 1
-    elif kind == "b":
-        v[g + i - 1] = 1
-    elif kind == "f":
-        if i >= g:
-            raise ValueError("f-curves need i <= g-1")
-        v[g + i - 1] = -1
-        v[g + i] = 1
-    else:
+    i, top = int(idx), {"a": g, "b": g, "f": g - 1}.get(kind)
+    if top is None:
         raise ValueError(f"unknown curve {spec!r}")
+    if not 1 <= i <= top:
+        raise ValueError(f"curve {spec!r}: index must lie in 1..{top} (genus {g})")
+    v = [0] * (2 * g)
+    v[{"a": i - 1, "b": g + i - 1, "f": g + i}[kind]] = 1
+    if kind == "f":
+        v[g + i - 1] = -1
     return v
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 
-from .complexes import DeltaComplex
+from .complexes import DeltaComplex, index_violations
 from .codes import CssCode
 from .gates import DiagonalCircuit
 from .gf2 import BitMatrix, support, vec_from_support
@@ -66,10 +66,14 @@ def complex_to_json(K: DeltaComplex) -> dict:
 
 def complex_from_json(data: dict) -> DeltaComplex:
     dims = data["dims"]
+    if type(dims) is not int or dims < 0:
+        raise ValueError(f"complex dims {dims!r} is not a nonnegative int")
     face: list[list[tuple[int, ...]]] = [[] for _ in range(dims + 1)]
     labels: dict = {}
     for entry in data["simplices"]:
         n = entry["dim"]
+        if type(n) is not int or not 0 <= n <= dims or type(entry["faces"]) is not list:
+            raise ValueError(f"simplex {entry!r}: needs a dim in 0..{dims} and a list of faces")
         idx = len(face[n])
         face[n].append(tuple(entry["faces"]))
         if "label" in entry:
@@ -77,6 +81,8 @@ def complex_from_json(data: dict) -> DeltaComplex:
     K = DeltaComplex(face, labels)
     for nm, cyc in data.get("cycles", {}).items():
         K.cycles[nm] = (cyc["dim"], tuple(cyc["cells"]))
+    if bad := index_violations(K):
+        raise ValueError("; ".join(bad[:3]) + (f"; and {len(bad) - 3} more" if bad[3:] else ""))
     return K
 
 

@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
-from tricode import serialize
+from tricode import codes, serialize
 from tricode.cli import main, run_manifest
 from tricode.gf2 import vec_from_support
 
@@ -210,6 +212,19 @@ def test_report_cli(workdir, capsys):
     assert "n=21 k=9 d_z=1(exact)" in capsys.readouterr().out
 
 
+def test_report_is_exact_on_the_l4_cover(workdir, capsys):
+    # the toric code's X checks are a graph, so report needs no budget; it
+    # used to spend minutes enumerating and print d_z=None(bound)
+    from test_local_check import t3_cover
+
+    serialize.write("c4.json", serialize.code_to_json(codes.toric_code(t3_cover(4), 3)))
+    t0 = time.perf_counter()
+    assert main(["report", "c4.json"]) == 0
+    elapsed = time.perf_counter() - t0
+    assert capsys.readouterr().out == "n=1344 k=9 d_z=4(exact)\n"
+    assert elapsed < 2.0, f"report on the L = 4 cover took {elapsed:.1f}s"
+
+
 def test_manifest_end_to_end(workdir):
     rc, lines = run_manifest(MANIFEST)
     assert rc == 0
@@ -344,9 +359,9 @@ def test_manifest_reports_repeated_and_float_logical_qubits(workdir):
 
 
 def test_manifest_reports_missing_or_bad_arguments(workdir):
-    # each of these used to escape run_manifest as a traceback, or (bfs with
-    # --sector x, or on a color code) printed a d_z that was not asked for
-    # or not bounded by the edge systole
+    # each of these used to escape run_manifest as a traceback; bfs refuses a
+    # sector whose checks do not make a graph (--sector x of a 3D toric code,
+    # the color code)
     assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
     assert main(["code", "build", "t3.json", "--type", "toric:3", "--out", "c.json"]) == 0
     assert main(["code", "build", "t3.json", "--type", "color", "--out", "cc.json"]) == 0
@@ -360,12 +375,12 @@ def test_manifest_reports_missing_or_bad_arguments(workdir):
          "--cocycles 0,1,3: indices must lie in 0..2 (b_1 = 3)"),
         (["cup", "triple", "t3.json", "--cocycles=-1,1,2"],
          "--cocycles -1,1,2: indices must lie in 0..2 (b_1 = 3)"),
-        (["code", "distance", "c.json", "--method", "bfs"], "--method bfs needs --complex FILE"),
         (["code", "distance", "c.json", "--method", "bfs", "--complex", "t3.json", "--sector", "x"],
-         "--method bfs bounds d_z only, not --sector x"),
+         "ValueError: bfs finds d_x only when every qubit lies in at most two Z checks; "
+         "qubit 0 lies in 6 of them"),
         (["code", "distance", "cc.json", "--method", "bfs", "--sector", "z", "--complex", "t3.json"],
-         "ValueError: systole-bfs bounds d_z of a toric code on the complex's edges only "
-         "(code kind 'color' on None edges, complex 7 edges)"),
+         "ValueError: bfs finds d_z only when every qubit lies in at most two X checks; "
+         "qubit 0 lies in 4 of them"),
         (["mcg", "twist", "--genus", "2"], "mcg twist needs --curve"),
         (["mcg", "torus-homology"], "mcg torus-homology needs --matrix"),
         (["mcg", "thurston"], "mcg thurston needs --n"),
@@ -380,6 +395,8 @@ def test_manifest_reports_missing_or_bad_arguments(workdir):
                  ["cup", "triple", "t3.json", "--cocycles", "0,1,2", "--out", "tr.json"],
                  ["code", "distance", "c.json", "--method", "bfs", "--complex", "t3.json",
                   "--sector", "z", "--out", "dz.json"],
+                 ["code", "distance", "c.json", "--method", "bfs", "--sector", "z",
+                  "--out", "dz2.json"],
                  ["mcg", "twist", "--genus", "2", "--curve", "a:1", "--out", "tw.json"],
                  ["mcg", "torus-homology", "--matrix", "tw.json", "--coeff", "z2"],
                  ["mcg", "thurston", "--n", "n.json"],
@@ -387,5 +404,64 @@ def test_manifest_reports_missing_or_bad_arguments(workdir):
                  ["gate", "cz", "t3.json", "--membrane", "memb.json", "--out", "cz.json"]):
         assert main(step) == 0
     assert serialize.read("tr.json")["integral"] == 1
-    assert serialize.read("dz.json")["dz"] == 1
+    assert serialize.read("dz.json") == serialize.read("dz2.json") == {
+        "dx": None, "dz": 1, "flag": "exact", "note": ""}
     assert len(serialize.read("cz.json")["gates"]) == 2
+
+
+def test_manifest_reports_curve_index_out_of_range(workdir):
+    for curve, top in (("a:9", 2), ("a:0", 2), ("f:2", 1)):
+        step = ["mcg", "twist", "--genus", "2", "--curve", curve]
+        serialize.write("one.manifest.json", {"steps": [step]})
+        why = f"ValueError: curve '{curve}': index must lie in 1..{top} (genus 2)"
+        assert run_manifest("one.manifest.json") == (
+            1, [f"step 0 failed ({why}): {' '.join(step)}"])
+
+
+def _corrupt(data, edit):
+    data = json.loads(json.dumps(data))
+    edit(data)
+    return data
+
+
+def _first(data, dim):
+    return next(e for e in data["simplices"] if e["dim"] == dim)
+
+
+BAD_COMPLEXES = [
+    # a face index of 99 used to raise IndexError in betti, cup form and
+    # code build; a face of -1 wrapped round and printed betti: 1 0 -1 0
+    (lambda d: _first(d, 2)["faces"].__setitem__(0, 99), "2-simplex 0: face 0 index 99 out of range"),
+    (lambda d: _first(d, 3)["faces"].__setitem__(0, -1), "3-simplex 0: face 0 index -1 out of range"),
+    (lambda d: _first(d, 2)["faces"].pop(), "2-simplex 0: expected 3 faces, got 2"),
+    (lambda d: _first(d, 0)["faces"].append(0), "0-simplex 0: expected 0 faces, got 1"),
+    (lambda d: _first(d, 1).__setitem__("dim", 4),
+     "simplex {'dim': 4, 'faces': [0, 0], 'label': 'a'}: needs a dim in 0..3 and a list of faces"),
+    (lambda d: _first(d, 1).__setitem__("dim", -1),
+     "simplex {'dim': -1, 'faces': [0, 0], 'label': 'a'}: needs a dim in 0..3 and a list of faces"),
+    (lambda d: _first(d, 1).__setitem__("faces", 5),
+     "simplex {'dim': 1, 'faces': 5, 'label': 'a'}: needs a dim in 0..3 and a list of faces"),
+    (lambda d: d.__setitem__("dims", -1), "complex dims -1 is not a nonnegative int"),
+    (lambda d: d["cycles"]["a"].__setitem__("cells", [7]), "cycle 'a': cell index out of range"),
+    (lambda d: d["cycles"]["a"].__setitem__("dim", 5), "cycle 'a': cell index out of range"),
+    (lambda d: d["cycles"]["a"].__setitem__("cells", [0.5]), "cycle 'a': cell index out of range"),
+]
+
+
+@pytest.mark.parametrize("edit,why", BAD_COMPLEXES)
+def test_complex_files_are_range_checked(workdir, edit, why):
+    assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
+    bad = _corrupt(serialize.read("t3.json"), edit)
+    with pytest.raises(ValueError, match=re.escape(why)):
+        serialize.complex_from_json(bad)
+    serialize.write("bad.json", bad)
+    for step in (["homology", "betti", "bad.json"], ["cup", "form", "bad.json"],
+                 ["code", "build", "bad.json", "--type", "toric:3"]):
+        serialize.write("one.manifest.json", {"steps": [step]})
+        assert run_manifest("one.manifest.json") == (
+            1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
+    # validate reports it as data
+    step = ["complex", "validate", "bad.json", "--out", "v.json"]
+    serialize.write("one.manifest.json", {"steps": [step]})
+    assert run_manifest("one.manifest.json") == (1, [f"step 0 failed (exit 1): {' '.join(step)}"])
+    assert serialize.read("v.json") == {"valid": False, "violations": [why]}

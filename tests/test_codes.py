@@ -289,24 +289,123 @@ def test_systole_matches_class_tracked_reference(t3):
 
 
 def test_systole_bfs_through_code_api(t3):
-    code = toric_code(t3, 1)
-    code.meta["complex"] = t3
-    res = distance(code, "systole-bfs")
-    assert res.dz == 1
-    assert res.flagged() == "UPPER BOUND"
+    # the code's own check graph gives the edge systole of the complex as an
+    # exact d_z, with no complex passed
+    for K in (t3, barycentric_subdivide(t3).complex, product_with_circle(build_sigma_g(2), 1)):
+        res = distance(toric_code(K, 1), "bfs", sector="z")
+        assert (res.dz, res.flagged()) == (systole_bfs(K)[0], "exact")
 
 
 def test_systole_bfs_rejects_codes_it_does_not_bound(t3):
-    # the edge systole of T^3 is 1, below the color code's true d_z = 2
+    # the color code's X checks put each flag in four vertices; d_z = 2 comes
+    # from enumeration, and the graph-only method refuses
     cc = color_code(t3)
-    cc.meta["complex"] = t3
     assert distance(cc, "exact", sector="z").dz == 2
-    with pytest.raises(ValueError, match="code kind 'color' on None edges"):
-        distance(cc, "systole-bfs")
+    with pytest.raises(ValueError, match="bfs finds d_z only when every qubit lies in at most "
+                                         "two X checks; qubit 0 lies in 4 of them"):
+        distance(cc, "bfs", sector="z")
+    # a 3D toric code's d_x is a membrane: an edge lies in several faces
     code = toric_code(t3, 3)
-    code.meta["complex"] = barycentric_subdivide(t3).complex
-    with pytest.raises(ValueError, match="code kind 'toric' on 7 edges, complex 170 edges"):
-        distance(code, "systole-bfs")
+    with pytest.raises(ValueError, match="bfs finds d_x only .* two Z checks"):
+        distance(code, "bfs")
+    assert distance(code, "bfs", sector="z").dz == 1
+
+
+def _random_checks(rng, n, weights):
+    """Random check rows on n qubits, qubit q in rng.choice(weights) of them."""
+    m = rng.randint(max(weights), max(max(weights), n))
+    rows = [0] * m
+    for q in range(n):
+        for i in rng.sample(range(m), rng.choice(weights)):
+            rows[i] |= 1 << q
+    return rows
+
+
+def _min_weight_by_enumeration(rows, pairs, n):
+    for w in range(1, n + 1):
+        for comb in itertools.combinations(range(n), w):
+            v = vec_from_support(comb)
+            if not any(dot(v, r) for r in rows) and any(dot(v, p) for p in pairs):
+                return w
+    return None
+
+
+def _graph_route_calls(monkeypatch):
+    from tricode import codes
+
+    calls = []
+    kernel = codes._shortest_nontrivial_cycle
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(codes, "_shortest_nontrivial_cycle", counted)
+    return calls
+
+
+def test_graph_route_equals_enumeration_on_random_graph_like_codes(monkeypatch):
+    # a qubit in 0, 1 or 2 checks: a loop at the hub, an edge to the hub, an
+    # edge between two checks; the logicals are arbitrary sparse masks, so
+    # d runs from 1 to 6 and about a third of the codes have no logical at all
+    calls = _graph_route_calls(monkeypatch)
+    rng = random.Random(2005)
+    trials = 1500
+    for _ in range(trials):
+        n = rng.randint(1, 12)
+        rows = _random_checks(rng, n, (0, 1) + (2,) * 6)
+        pairs = [sum(1 << q for q in range(n) if rng.random() < 0.2) for _ in range(rng.randint(1, 3))]
+        code = CssCode(n, BitMatrix(len(rows), n, rows), BitMatrix(0, n), pairs, [0] * len(pairs))
+        res = distance(code, sector="z")
+        want = _min_weight_by_enumeration(rows, pairs, n)
+        assert res.exact and res.dz == want, (n, rows, pairs)
+        assert distance(code, "bfs", sector="z").dz == want
+        if want is not None:
+            cert = res.certificate_z
+            assert popcount(cert) == want
+            assert not any(dot(cert, r) for r in rows)
+            assert any(dot(cert, p) for p in pairs)
+    assert len(calls) == 2 * trials
+
+
+def test_codes_that_are_not_graphs_go_to_enumeration(t3, monkeypatch):
+    calls = _graph_route_calls(monkeypatch)
+    rng = random.Random(1999)
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        rows = _random_checks(rng, n, (1, 2, 3))
+        if max(sum(r >> q & 1 for r in rows) for q in range(n)) < 3:
+            continue
+        pairs = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 3))]
+        code = CssCode(n, BitMatrix(len(rows), n, rows), BitMatrix(0, n), pairs, [0] * len(pairs))
+        res = distance(code, sector="z")
+        assert res.exact and res.dz == _min_weight_by_enumeration(rows, pairs, n)
+        with pytest.raises(ValueError, match="bfs finds d_z only"):
+            distance(code, "bfs", sector="z")
+    assert distance(color_code(t3), sector="z").dz == 2
+    assert calls == []
+
+
+def test_distance_exact_on_t3_covers(t3):
+    from test_local_check import t3_cover
+
+    for L in range(1, 7):
+        code = toric_code(t3 if L == 1 else t3_cover(L), 3)
+        res = distance(code, sector="z")
+        assert (res.dz, res.exact) == (L, True)
+        cert = res.certificate_z
+        assert popcount(cert) == L and code.hx.matvec(cert) == 0
+        assert any(dot(cert, lx) for lx in code.logical_x)
+
+
+def test_surface_toric_code_distances_are_exact(sigma2):
+    # d_x comes from the face graph: each edge of a surface bounds two faces
+    code = toric_code(sigma2, 1)
+    for method in ("exact", "bfs"):
+        res = distance(code, method)
+        assert (res.dx, res.dz, res.exact) == (2, 1, True)
+        assert popcount(res.certificate_x) == 2 and code.hz.matvec(res.certificate_x) == 0
+        assert any(dot(res.certificate_x, lz) for lz in code.logical_z)
 
 
 def test_code_json_roundtrip(t3):

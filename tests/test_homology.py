@@ -404,7 +404,7 @@ def _count_eliminations(monkeypatch):
 
 def test_one_elimination_per_boundary_matrix(monkeypatch):
     from test_local_check import t3_cover
-    from tricode.codes import systole_bfs, toric_code
+    from tricode.codes import distance, systole_bfs, toric_code
     from tricode.hypergraph import form_from_cup
 
     cover = t3_cover(3)
@@ -420,5 +420,7 @@ def test_one_elimination_per_boundary_matrix(monkeypatch):
     assert spent(form_from_cup, cover) == (3, 0)
     assert spent(toric_code, cover, 3) == (3, 0)
     assert spent(systole_bfs, cover) == (2, 0)
+    code = toric_code(cover, 3)
+    assert spent(lambda: distance(code, sector="z")) == (0, 0)
     assert spent(form_from_cup, sigma4) == (6, 0)
     assert spent(toric_code, sigma4, 3) == (6, 0)

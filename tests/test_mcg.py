@@ -198,6 +198,13 @@ def test_curve_class_parse():
     assert curve_class("a:2", 3) == [0, 1, 0, 0, 0, 0]
     assert curve_class("b:3", 3) == [0, 0, 0, 0, 0, 1]
     assert curve_class("f:1", 3) == [0, 0, 0, -1, 1, 0]
+    assert curve_class("f:2", 3) == [0, 0, 0, 0, -1, 1]
+    # index 0 used to wrap to the last handle, and a:9 raised IndexError
+    for spec, top in (("a:0", 2), ("b:0", 2), ("f:0", 1), ("a:3", 2), ("b:9", 2), ("f:2", 1)):
+        with pytest.raises(ValueError, match=rf"curve '{spec}': index must lie in 1\.\.{top} \(genus 2\)"):
+            curve_class(spec, 2)
+    with pytest.raises(ValueError, match="unknown curve 'q:1'"):
+        curve_class("q:1", 2)
 
 
 # -- the commutative diagram for a free odd-order isometry ----------------------
