@@ -238,6 +238,10 @@ def cmd_gate(args) -> int:
     if args.action == "simulate":
         plus = list(range(code.k)) if args.plus == "all" else [int(t) for t in args.plus.split(",") if t]
         fixed = int(args.fixed, 2) if args.fixed else 0
+        if any(not 0 <= j < code.k for j in plus):
+            raise SystemExit(f"--plus {args.plus}: logical qubits must lie in 0..{code.k - 1} (k = {code.k})")
+        if fixed >> code.k:  # also catches a sign
+            raise SystemExit(f"--fixed {args.fixed}: needs a binary string of at most k = {code.k} digits")
         state = gates.coset_simulate(circ, code, plus, fixed).normalized()
         obj = {"phases": {str(v): p for v, p in sorted(state.phases.items())}}
         _emit(args, obj, f"{len(state.phases)} basis strings")

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .complexes import DeltaComplex, barycentric_subdivide
-from .gf2 import (BitMatrix, dot, dual_basis, extend_basis, kernel_from_rref, popcount, row_reduce,
+from .gf2 import (BitMatrix, dot, dual_basis, extend_basis, kernel_from_rref, row_reduce,
                   support, vec_from_support)
 from . import homology
 
@@ -34,24 +34,6 @@ class CssCode:
 
     def logical_labels(self) -> list:
         return self.meta.get("labels", list(range(self.k)))
-
-    def check_logicals(self) -> list[str]:
-        bad = []
-        for i, lx in enumerate(self.logical_x):
-            if any(dot(lx, r) for r in self.hz.rows):
-                bad.append(f"logical_x[{i}] anticommutes with a Z stabilizer")
-        for i, lz in enumerate(self.logical_z):
-            if any(dot(lz, r) for r in self.hx.rows):
-                bad.append(f"logical_z[{i}] anticommutes with an X stabilizer")
-        for i, lx in enumerate(self.logical_x):
-            for j, lz in enumerate(self.logical_z):
-                if dot(lx, lz) != (1 if i == j else 0):
-                    bad.append(f"pairing logical_x[{i}] . logical_z[{j}] != {int(i == j)}")
-        expect = self.n - self.hx.rank() - self.hz.rank()
-        if expect != self.k:
-            bad.append(f"k mismatch: n - rank hx - rank hz = {expect}, logicals = {self.k}")
-        return bad
-
 
 def toric_code(K: DeltaComplex, copies: int = 1) -> CssCode:
     """Qubits on the edges of each copy; X stabilizers are vertex stars
@@ -270,10 +252,3 @@ def systole_bfs(K: DeltaComplex) -> tuple[int, int]:
         raise ValueError("no nontrivial cycles")
     ecls = BitMatrix(len(reps), K.n_cells(1), reps).transpose().rows
     return _shortest_nontrivial_cycle(K.n_cells(0), K.face[1], ecls)
-
-
-def stabilizer_weights(code: CssCode) -> dict[str, list[int]]:
-    return {
-        "x": sorted(popcount(r) for r in code.hx.rows),
-        "z": sorted(popcount(r) for r in code.hz.rows),
-    }

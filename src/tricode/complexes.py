@@ -68,12 +68,6 @@ class DeltaComplex:
     def label(self, n: int, s: int) -> str:
         return self.labels.get((n, s), f"{n}.{s}")
 
-    def cell_index_by_label(self, n: int, name: str) -> int:
-        for (d, s), lab in self.labels.items():
-            if d == n and lab == name:
-                return s
-        raise KeyError(f"no {n}-cell labelled {name!r}")
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * c for n, c in enumerate(self.counts))
 
@@ -133,51 +127,15 @@ def is_closed(K: DeltaComplex) -> bool:
     return not any(acc)
 
 
-def check_isomorphism(K1: DeltaComplex, K2: DeltaComplex, perm: list[list[int]]) -> bool:
-    """Does ``perm`` (per-dimension maps K1 -> K2) commute with all face maps?"""
-    if K1.counts != K2.counts:
-        return False
-    for n, p in enumerate(perm):
-        if sorted(p) != list(range(K1.n_cells(n))):
-            return False
-    for n in range(1, K1.dims + 1):
-        for s in range(K1.n_cells(n)):
-            mapped = tuple(perm[n - 1][f] for f in K1.face[n][s])
-            if K2.face[n][perm[n][s]] != mapped:
-                return False
-    return True
-
-
 @dataclass
 class SimplicialAutomorphism:
     """Per-dimension permutation of simplices commuting with face maps."""
 
     perm: list[list[int]]
 
-    def order_of(self) -> int:
-        m = 1
-        for p in self.perm:
-            seen = [False] * len(p)
-            for i in range(len(p)):
-                if seen[i]:
-                    continue
-                ln, j = 0, i
-                while not seen[j]:
-                    seen[j] = True
-                    j = p[j]
-                    ln += 1
-                m = _lcm(m, ln)
-        return m
-
     @classmethod
     def identity(cls, K: DeltaComplex) -> "SimplicialAutomorphism":
         return cls([list(range(c)) for c in K.counts])
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def validate_automorphism(K: DeltaComplex, phi: SimplicialAutomorphism) -> list[str]:
@@ -619,11 +577,6 @@ def barycentric_subdivide(K: DeltaComplex) -> Subdivision:
     return Subdivision(sd, cell_chain, subset_chain)
 
 
-def flag_colors(sub: Subdivision, n: int) -> list[tuple[int, ...]]:
-    """Cell dimensions along each flag chain (vertex colours when n = 0)."""
-    return [tuple(d for d, _ in fl) for fl in sub.cell_chain[n]]
-
-
 # ---------------------------------------------------------------------------
 # Cyclic covers (free deck actions for fibre-bundle twists)
 # ---------------------------------------------------------------------------
@@ -726,65 +679,3 @@ def orientation_signs(K: DeltaComplex) -> list[int] | None:
         if sum(eps[t] * s for t, s in entries) != 0:
             return None
     return eps
-
-
-def holonomy_cocycle(K: DeltaComplex, m: int, constraints: dict[int, int]) -> dict[int, int]:
-    """A mod-m signed 1-cocycle (for cyclic_cover) with prescribed values on
-    some edges: solve sum_i (-1)^i c(d_i f) = 0 mod m per 2-simplex f.
-
-    m must be prime (dense elimination over Z_m).  Raises when inconsistent.
-    """
-    E = K.n_cells(1)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for fs in K.face[2]:
-        row = [0] * E
-        for i, f in enumerate(fs):
-            row[f] = (row[f] + (-1) ** i) % m
-        rows.append(row)
-        rhs.append(0)
-    for e, v in constraints.items():
-        row = [0] * E
-        row[e] = 1
-        rows.append(row)
-        rhs.append(v % m)
-    sol = _modp_solve(rows, rhs, m)
-    if sol is None:
-        raise ValueError("no cocycle with these holonomy constraints")
-    return {e: sol[e] % m for e in range(E) if sol[e] % m}
-
-
-def _modp_solve(rows: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
-    """One solution of a dense linear system over Z_p (p prime)."""
-    rows = [r[:] for r in rows]
-    rhs = rhs[:]
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    piv_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(nc):
-        sel = None
-        for i in range(r, nr):
-            if rows[i][c] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        rhs[r], rhs[sel] = rhs[sel], rhs[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        rhs[r] = (rhs[r] * inv) % p
-        for i in range(nr):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-                rhs[i] = (rhs[i] - f * rhs[r]) % p
-        piv_of_col[c] = r
-        r += 1
-    for i in range(r, nr):
-        if rhs[i] % p:
-            return None
-    sol = [0] * nc
-    for c, i in piv_of_col.items():
-        sol[c] = rhs[i] % p
-    return sol

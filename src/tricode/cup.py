@@ -1,4 +1,4 @@
-"""Simplicial cochain operations: coboundary, cup products, triple-cup
+"""Simplicial cochain operations: cup products, spine edges, triple-cup
 integrals against the fundamental class, and surface intersection forms.
 
 Cochains are bit vectors indexed by n-simplices.  Front/back faces are
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import DeltaComplex, is_closed
-from .gf2 import dot, popcount, vec_from_support
+from .gf2 import popcount, vec_from_support
 from . import homology
 
 
@@ -23,25 +23,6 @@ class Cochain:
 
     def __call__(self, s: int) -> int:
         return (self.values >> s) & 1
-
-    @classmethod
-    def from_support(cls, dim: int, support) -> "Cochain":
-        return cls(dim, vec_from_support(support))
-
-
-def coboundary(K: DeltaComplex, c: Cochain) -> Cochain:
-    """(dc)(sigma) = sum of c over the faces of sigma, mod 2."""
-    if c.dim >= K.dims:
-        return Cochain(c.dim + 1, 0)
-    out = 0
-    for s, fs in enumerate(K.face[c.dim + 1]):
-        acc = 0
-        for f in fs:
-            acc ^= (c.values >> f) & 1
-        if acc:
-            out |= 1 << s
-    return Cochain(c.dim + 1, out)
-
 
 def cup(K: DeltaComplex, a: Cochain, b: Cochain) -> Cochain:
     """(a cup b)(sigma) = a(front p-face) * b(back q-face)."""
@@ -108,20 +89,9 @@ def surface_intersection_form(K: DeltaComplex, cocycles: list[Cochain] | None = 
     return M
 
 
-def leibniz_defect(K: DeltaComplex, a: Cochain, b: Cochain) -> int:
-    """d(a cup b) + da cup b + a cup db, which must vanish identically."""
-    lhs = coboundary(K, cup(K, a, b)).values
-    rhs = cup(K, coboundary(K, a), b).values ^ cup(K, a, coboundary(K, b)).values
-    return lhs ^ rhs
-
-
 def named_dual_cocycles(K: DeltaComplex, n: int = 1) -> dict[str, Cochain]:
     """Cocycles dual to the builder's named n-cycles (pairing = identity)."""
     names, _, duals = homology.logical_basis(K, n)
     if names is None:
         raise ValueError(f"builder cycles do not form a basis of H_{n}")
     return {nm: Cochain(n, d) for nm, d in zip(names, duals)}
-
-
-def evaluate(c: Cochain, chain: int) -> int:
-    return dot(c.values, chain)

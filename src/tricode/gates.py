@@ -46,7 +46,7 @@ class DiagonalCircuit:
             if len(qs) != GATE_ARITY[kind]:
                 raise ValueError(f"gate {kind} acts on {GATE_ARITY[kind]} qubit(s), "
                                  f"not {len(qs)}: {qs}")
-            if len(set(qs)) != len(qs) or any(not 0 <= q < self.n for q in qs):
+            if any(type(q) is not int or not 0 <= q < self.n for q in qs) or len(set(qs)) != len(qs):
                 raise ValueError(f"bad qubit tuple {qs} for gate {kind}")
 
     def canonical(self) -> "DiagonalCircuit":
@@ -95,37 +95,12 @@ class PhasePolynomial:
             poly._add(frozenset(qs), GATE_COEFF[kind])
         return poly
 
-    def degree(self) -> int:
-        return max((len(S) for S in self.coeffs), default=0)
-
     def evaluate(self, z: int) -> int:
         total = 0
         for S, c in self.coeffs.items():
             if all((z >> i) & 1 for i in S):
                 total += c
         return total % 8
-
-    def shifted(self, x: int) -> "PhasePolynomial":
-        """g(z) = f(z + x), expanded multilinearly (z_i -> 1 - z_i on supp x)."""
-        out = PhasePolynomial(self.n)
-        for S, c in self.coeffs.items():
-            flip = frozenset(i for i in S if (x >> i) & 1)
-            keep = S - flip
-            # prod over flip of (1 - z_i) = sum over R of (-1)^{|R|} prod z_R
-            for r in range(len(flip) + 1):
-                for sub in itertools.combinations(sorted(flip), r):
-                    sign = -1 if r % 2 else 1
-                    out._add(keep | frozenset(sub), sign * c)
-        return out
-
-    def minus(self, other: "PhasePolynomial") -> "PhasePolynomial":
-        out = PhasePolynomial(self.n, dict(self.coeffs))
-        for S, c in other.coeffs.items():
-            out._add(S, -c)
-        return out
-
-    def constant(self) -> int:
-        return self.coeffs.get(frozenset(), 0)
 
     def to_circuit(self) -> DiagonalCircuit:
         """Inverse of from_circuit for standard coefficients; raises when a
@@ -148,28 +123,6 @@ class PhasePolynomial:
                 raise ValueError(f"monomial {set(S)} with coefficient {c} not expressible")
             gates.append((kind, tuple(sorted(S))))
         return DiagonalCircuit(self.n, gates)
-
-
-@dataclass
-class GeneralizedPauli:
-    """X-product times a diagonal layer: the shape produced by conjugating a
-    {Z, CZ, CCZ} circuit with a Pauli-X support."""
-
-    x_support: int
-    residual: PhasePolynomial  # degree <= 2, the Z/CZ layer
-    global_phase: int  # Z_8
-
-
-def conjugate_x(circuit: DiagonalCircuit, x: int) -> GeneralizedPauli:
-    """X(x) U X(x) for a diagonal U over {Z, CZ, CCZ}: the phase polynomial
-    picks up f(z + x) - f(z), one degree lower."""
-    f = PhasePolynomial.from_circuit(circuit)
-    if any(c not in (0, 4) for c in f.coeffs.values()):
-        raise ValueError("conjugate_x expects a {Z, CZ, CCZ} circuit (no S/T)")
-    res = f.shifted(x).minus(f)
-    if res.degree() > max(0, f.degree() - 1):
-        raise ValueError("conjugation residual did not drop in degree")
-    return GeneralizedPauli(x, res, res.constant())
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,6 @@ class BitMatrix:
         ncols = max((len(r) for r in entries), default=0)
         return cls(len(rows), ncols, rows)
 
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.nrows, self.ncols, list(self.rows))
-
     def transpose(self) -> "BitMatrix":
         cols = [0] * self.ncols
         for i, r in enumerate(self.rows):
@@ -98,18 +95,9 @@ class BitMatrix:
     def rank(self) -> int:
         return len(extend_basis([], self.rows))
 
-    def row_space_basis(self) -> list[int]:
-        return row_reduce(self.rows)[0]
-
     def nullspace(self) -> list[int]:
         """Basis of {v : M v = 0}, in deterministic order."""
         return kernel_from_rref(*row_reduce(self.rows), self.ncols)
-
-    def solve(self, b: int) -> int | None:
-        """One solution x of M x = b, or None if inconsistent."""
-        rows = [r | ((b >> i) & 1) << self.ncols for i, r in enumerate(self.rows)]
-        return solve_augmented(rows, self.ncols, 1)[0]
-
 
 def _insert(by_pivot: dict[int, int], r: int) -> int:
     """Forward-eliminate r by the stored rows whose pivots (lowest set bits) it
@@ -182,10 +170,6 @@ def solve_augmented(rows: list[int], ncols: int, m: int) -> list[int | None]:
         for j in support(rhs):
             sols[j] |= 1 << p
     return [None if (bad >> j) & 1 else x for j, x in enumerate(sols)]
-
-
-def in_span(basis_rows, v: int) -> bool:
-    return not extend_basis(basis_rows, [v])
 
 
 def extend_basis(old_rows: list[int], candidates: list[int]) -> list[int]:

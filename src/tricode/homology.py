@@ -41,12 +41,8 @@ def chain_spaces(K: DeltaComplex, n: int) -> tuple[list[int], list[int], list[in
 
 
 def betti(K: DeltaComplex, n: int) -> int:
-    """dim ker del_n - rank del_{n+1} over GF(2)."""
-    if n < 0 or n > K.dims:
-        return 0
-    kernel = K.n_cells(n) - boundary_matrix(K, n).rank() if n > 0 else K.n_cells(0)
-    image = boundary_matrix(K, n + 1).rank() if n < K.dims else 0
-    return kernel - image
+    """b_n over GF(2); 0 outside degrees 0..dims."""
+    return betti_all(K)[n] if 0 <= n <= K.dims else 0
 
 
 def betti_all(K: DeltaComplex) -> tuple[int, ...]:
@@ -98,21 +94,6 @@ def _canonical_basis(K: DeltaComplex, n: int, spaces) -> HomologyBasis:
     return HomologyBasis(n, cycles, new_cocycles, pairing)
 
 
-def dual_cocycles(K: DeltaComplex, n: int, cycles: list[int]) -> list[int]:
-    """Cocycles c_j with c_j(z_i) = delta_ij for the given n-cycle basis.
-
-    Raises if the given cycles do not span H_n (pairing not invertible).
-    """
-    _, _, cocycles, coboundaries = chain_spaces(K, n)
-    cocycles = extend_basis(coboundaries, cocycles)
-    if len(cycles) != len(cocycles):
-        raise ValueError(f"{len(cycles)} cycles given, H_{n} has rank {len(cocycles)}")
-    out = dual_basis(cocycles, cycles)
-    if out is None:
-        raise ValueError("given cycles are not a homology basis (degenerate pairing)")
-    return out
-
-
 def named_cycle_vector(K: DeltaComplex, name: str) -> tuple[int, int]:
     dim, cells = K.cycles[name]
     return dim, vec_from_support(cells)
@@ -137,24 +118,17 @@ def logical_basis(K: DeltaComplex, n: int) -> tuple[list[str] | None, list[int],
     return None, hb.cycles, hb.cocycles
 
 
-def poincare_dual(K: DeltaComplex, z: int, q: int | None = None,
-                  beta_basis: list[int] | None = None) -> int:
-    """(d-q)-cocycle c with integral(c cup beta) = beta(z) for every
-    q-cocycle basis element beta, for a q-cycle z on a closed d-complex
-    (d = 3, q = 2: membrane -> 1-cocycle; d = 2, q = 1: curve -> 1-cocycle).
-
-    Solved as a GF(2) linear system with c constrained to the cocycle
-    condition; the result is unique up to coboundary.  Raises if no solution
-    exists (non-cycle input or a complex without GF(2) Poincare duality).
-    """
-    return poincare_duals(K, [z], q, beta_basis)[0]
-
-
 def poincare_duals(K: DeltaComplex, zs: list[int], q: int | None = None,
                    beta_basis: list[int] | None = None) -> list[int]:
-    """``[poincare_dual(K, z, q, beta_basis) for z in zs]`` from one
-    elimination: the system is built once and each cycle contributes one
-    right-hand-side bit per row, above the cochain columns."""
+    """For each q-cycle z in zs on a closed d-complex, a (d-q)-cocycle c with
+    integral(c cup beta) = beta(z) for every q-cocycle basis element beta
+    (d = 3, q = 2: membrane -> 1-cocycle; d = 2, q = 1: curve -> 1-cocycle).
+
+    Solved as one GF(2) system with c constrained to the cocycle condition:
+    it is built once and each cycle contributes one right-hand-side bit per
+    row, above the cochain columns.  Each result is unique up to coboundary.
+    Raises if some z has no solution (non-cycle input or a complex without
+    GF(2) Poincare duality)."""
     d = K.dims
     if q is None:
         q = d - 1
@@ -202,11 +176,3 @@ def dual_2cycle_labels(K: DeltaComplex, cycles: list[int]) -> list[str | None]:
         hits = [nm for nm, pd in zip(names, duals) if dot(pd, z)]
         out.append(hits[0] if len(hits) == 1 else None)
     return out
-
-
-def intersection_pairing_1cycles(K: DeltaComplex, z1: int, z2: int) -> int:
-    """Mod-2 intersection number of two 1-cycles on a closed surface:
-    the Poincare dual of one evaluated on the other."""
-    if K.dims != 2:
-        raise ValueError("needs a closed surface")
-    return dot(poincare_dual(K, z2, 1), z1)

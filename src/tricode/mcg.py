@@ -71,14 +71,20 @@ def humphries_curve(name: str, g: int = 2) -> list[int]:
     return table[name]
 
 
-def curve_class(spec: str, g: int) -> list[int]:
-    """Parse a:i | b:i | f:i (f_i = b_{i+1} - b_i) into an H_1 vector."""
+def _parse_curve(spec: str, g: int) -> tuple[str, int]:
+    """a:i | b:i | f:i as (kind, i), with a and b in 1..g and f in 1..g-1."""
     kind, _, idx = spec.partition(":")
     i, top = int(idx), {"a": g, "b": g, "f": g - 1}.get(kind)
     if top is None:
         raise ValueError(f"unknown curve {spec!r}")
     if not 1 <= i <= top:
         raise ValueError(f"curve {spec!r}: index must lie in 1..{top} (genus {g})")
+    return kind, i
+
+
+def curve_class(spec: str, g: int) -> list[int]:
+    """Parse a:i | b:i | f:i (f_i = b_{i+1} - b_i) into an H_1 vector."""
+    kind, i = _parse_curve(spec, g)
     v = [0] * (2 * g)
     v[{"a": i - 1, "b": g + i - 1, "f": g + i}[kind]] = 1
     if kind == "f":
@@ -166,10 +172,6 @@ class TripleForm:
         return sorted(
             tuple(sorted(t)) for t, v in self.coefficients.items() if v == 1
         )
-
-    def has_unknown(self) -> bool:
-        return any(v == UNKNOWN for v in self.coefficients.values())
-
 
 def torelli_triple_form(fhat: IntMatrix, g: int) -> TripleForm:
     """Triple form of the mapping torus of fhat, on the basis [Gamma] +
@@ -320,10 +322,6 @@ class ThickenedTwistAction:
         return ThickenedTwistAction(self.g, cols, earlier.cnots + self.cnots)
 
 
-def _identity_cols(m: int) -> list[int]:
-    return [1 << i for i in range(m)]
-
-
 def thickened_dehn_twist_action(curve: str, g: int) -> ThickenedTwistAction:
     """Thickened twist along curve x c for curve in {a:i, b:i, f:i}.
 
@@ -331,14 +329,12 @@ def thickened_dehn_twist_action(curve: str, g: int) -> ThickenedTwistAction:
     with control (a_i x c; 1) and target (b_i x c; 1); a:i is the mirror;
     f:i couples neighbouring handles i and i+1 (four CNOTs).
     """
-    kind, _, idx = curve.partition(":")
-    i = int(idx) - 1
-    if not 0 <= i < g or (kind == "f" and i >= g - 1):
-        raise ValueError(f"curve index out of range for genus {g}: {curve}")
+    kind, i = _parse_curve(curve, g)
+    i -= 1
     m = 2 * g + 1
     a = lambda t: t
     b = lambda t: g + t
-    cols = _identity_cols(m)
+    cols = [1 << t for t in range(m)]  # identity
     cnots: list[tuple[str, str]] = []
     if kind == "b":
         cols[a(i)] ^= 1 << b(i)
@@ -346,7 +342,7 @@ def thickened_dehn_twist_action(curve: str, g: int) -> ThickenedTwistAction:
     elif kind == "a":
         cols[b(i)] ^= 1 << a(i)
         cnots = [(f"b{i + 1}xc", f"a{i + 1}xc")]
-    elif kind == "f":
+    else:  # f
         for t in (i, i + 1):
             cols[a(t)] ^= (1 << b(i)) | (1 << b(i + 1))
         cnots = [
@@ -355,8 +351,6 @@ def thickened_dehn_twist_action(curve: str, g: int) -> ThickenedTwistAction:
             (f"a{i + 1}xc", f"b{i + 2}xc"),
             (f"a{i + 2}xc", f"b{i + 1}xc"),
         ]
-    else:
-        raise ValueError(f"unknown curve kind {kind!r}")
     return ThickenedTwistAction(g, cols, cnots)
 
 
@@ -367,17 +361,3 @@ def twist_sequence_action(specs: list[str], g: int) -> ThickenedTwistAction:
     for act in reversed(actions[:-1]):
         total = act.compose(total)
     return total
-
-
-def cnot_pair_between_handles(i: int, g: int) -> ThickenedTwistAction:
-    """The expected Z2-linear map of CNOT((a_i x c;1),(b_{i+1} x c;1)) .
-    CNOT((a_{i+1} x c;1),(b_i x c;1)) on the membrane basis."""
-    m = 2 * g + 1
-    cols = _identity_cols(m)
-    cols[i - 1] ^= 1 << (g + i)  # a_i x c -> a_i x c + b_{i+1} x c
-    cols[i] ^= 1 << (g + i - 1)  # a_{i+1} x c -> a_{i+1} x c + b_i x c
-    cnots = [
-        (f"a{i}xc", f"b{i + 1}xc"),
-        (f"a{i + 1}xc", f"b{i}xc"),
-    ]
-    return ThickenedTwistAction(g, cols, cnots)

@@ -44,6 +44,30 @@ def read(path: str):
         return json.load(fh)
 
 
+_JSON_TYPE = {list: "a list", dict: "an object"}
+
+
+def _field(data: dict, key: str, kind: type, default=None):
+    """data[key], or ``default`` when one is given and the key is absent.
+    Raises ValueError unless the value has the JSON type ``kind``."""
+    val = data[key] if default is None else data.get(key, default)
+    if type(val) is not kind:
+        raise ValueError(f"{key!r} must be {_JSON_TYPE[kind]}, not {type(val).__name__}")
+    return val
+
+
+def _size(data: dict, key: str, what: str) -> int:
+    val = data[key]
+    if type(val) is not int or val < 0:
+        raise ValueError(f"{what} {key} {val!r} is not a nonnegative int")
+    return val
+
+
+def _check_object(data, what: str) -> None:
+    if type(data) is not dict:
+        raise ValueError(f"a {what} file must hold a JSON object, not {type(data).__name__}")
+
+
 # -- complex ---------------------------------------------------------------
 
 
@@ -65,21 +89,22 @@ def complex_to_json(K: DeltaComplex) -> dict:
 
 
 def complex_from_json(data: dict) -> DeltaComplex:
-    dims = data["dims"]
-    if type(dims) is not int or dims < 0:
-        raise ValueError(f"complex dims {dims!r} is not a nonnegative int")
+    _check_object(data, "complex")
+    dims = _size(data, "dims", "complex")
     face: list[list[tuple[int, ...]]] = [[] for _ in range(dims + 1)]
     labels: dict = {}
-    for entry in data["simplices"]:
-        n = entry["dim"]
-        if type(n) is not int or not 0 <= n <= dims or type(entry["faces"]) is not list:
+    for entry in _field(data, "simplices", list):
+        n = entry.get("dim") if type(entry) is dict else None
+        if type(n) is not int or not 0 <= n <= dims or type(entry.get("faces")) is not list:
             raise ValueError(f"simplex {entry!r}: needs a dim in 0..{dims} and a list of faces")
         idx = len(face[n])
         face[n].append(tuple(entry["faces"]))
         if "label" in entry:
             labels[(n, idx)] = entry["label"]
     K = DeltaComplex(face, labels)
-    for nm, cyc in data.get("cycles", {}).items():
+    for nm, cyc in _field(data, "cycles", dict, {}).items():
+        if type(cyc) is not dict or type(cyc.get("cells")) is not list:
+            raise ValueError(f"cycle {nm!r}: needs an object with a dim and a list of cells")
         K.cycles[nm] = (cyc["dim"], tuple(cyc["cells"]))
     if bad := index_violations(K):
         raise ValueError("; ".join(bad[:3]) + (f"; and {len(bad) - 3} more" if bad[3:] else ""))
@@ -102,10 +127,6 @@ def matrix_from_json(data: dict) -> list[list[int]]:
             raise ValueError(f"matrix row {i} has {len(r)} entries but declares "
                              f"{data['cols']} columns")
     return M
-
-
-def cochain_to_json(dim: int, values: int) -> dict:
-    return {"dim": dim, "support": support(values)}
 
 
 def cochain_from_json(data: dict) -> tuple[int, int]:
@@ -152,7 +173,7 @@ def _matrix_from_json(name: str, rows: list, n: int, fmt: int) -> BitMatrix:
     """hx or hz as bit-packed rows, from support lists (format 2) or dense
     0/1 rows of length n (format 1)."""
     if fmt == 1:
-        if any(len(r) != n for r in rows):
+        if any(type(r) is not list or len(r) != n for r in rows):
             raise ValueError(f"{name} has a row whose length is not n = {n}")
         return BitMatrix(len(rows), n, BitMatrix.from_entries(rows).rows)
     _check_supports(name, rows, n)
@@ -160,29 +181,30 @@ def _matrix_from_json(name: str, rows: list, n: int, fmt: int) -> BitMatrix:
 
 
 def code_from_json(data: dict) -> CssCode:
-    n = data["n"]
+    _check_object(data, "code")
+    n = _size(data, "n", "code")
     fmt = data.get("format", 1)
     if type(fmt) is not int or fmt not in (1, 2):
         raise ValueError(f"unknown code format {fmt!r} (expected 1 or 2)")
-    hx = _matrix_from_json("hx", data["hx"], n, fmt)
-    hz = _matrix_from_json("hz", data["hz"], n, fmt)
-    if len(data["logical_x"]) != len(data["logical_z"]):
+    hx = _matrix_from_json("hx", _field(data, "hx", list), n, fmt)
+    hz = _matrix_from_json("hz", _field(data, "hz", list), n, fmt)
+    lx, lz = _field(data, "logical_x", list), _field(data, "logical_z", list)
+    if len(lx) != len(lz):
         raise ValueError("logical_x and logical_z differ in length")
-    _check_supports("logical_x", data["logical_x"], n)
-    _check_supports("logical_z", data["logical_z"], n)
-    meta = {"qubit": [tuple(q) for q in data.get("meta", [])]}
-    for key, val in data.get("extra", {}).items():
+    _check_supports("logical_x", lx, n)
+    _check_supports("logical_z", lz, n)
+    qubits = _field(data, "meta", list, [])
+    meta = {"qubit": [tuple(q) for q in qubits if type(q) is list]}
+    if len(meta["qubit"]) != len(qubits):
+        raise ValueError("'meta' must be a list of per-qubit lists")
+    extra = _field(data, "extra", dict, {})
+    for key, val in extra.items():
+        if key in ("labels", "signs"):
+            val = _field(extra, key, list)
         if key == "labels":
             val = [tuple(v) if isinstance(v, list) else v for v in val]
         meta[key] = val
-    return CssCode(
-        n,
-        hx,
-        hz,
-        [vec_from_support(s) for s in data["logical_x"]],
-        [vec_from_support(s) for s in data["logical_z"]],
-        meta,
-    )
+    return CssCode(n, hx, hz, [vec_from_support(s) for s in lx], [vec_from_support(s) for s in lz], meta)
 
 
 # -- circuits -----------------------------------------------------------------
@@ -193,7 +215,14 @@ def circuit_to_json(circ: DiagonalCircuit) -> dict:
 
 
 def circuit_from_json(data: dict) -> DiagonalCircuit:
-    return DiagonalCircuit(data["n"], [(k, tuple(q)) for k, q in data["gates"]])
+    _check_object(data, "circuit")
+    gates = []
+    for gate in _field(data, "gates", list):
+        if type(gate) is not list or len(gate) != 2 or type(gate[0]) is not str \
+                or type(gate[1]) is not list:
+            raise ValueError(f"gate {gate!r} is not a [kind, [qubits]] pair")
+        gates.append((gate[0], tuple(gate[1])))
+    return DiagonalCircuit(_size(data, "n", "circuit"), gates)
 
 
 # -- hypergraphs and forms -----------------------------------------------------
@@ -220,10 +249,6 @@ def hypergraph_from_json(data: dict) -> Hypergraph:
         [tuple(devert(v) for v in e) for e in data["hyperedges"]],
         [tuple(devert(v) for v in e) for e in data.get("unknown", [])],
     )
-
-
-def form_to_json(mu: ThreeForm) -> dict:
-    return {"m": mu.m, "coeffs": {f"{i},{j},{k}": v for (i, j, k), v in sorted(mu.coeffs.items())}}
 
 
 def form_from_json(data: dict) -> ThreeForm:

@@ -61,10 +61,6 @@ class SnfResult:
     P: IntMatrix  # unimodular, rows x rows
     Q: IntMatrix  # unimodular, cols x cols
 
-    def nonzero(self) -> list[int]:
-        return [a for a in self.diagonal if a]
-
-
 def smith_normal_form(M: IntMatrix) -> SnfResult:
     """P * M * Q diagonal with A(i) | A(i+1); P, Q unimodular."""
     rows = len(M)

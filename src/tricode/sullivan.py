@@ -101,12 +101,6 @@ class SynthesisResult:
                 return False
         return True
 
-    def h2_rank(self) -> int:
-        """Rank of the invariant a-lattice: dim ker(tau - Id) restricted to
-        K(m), which the construction keeps at m."""
-        return self.m if self.fixes_kernel_lattice() else -1
-
-
 def synthesize(mu: ThreeForm) -> SynthesisResult:
     """tau = product over i<j<k of sigma_{ijk}^{a_ijk}; the predicted triple
     form on the handle classes is mu mod 2."""

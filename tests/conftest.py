@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 
@@ -5,7 +6,11 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from tricode import complexes
+from tricode import complexes, homology
+from tricode.cup import Cochain, cup
+from tricode.gates import PhasePolynomial
+from tricode.gf2 import BitMatrix
+from tricode.mcg import ThickenedTwistAction
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +54,71 @@ def path_graph(n: int) -> complexes.DeltaComplex:
     """n edges in a line, n+1 vertices."""
     face1 = [(i + 1, i) for i in range(n)]
     return complexes.DeltaComplex([[() for _ in range(n + 1)], face1])
+
+
+# References the tests compare the package against; nothing in the package
+# needs them.
+
+
+def check_logicals(code) -> list[str]:
+    """Violations of the logical-operator conditions of a CSS code: each
+    logical commutes with the other type's stabilizers, the logicals pair to
+    the identity and k = n - rank hx - rank hz."""
+    lx, lz = (BitMatrix(code.k, code.n, rows) for rows in (code.logical_x, code.logical_z))
+    bad = []
+    if not code.hz.matmul(lx.transpose()).is_zero():
+        bad.append("a logical X anticommutes with a Z stabilizer")
+    if not code.hx.matmul(lz.transpose()).is_zero():
+        bad.append("a logical Z anticommutes with an X stabilizer")
+    if lx.matmul(lz.transpose()).rows != [1 << i for i in range(code.k)]:
+        bad.append("the logicals do not pair to the identity")
+    if code.n - code.hx.rank() - code.hz.rank() != code.k:
+        bad.append("k differs from n - rank hx - rank hz")
+    return bad
+
+
+def coboundary(K, c):
+    """(dc)(sigma) = sum of c over the faces of sigma, mod 2: the transpose
+    of the boundary map."""
+    return Cochain(c.dim + 1, homology.boundary_matrix(K, c.dim + 1).transpose().matvec(c.values))
+
+
+def leibniz_defect(K, a, b) -> int:
+    """d(a cup b) + da cup b + a cup db, which must vanish identically."""
+    lhs = coboundary(K, cup(K, a, b)).values
+    rhs = cup(K, coboundary(K, a), b).values ^ cup(K, a, coboundary(K, b)).values
+    return lhs ^ rhs
+
+
+def cnot_pair_between_handles(i: int, g: int):
+    """The expected Z2-linear map of CNOT((a_i x c;1),(b_{i+1} x c;1)) .
+    CNOT((a_{i+1} x c;1),(b_i x c;1)) on the membrane basis."""
+    cols = [1 << t for t in range(2 * g + 1)]
+    cols[i - 1] ^= 1 << (g + i)  # a_i x c -> a_i x c + b_{i+1} x c
+    cols[i] ^= 1 << (g + i - 1)  # a_{i+1} x c -> a_{i+1} x c + b_i x c
+    return ThickenedTwistAction(g, cols, [(f"a{i}xc", f"b{i + 1}xc"), (f"a{i + 1}xc", f"b{i}xc")])
+
+
+def degree(f) -> int:
+    """Degree of a phase polynomial (0 for a constant)."""
+    return max((len(S) for S in f.coeffs), default=0)
+
+
+def shifted(f, x: int):
+    """g(z) = f(z + x), expanded multilinearly (z_i -> 1 - z_i on supp x)."""
+    out = PhasePolynomial(f.n)
+    for S, c in f.coeffs.items():
+        flip = sorted(i for i in S if (x >> i) & 1)
+        # prod over flip of (1 - z_i) = sum over R of (-1)^{|R|} prod z_R
+        for r in range(len(flip) + 1):
+            for sub in itertools.combinations(flip, r):
+                out._add(S.difference(flip).union(sub), (-1) ** r * c)
+    return out
+
+
+def minus(f, g):
+    """f - g over Z_8."""
+    out = PhasePolynomial(f.n, dict(f.coeffs))
+    for S, c in g.coeffs.items():
+        out._add(S, -c)
+    return out

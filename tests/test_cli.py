@@ -10,7 +10,6 @@ import pytest
 
 from tricode import codes, serialize
 from tricode.cli import main, run_manifest
-from tricode.gf2 import vec_from_support
 
 MANIFEST = os.path.join(os.path.dirname(__file__), "..", "manifests", "t3.manifest.json")
 
@@ -167,7 +166,7 @@ def test_gate_cz_cli(workdir):
     main(["complex", "build", "--preset", "product:2,1", "--out", "p.json"])
     K = serialize.complex_from_json(serialize.read("p.json"))
     dim, cells = K.cycles["a1xc"]
-    serialize.write("memb.json", serialize.cochain_to_json(dim, __import__("tricode.gf2", fromlist=["vec_from_support"]).vec_from_support(cells)))
+    serialize.write("memb.json", {"dim": dim, "support": sorted(cells)})
     assert main(["gate", "cz", "p.json", "--membrane", "memb.json",
                  "--copies", "1,2", "--out", "cz.json"]) == 0
     main(["code", "build", "p.json", "--type", "toric:3", "--out", "c.json"])
@@ -366,7 +365,7 @@ def test_manifest_reports_missing_or_bad_arguments(workdir):
     assert main(["code", "build", "t3.json", "--type", "toric:3", "--out", "c.json"]) == 0
     assert main(["code", "build", "t3.json", "--type", "color", "--out", "cc.json"]) == 0
     K = serialize.complex_from_json(serialize.read("t3.json"))
-    serialize.write("memb.json", serialize.cochain_to_json(2, vec_from_support(K.cycles["axb"][1])))
+    serialize.write("memb.json", {"dim": 2, "support": sorted(K.cycles["axb"][1])})
     serialize.write("n.json", serialize.matrix_to_json([[4, 8], [0, 4]]))
     for step, why in [
         (["homology", "basis", "t3.json"], "homology basis needs --dim N"),
@@ -410,18 +409,85 @@ def test_manifest_reports_missing_or_bad_arguments(workdir):
 
 
 def test_manifest_reports_curve_index_out_of_range(workdir):
-    for curve, top in (("a:9", 2), ("a:0", 2), ("f:2", 1)):
-        step = ["mcg", "twist", "--genus", "2", "--curve", curve]
-        serialize.write("one.manifest.json", {"steps": [step]})
+    # mcg twist and mcg thickened parse curves alike
+    for curve, top in (("a:9", 2), ("a:0", 2), ("f:2", 1), ("b:3", 2), ("f:0", 1)):
         why = f"ValueError: curve '{curve}': index must lie in 1..{top} (genus 2)"
+        for step in (["mcg", "twist", "--genus", "2", "--curve", curve],
+                     ["mcg", "thickened", "--genus", "2", "--sequence", f"b:1 {curve}"]):
+            serialize.write("one.manifest.json", {"steps": [step]})
+            assert run_manifest("one.manifest.json") == (
+                1, [f"step 0 failed ({why}): {' '.join(step)}"]), step
+    step = ["mcg", "thickened", "--sequence", "q:1"]
+    serialize.write("one.manifest.json", {"steps": [step]})
+    assert run_manifest("one.manifest.json") == (
+        1, [f"step 0 failed (ValueError: unknown curve 'q:1'): {' '.join(step)}"])
+
+
+def test_simulate_checks_logical_qubits_against_k(workdir):
+    # --plus 99 raised IndexError, --plus -1 simulated the last logical qubit
+    # and --fixed bits at or above k were ignored
+    assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
+    assert main(["code", "build", "t3.json", "--type", "toric:3", "--out", "c.json"]) == 0
+    assert main(["gate", "ccz", "t3.json", "--out", "ccz.json"]) == 0
+    for flags, why in [
+        (["--plus", "99"], "--plus 99: logical qubits must lie in 0..8 (k = 9)"),
+        (["--plus", "-1"], "--plus -1: logical qubits must lie in 0..8 (k = 9)"),
+        (["--plus", "0,9"], "--plus 0,9: logical qubits must lie in 0..8 (k = 9)"),
+        (["--plus", "0", "--fixed", "1000000000"],
+         "--fixed 1000000000: needs a binary string of at most k = 9 digits"),
+        (["--plus", "0", "--fixed", "-1"], "--fixed -1: needs a binary string of at most k = 9 digits"),
+    ]:
+        step = ["gate", "simulate", "ccz.json", "c.json"] + flags
+        with pytest.raises(SystemExit, match=re.escape(why)):
+            main(step)
+        serialize.write("one.manifest.json", {"steps": [step]})
         assert run_manifest("one.manifest.json") == (
-            1, [f"step 0 failed ({why}): {' '.join(step)}"])
+            1, [f"step 0 failed ({why}): {' '.join(step)}"]), step
+    assert main(["gate", "simulate", "ccz.json", "c.json", "--plus", "0,8", "--fixed", "0100000000"]) == 0
+
+
+BAD_FILES = [
+    # (kind, edit of a good file, error); wrong JSON shapes used to escape
+    # run_manifest as TypeError or AttributeError
+    ("code", lambda d: [1, 2], "a code file must hold a JSON object, not list"),
+    ("code", lambda d: d.__setitem__("n", "9"), "code n '9' is not a nonnegative int"),
+    ("code", lambda d: d.__setitem__("hx", 5), "'hx' must be a list, not int"),
+    ("code", lambda d: d.__setitem__("logical_z", 5), "'logical_z' must be a list, not int"),
+    ("code", lambda d: d.__setitem__("extra", [1]), "'extra' must be an object, not list"),
+    ("code", lambda d: d.__setitem__("meta", [5]), "'meta' must be a list of per-qubit lists"),
+    ("code", lambda d: d["extra"].__setitem__("labels", 5), "'labels' must be a list, not int"),
+    ("code", lambda d: d["extra"].__setitem__("signs", 5), "'signs' must be a list, not int"),
+    ("circuit", lambda d: [1, 2], "a circuit file must hold a JSON object, not list"),
+    ("circuit", lambda d: d.__setitem__("gates", 5), "'gates' must be a list, not int"),
+    ("circuit", lambda d: d["gates"].__setitem__(0, ["CCZ", 5]), "gate ['CCZ', 5] is not a [kind, [qubits]] pair"),
+    ("circuit", lambda d: d["gates"].__setitem__(0, [["CCZ"], [0, 1, 2]]),
+     "gate [['CCZ'], [0, 1, 2]] is not a [kind, [qubits]] pair"),
+    ("circuit", lambda d: d["gates"][0][1].__setitem__(0, [0]), "bad qubit tuple ([0], 8, 16) for gate CCZ"),
+    ("circuit", lambda d: d.__setitem__("n", "9"), "circuit n '9' is not a nonnegative int"),
+]
+
+
+@pytest.mark.parametrize("kind,edit,why", BAD_FILES)
+def test_code_and_circuit_files_are_shape_checked(workdir, kind, edit, why):
+    assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
+    assert main(["code", "build", "t3.json", "--type", "toric:3", "--out", "code.json"]) == 0
+    assert main(["gate", "ccz", "t3.json", "--out", "circuit.json"]) == 0
+    bad = _corrupt(serialize.read(f"{kind}.json"), edit)
+    load = {"code": serialize.code_from_json, "circuit": serialize.circuit_from_json}[kind]
+    with pytest.raises(ValueError, match=re.escape(why)):
+        load(bad)
+    serialize.write(f"{kind}.json", bad)
+    for action in ("check", "action"):
+        step = ["gate", action, "circuit.json", "code.json"]
+        serialize.write("one.manifest.json", {"steps": [step]})
+        assert run_manifest("one.manifest.json") == (
+            1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
 
 
 def _corrupt(data, edit):
+    """A deep copy of data changed in place by edit, or what edit returns."""
     data = json.loads(json.dumps(data))
-    edit(data)
-    return data
+    return edit(data) or data
 
 
 def _first(data, dim):
@@ -445,6 +511,14 @@ BAD_COMPLEXES = [
     (lambda d: d["cycles"]["a"].__setitem__("cells", [7]), "cycle 'a': cell index out of range"),
     (lambda d: d["cycles"]["a"].__setitem__("dim", 5), "cycle 'a': cell index out of range"),
     (lambda d: d["cycles"]["a"].__setitem__("cells", [0.5]), "cycle 'a': cell index out of range"),
+    # wrong JSON shapes used to escape run_manifest as TypeError or AttributeError
+    (lambda d: d.__setitem__("simplices", 5), "'simplices' must be a list, not int"),
+    (lambda d: d["simplices"].__setitem__(0, 7), "simplex 7: needs a dim in 0..3 and a list of faces"),
+    (lambda d: d["cycles"]["a"].__setitem__("cells", 5),
+     "cycle 'a': needs an object with a dim and a list of cells"),
+    (lambda d: d["cycles"].__setitem__("a", 5), "cycle 'a': needs an object with a dim and a list of cells"),
+    (lambda d: d.__setitem__("cycles", [1, 2]), "'cycles' must be an object, not list"),
+    (lambda d: [1, 2], "a complex file must hold a JSON object, not list"),
 ]
 
 

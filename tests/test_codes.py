@@ -13,7 +13,6 @@ from tricode.codes import (
     CssCode,
     color_code,
     distance,
-    stabilizer_weights,
     systole_bfs,
     toric_code,
 )
@@ -27,10 +26,10 @@ from tricode.complexes import (
     rotation_automorphism,
 )
 from tricode.gates import ccz_circuit, check_logical_gate, extract_logical_action
-from tricode.gf2 import BitMatrix, dot, in_span, popcount, vec_from_support
+from tricode.gf2 import BitMatrix, dot, extend_basis, popcount, vec_from_support
 from tricode.hypergraph import base_hypergraph, form_from_cup, lift_full, magic_state_complexity
 
-from conftest import tetrahedron_boundary
+from conftest import check_logicals, tetrahedron_boundary
 
 
 def brute_force_min_logical(code: CssCode, sector: str) -> int | None:
@@ -53,20 +52,20 @@ def test_toric_t3_one_copy(t3):
     code = toric_code(t3, 1)
     assert (code.n, code.k) == (7, 3)
     assert code.css_condition()
-    assert code.check_logicals() == []
+    assert check_logicals(code) == []
     assert code.k == homology.betti(t3, 1)
 
 
 def test_toric_t3_three_copies(t3):
     code = toric_code(t3, 3)
     assert (code.n, code.k) == (21, 9)
-    assert code.check_logicals() == []
+    assert check_logicals(code) == []
 
 
 def test_toric_product_copies(s2xs1):
     code = toric_code(s2xs1, 3)
     assert code.k == 15  # 3 (2g + 1) with g = 2
-    assert code.check_logicals() == []
+    assert check_logicals(code) == []
 
 
 def test_toric_labels_are_dual_2cycles(t3):
@@ -77,7 +76,7 @@ def test_toric_labels_are_dual_2cycles(t3):
 def test_toric_surface_code(sigma2):
     code = toric_code(sigma2, 1)
     assert code.k == 4
-    assert code.check_logicals() == []
+    assert check_logicals(code) == []
 
 
 DEGENERATE_PAIRING = """
@@ -85,9 +84,6 @@ import pytest
 from tricode import codes, complexes, gf2, homology
 
 K = complexes.build_torus3()
-a, b = (homology.named_cycle_vector(K, nm)[1] for nm in "ab")
-with pytest.raises(ValueError, match="degenerate pairing"):
-    homology.dual_cocycles(K, 1, [a, a, b])
 gf2.invert = lambda rows, n: None  # every pairing now reads as singular
 with pytest.raises(RuntimeError, match="homology/cohomology pairing is degenerate"):
     homology.homology_basis(K, 1)
@@ -133,7 +129,7 @@ def test_color_code_t3(t3):
     code = color_code(t3)
     assert (code.n, code.k) == (144, 9)
     assert code.css_condition()
-    assert code.check_logicals() == []
+    assert check_logicals(code) == []
     signs = code.meta["signs"]
     assert signs.count(1) == signs.count(-1) == 72
 
@@ -145,7 +141,6 @@ def test_color_equals_three_toric(t3, s2xs1):
 
 def test_color_stabilizer_weights_bounded(t3):
     code = color_code(t3)
-    wt = stabilizer_weights(code)
     # weights are the flag-incidence counts of the subdivision
     sub = barycentric_subdivide(t3)
     sd = sub.complex
@@ -154,7 +149,7 @@ def test_color_stabilizer_weights_bounded(t3):
     for s in range(sd.n_cells(D)):
         for i in range(D + 1):
             incid[sd.iterated_face(D, s, (i,))[1]] += 1
-    assert max(wt["x"]) <= max(incid)
+    assert max(popcount(r) for r in code.hx.rows) <= max(incid)
 
 
 def test_distance_t3_exact(t3):
@@ -283,7 +278,7 @@ def test_systole_matches_class_tracked_reference(t3):
         assert popcount(cert) == length
         assert homology.boundary_matrix(K, 1).matvec(cert) == 0
         _, boundaries, _, _ = homology.chain_spaces(K, 1)
-        assert not in_span(boundaries, cert)
+        assert extend_basis(boundaries, [cert])
     with pytest.raises(ValueError, match="no nontrivial cycles"):
         systole_bfs(tetrahedron_boundary())
 
@@ -418,7 +413,7 @@ def test_code_json_roundtrip(t3):
     assert back.hx.rows == code.hx.rows and back.hz.rows == code.hz.rows
     assert back.logical_x == code.logical_x
     assert back.logical_labels() == code.logical_labels()
-    assert back.check_logicals() == []
+    assert check_logicals(back) == []
 
 
 def dense_code_json(code: CssCode) -> dict:

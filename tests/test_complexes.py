@@ -9,10 +9,7 @@ from tricode.complexes import (
     build_sigma_g,
     build_sigma_g_rotsym,
     build_torus3,
-    check_isomorphism,
     cyclic_cover,
-    flag_colors,
-    holonomy_cocycle,
     is_closed,
     mapping_torus,
     product_with_circle,
@@ -100,14 +97,14 @@ def test_mapping_torus_identity_is_product(sigma2):
     ident = SimplicialAutomorphism.identity(sigma2)
     M = mapping_torus(sigma2, ident, 1)
     P = product_with_circle(sigma2, 1)
-    perm = [list(range(c)) for c in M.counts]
-    assert check_isomorphism(M, P, perm)
+    assert M.face == P.face
 
 
 def test_mapping_torus_rotation_betti():
     R = build_sigma_g_rotsym(2)
     phi = rotation_automorphism(R, 2, 1)
-    assert phi.order_of() == 2
+    assert phi.perm != SimplicialAutomorphism.identity(R).perm
+    assert all(p[p[i]] == i for p in phi.perm for i in range(len(p)))  # order 2
     assert validate_automorphism(R, phi) == []
     M = mapping_torus(R, phi, 1)
     assert validate(M) == []
@@ -160,8 +157,8 @@ def test_subdivide_single_triangle():
 def test_subdivide_t3_flags(t3):
     sub = barycentric_subdivide(t3)
     assert sub.complex.n_cells(3) == 6 * 24
-    colors = flag_colors(sub, 0)
-    assert set(c[0] for c in colors) == {0, 1, 2, 3}
+    # a vertex of sd(T^3) is the barycentre of a cell of each dimension
+    assert {fl[0][0] for fl in sub.cell_chain[0]} == {0, 1, 2, 3}
 
 
 def test_subdivide_preserves_betti(t3, sigma2):
@@ -214,21 +211,19 @@ def test_tetrahedron_boundary_is_sphere():
 
 def test_cyclic_cover_triple():
     S2 = build_sigma_g(2)
-    a1 = S2.cell_index_by_label(1, "a1")
-    c = holonomy_cocycle(S2, 3, {a1: 1})
-    cover, deck = cyclic_cover(S2, c, 3)
+    assert S2.labels[(1, 0)] == "a1"
+    cover, deck = cyclic_cover(S2, {0: 1, 4: 1}, 3)  # a mod-3 cocycle, 1 on a1
     assert validate(cover) == []
     assert cover.euler_characteristic() == 3 * S2.euler_characteristic()
     assert homology.betti(cover, 1) == 8  # genus 4
-    assert deck.order_of() == 3
+    assert all(p[p[p[i]]] == i for p in deck.perm for i in range(len(p)))  # order 3
     assert all(deck.perm[0][v] != v for v in range(cover.n_cells(0)))  # free
 
 
 def test_cyclic_cover_rejects_non_cocycle():
     S2 = build_sigma_g(2)
-    a1 = S2.cell_index_by_label(1, "a1")
     with pytest.raises(ValueError):
-        cyclic_cover(S2, {a1: 1}, 3)  # a single edge is not a mod-3 cocycle here
+        cyclic_cover(S2, {0: 1}, 3)  # a single edge (a1) is not a mod-3 cocycle here
 
 
 def test_named_cycles_are_cycles(t3, s2xs1):

@@ -9,10 +9,8 @@ from tricode.complexes import build_sigma_g, build_torus3, product_with_circle
 from tricode.cup import (
     Cochain,
     canonical_cocycle_basis,
-    coboundary,
     cup,
     integrate,
-    leibniz_defect,
     named_dual_cocycles,
     spine_edges,
     surface_intersection_form,
@@ -20,13 +18,13 @@ from tricode.cup import (
 )
 from tricode.gf2 import dot, vec_from_support
 
-from conftest import path_graph, single_triangle
+from conftest import coboundary, leibniz_defect, path_graph, single_triangle
 
 
 def test_coboundary_vertex_on_path():
     # d of a vertex indicator is the sum of incident edge indicators
     P = path_graph(4)
-    v = Cochain.from_support(0, [2])
+    v = Cochain(0, vec_from_support([2]))
     dv = coboundary(P, v)
     assert dv.values == vec_from_support([1, 2])  # edges 1-2 and 2-3
 
@@ -47,8 +45,8 @@ def test_dd_zero_random(t3):
 
 def test_cup_on_single_triangle():
     T = single_triangle()
-    a = Cochain.from_support(1, [0])  # edge [v0 v1]
-    b = Cochain.from_support(1, [2])  # edge [v1 v2]
+    a = Cochain(1, vec_from_support([0]))  # edge [v0 v1]
+    b = Cochain(1, vec_from_support([2]))  # edge [v1 v2]
     assert cup(T, a, b).values == 1  # evaluates 1 on the triangle
     assert cup(T, b, a).values == 0
     assert cup(T, Cochain(1, 0), b).values == 0

@@ -32,6 +32,8 @@ from tricode.gates import (
 )
 from tricode.gf2 import BitMatrix, extend_basis, row_reduce, vec_from_support
 
+from conftest import degree, minus, shifted
+
 
 def t3_cover(L: int) -> complexes.DeltaComplex:
     """The T^3 L-cover: cyclic_cover three times with m = L, along the a, b
@@ -62,12 +64,12 @@ def vanishes_on_span(f: PhasePolynomial, basis: list[int]) -> tuple[bool, int | 
     """
     if not is_pauli_z_layer(f):
         raise ValueError("vanishing check expects coefficients in {0, 4}")
-    if f.degree() > 3:
+    if degree(f) > 3:
         raise ValueError("vanishing check implemented for degree <= 3")
     probes: list[int] = [0]
     probes += basis
     probes += [a ^ b for a, b in itertools.combinations(basis, 2)]
-    if f.degree() >= 3:
+    if degree(f) >= 3:
         probes += [a ^ b ^ c for a, b, c in itertools.combinations(basis, 3)]
     for z in probes:
         if f.evaluate(z):
@@ -88,7 +90,7 @@ def dense_first_failure(circ: DiagonalCircuit, code: CssCode) -> int | None:
     f = PhasePolynomial.from_circuit(circ)
     zbasis = code.hz.nullspace()
     for idx, x in enumerate(code.hx.rows):
-        if not vanishes_on_span(f.shifted(x).minus(f), zbasis)[0]:
+        if not vanishes_on_span(minus(shifted(f, x), f), zbasis)[0]:
             return idx
     return None
 
@@ -264,7 +266,7 @@ def symmetrized(circ: DiagonalCircuit, code: CssCode) -> DiagonalCircuit:
     for x in row_reduce(code.hx.rows)[0]:
         group += [s ^ x for s in group]
     for s in group:
-        for S, c in f.shifted(s).coeffs.items():
+        for S, c in shifted(f, s).coeffs.items():
             total._add(S, c)
     gates = []
     for S, c in total.coeffs.items():

@@ -52,30 +52,39 @@ def test_every_private_function_is_used_in_the_package():
     assert dead == []
 
 
-def _names(node):
-    """Every name, attribute and string constant in the tree under node."""
+def _references(node):
+    """Every way the tree under node can name a definition: ("name", x) for a
+    name or string constant x (the benchmark names its traced layers by
+    string), ("attr", x) for an attribute .x and ("attr", m, x) for m.x."""
     for tok in ast.walk(node):
         if isinstance(tok, ast.Name):
-            yield tok.id
-        elif isinstance(tok, ast.Attribute):
-            yield tok.attr
+            yield "name", tok.id
         elif isinstance(tok, ast.Constant) and isinstance(tok.value, str):
-            yield tok.value
+            yield "name", tok.value
+        elif isinstance(tok, ast.Attribute):
+            yield "attr", tok.attr
+            if isinstance(tok.value, ast.Name):
+                yield "attr", tok.value.id, tok.attr
 
 
 def test_every_public_definition_is_referenced():
-    # a public module-level function or class that nothing in src/, scripts/,
-    # tests/ or benchmark/ names outside its own definition (as a name, an
-    # attribute or a string, as the benchmark's traced layers do) is dead code
+    # a public module-level function or class, or a public method, that
+    # nothing in src/, scripts/ or benchmark/ names outside its own definition
+    # is not package code: test references do not count, so a definition only
+    # tests use is deleted or moved into the tests.  A module-level name counts
+    # as a bare name or as module.name; a method counts as any attribute .name
     root = SRC.parent.parent
     trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for folder in ("src", "scripts", "tests", "benchmark")
+             for folder in ("src", "scripts", "benchmark")
              for path in sorted((root / folder).rglob("*.py"))}
-    everywhere = collections.Counter(name for tree in trees.values() for name in _names(tree))
-    defs = [(path, node) for path in sorted(SRC.glob("*.py")) for node in trees[path].body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
-    assert len(defs) > 100
-    dead = [f"{path.name}:{node.lineno} {node.name}" for path, node in defs
-            if everywhere[node.name] == collections.Counter(_names(node))[node.name]]
+    everywhere = collections.Counter(ref for tree in trees.values() for ref in _references(tree))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defs = [(path, node, [("name", node.name), ("attr", path.stem, node.name)])
+            for path in sorted(SRC.glob("*.py")) for node in trees[path].body if isinstance(node, kinds)]
+    defs += [(path, item, [("name", item.name), ("attr", item.name)]) for path, cls, _ in defs
+             if isinstance(cls, ast.ClassDef) for item in cls.body if isinstance(item, kinds)]
+    defs = [d for d in defs if not d[1].name.startswith("_")]
+    assert len(defs) > 150
+    dead = [f"{path.name}:{node.lineno} {node.name}" for path, node, refs in defs
+            if all(everywhere[ref] == collections.Counter(_references(node))[ref] for ref in refs)]
     assert dead == []
