@@ -316,11 +316,17 @@ def cmd_mcg(args) -> int:
 
 def _load_form(path: str) -> mcg.TripleForm:
     data = serialize.read(path)
+    serialize._check_object(data, "form")
     if "m" in data:
         return serialize.form_from_json(data).mod2()
-    form = mcg.TripleForm(list(data["labels"]))
-    for key, v in data.get("coeffs", {}).items():
-        idx = frozenset(int(t) for t in key.split(","))
+    form = mcg.TripleForm(serialize._field(data, "labels", list))
+    if "coeffs" not in data:
+        return form
+    for key, v in serialize.form_entries(data):
+        idx = frozenset(key)
+        if len(idx) != 3 or not idx <= set(range(len(form.labels))):
+            raise ValueError(f"form coefficient key {key} needs three distinct indices in "
+                             f"0..{len(form.labels) - 1}")
         form.coefficients[idx] = v if v in (0, 1) else mcg.UNKNOWN
     return form
 

@@ -71,11 +71,11 @@ def toric_code(K: DeltaComplex, copies: int = 1) -> CssCode:
         "labels": labels,
         "qubit": [("edge", e, cpy + 1) for cpy in range(copies) for e in range(E)],
     }
-    code = CssCode(n, BitMatrix(len(hx_rows), n, hx_rows),
-                   BitMatrix(len(hz_rows), n, hz_rows), lx, lz, meta)
-    if not code.css_condition():
+    # each copy is the single-copy matrices shifted, so one copy decides it
+    if not hx1.matmul(hz1.transpose()).is_zero():
         raise ValueError("CSS condition fails: the boundary of a boundary is nonzero")
-    return code
+    return CssCode(n, BitMatrix(len(hx_rows), n, hx_rows),
+                   BitMatrix(len(hz_rows), n, hz_rows), lx, lz, meta)
 
 
 def color_code(K: DeltaComplex) -> CssCode:
@@ -87,7 +87,9 @@ def color_code(K: DeltaComplex) -> CssCode:
     canonical two-colouring: the parity of the permutation ordering the cell
     chain times the coherent orientation of the ambient top cell (pure
     parity alone fails to alternate across neighbouring tetrahedra).
-    Adjacent flags always get opposite signs.
+    Adjacent flags always get opposite signs.  Logical X extends span(hx)
+    over ker hz; logical Z is picked by the k-bit class of each free column of
+    hx's RREF (``_kernel_picks``), so ker hx is never built.
     """
     if K.dims != 3:
         raise ValueError("color_code needs a 3-complex")
@@ -122,7 +124,7 @@ def color_code(K: DeltaComplex) -> CssCode:
     # one elimination each: ranks, null spaces and extension seeds share it
     hx_rref, hz_rref = row_reduce(hx.rows), row_reduce(hz.rows)
     lx = extend_basis(hx_rref[0], kernel_from_rref(*hz_rref, n))
-    lz = extend_basis(hz_rref[0], kernel_from_rref(*hx_rref, n))
+    lz = _kernel_picks(*hx_rref, lx, n)
     k = n - len(hx_rref[0]) - len(hz_rref[0])
     if not len(lx) == len(lz) == k:
         raise RuntimeError("color code logical extraction failed")
@@ -130,12 +132,14 @@ def color_code(K: DeltaComplex) -> CssCode:
     if lx is None:
         raise RuntimeError("logical pairing is degenerate")
 
+    # the flags of a tetrahedron are its 24 chains in one order, so a flag's
+    # parity is that of its chain position, times the tetrahedron's eps
+    per = n // max(K.n_cells(3), 1)
+    parity = [sub.flag_sign(D, s) for s in range(per)]
     meta = {
         "kind": "color",
         "flags": sub.cell_chain[D],
-        "signs": [
-            sub.flag_sign(D, s) * eps[sub.cell_chain[D][s][-1][1]] for s in range(n)
-        ],
+        "signs": [parity[s % per] * eps[s // per] for s in range(n)],
         "labels": [(f"c{i}", 0) for i in range(k)],
         "qubit": [("flag", s) for s in range(n)],
     }
@@ -144,6 +148,37 @@ def color_code(K: DeltaComplex) -> CssCode:
         raise ValueError("CSS condition fails: a vertex and an edge of the subdivision "
                          "share an odd number of flags")
     return code
+
+
+def _kernel_picks(basis: list[int], pivots: list[int], lx: list[int], n: int) -> list[int]:
+    """The kernel vectors of hx that ``extend_basis(hz RREF, kernel_from_rref(
+    basis, pivots, n))`` picks, with (basis, pivots) the RREF of hx and lx
+    completing span(hx) to ker hz, read without building ker hx.
+
+    v_j (free column j) lies in span(hz) iff it pairs trivially with every lx,
+    since ker hz = span(hx) + span(lx) and span(hz) is its annihilator in
+    ker hx.  So v_j enlarges the picks iff its k-bit class, its pairings with
+    lx, is independent of theirs.  Bit j of lx_i + the RREF rows at the
+    pivots of lx_i is the pairing of v_j with lx_i.
+    """
+    row_at = dict(zip(pivots, basis))
+    pivot_mask = vec_from_support(pivots)
+    planes = []  # each RREF row clears its pivot bit and no other
+    for x in lx:
+        for p in support(x & pivot_mask):
+            x ^= row_at[p]
+        planes.append(x)
+    first: dict[int, int] = {}  # each nonzero class at its first column (a repeat is dependent)
+    for j, c in enumerate(BitMatrix(len(planes), n, planes).transpose().rows):
+        if c:
+            first.setdefault(c, j)
+    picked = [first[c] for c in extend_basis([], list(first))]
+    vecs = {j: 1 << j for j in picked}
+    for row, p in zip(basis, pivots):
+        for j in picked:
+            if row >> j & 1:
+                vecs[j] |= 1 << p
+    return list(vecs.values())
 
 
 @dataclass

@@ -12,7 +12,9 @@ Everything here is exact and symbolic (residuals are never matrices):
   set of ker hz: the X-stabilizer rows plus the logical X strings in ker hz
   (completed from a nullspace basis only when they fall short).  The circuit
   preserves the code space iff no monomial of the pulled-back polynomial
-  contains a stabilizer variable;
+  contains a stabilizer variable.  The Z, S and T terms skip the expansion
+  (``_pull_back_linear``): their pullback is the triorthogonality sums,
+  popcounts of the overlaps of one, two and three generators;
 * extraction of the induced logical gate as a phase polynomial over the
   logical qubits, read from the same pullback's logical monomials, for any k;
   plus an exact sparse coset-state simulator as oracle.
@@ -215,6 +217,56 @@ def pull_back(coeffs: dict[frozenset, int], masks: list[int]) -> dict[int, int]:
     return {key: v % 8 for key, v in out.items() if v % 8}
 
 
+def _pull_back_linear(coeffs: dict[frozenset, int], gens: list[int],
+                      masks: list[int]) -> dict[int, int]:
+    """``pull_back`` of a degree-1 phase sum_q c_q z_q through z = sum_a y_a
+    gens[a] (``masks[q]``: the generators on qubit q), without expanding it.
+
+    Summed over the qubits, the Amy-Mosca expansion gives y_a the sum of c_q
+    over g_a, y_a y_b -2 times the sum over g_a & g_b and y_a y_b y_c 4 times
+    the parity of the odd c_q over g_a & g_b & g_c: the triorthogonality sums
+    of Bravyi and Haah (arXiv:1209.2426); higher terms vanish mod 8.  With the
+    c_q held as three bit planes, every sum is popcounts of one overlap.
+    Pairs and triples are found through the masks, so only overlapping
+    generators are visited.  Returns the same normal form as ``pull_back``.
+    """
+    p0 = p1 = p2 = 0
+    for S, c in coeffs.items():
+        (q,) = S
+        bit = 1 << q
+        if c & 1:
+            p0 |= bit
+        if c & 2:
+            p1 |= bit
+        if c & 4:
+            p2 |= bit
+    nbrs = []  # per generator: the generators sharing a qubit with it
+    for g in gens:
+        acc = 0
+        for q in support(g):
+            acc |= masks[q]
+        nbrs.append(acc)
+    out: dict[int, int] = {}
+    for a, ga in enumerate(gens):
+        w = ((ga & p0).bit_count() + 2 * (ga & p1).bit_count() + 4 * (ga & p2).bit_count()) % 8
+        if w:
+            out[1 << a] = w
+        for b in support(nbrs[a] >> (a + 1)):
+            b += a + 1
+            inter = ga & gens[b]
+            odd = inter & p0
+            w = -2 * (odd.bit_count() + 2 * (inter & p1).bit_count()) % 8
+            if w:
+                out[1 << a | 1 << b] = w
+            if not odd:
+                continue
+            for c in support((nbrs[a] & nbrs[b]) >> (b + 1)):
+                c += b + 1
+                if (odd & gens[c]).bit_count() & 1:
+                    out[1 << a | 1 << b | 1 << c] = 4
+    return out
+
+
 def _powers(v: int) -> list[int]:
     """The set bits of v as powers of two, lowest first."""
     out = []
@@ -247,9 +299,13 @@ def _kernel_generators(code: CssCode) -> tuple[list[int], list[int], bool]:
         raise ValueError(f"X-stabilizer row {row} has odd overlap with a Z-stabilizer row "
                          "(not a CSS code)")
     gens = [0 if (outside >> a) & 1 else g for a, g in enumerate(gens)]
+    extra = []
     if len(extend_basis([], gens)) < code.n - code.hz.rank():
-        gens += extend_basis(gens, code.hz.nullspace())
-    return gens, BitMatrix(len(gens), code.n, gens).transpose().rows, not outside
+        extra = extend_basis(gens, code.hz.nullspace())
+    if outside or extra:  # else the masks above already describe gens
+        gens += extra
+        masks = BitMatrix(len(gens), code.n, gens).transpose().rows
+    return gens, masks, not outside
 
 
 def check_logical_gate(circuit: DiagonalCircuit, code: CssCode) -> GateCheck:
@@ -273,7 +329,16 @@ def check_logical_gate(circuit: DiagonalCircuit, code: CssCode) -> GateCheck:
         raise ValueError(f"circuit has {circuit.n} qubits but the code has {code.n}")
     gens, masks, logicals_inside = _kernel_generators(code)
     m, k = code.hx.nrows, len(code.logical_x)
-    pulled = pull_back(PhasePolynomial.from_circuit(circuit).coeffs, masks)
+    coeffs = PhasePolynomial.from_circuit(circuit).coeffs
+    linear = {S: c for S, c in coeffs.items() if len(S) == 1}
+    pulled = pull_back({S: c for S, c in coeffs.items() if len(S) != 1}, masks)
+    if linear:  # Z, S and T terms: overlap popcounts instead of expansion
+        for key, c in _pull_back_linear(linear, gens, masks).items():
+            c = (pulled.get(key, 0) + c) % 8
+            if c:
+                pulled[key] = c
+            else:
+                del pulled[key]
     stab = (1 << m) - 1
     hit = [key for key in pulled if key & stab]
     if hit:

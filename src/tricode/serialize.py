@@ -119,13 +119,16 @@ def matrix_to_json(entries: list[list[int]]) -> dict:
 
 
 def matrix_from_json(data: dict) -> list[list[int]]:
-    M = data["entries"]
-    if len(M) != data["rows"]:
-        raise ValueError(f"matrix has {len(M)} rows but declares {data['rows']}")
+    _check_object(data, "matrix")
+    M = _field(data, "entries", list)
+    rows, cols = _size(data, "rows", "matrix"), _size(data, "cols", "matrix")
+    if len(M) != rows:
+        raise ValueError(f"matrix has {len(M)} rows but declares {rows}")
     for i, r in enumerate(M):
-        if len(r) != data["cols"]:
-            raise ValueError(f"matrix row {i} has {len(r)} entries but declares "
-                             f"{data['cols']} columns")
+        if type(r) is not list or any(type(e) is not int for e in r):
+            raise ValueError(f"matrix row {i} is not a list of ints: {r!r}")
+        if len(r) != cols:
+            raise ValueError(f"matrix row {i} has {len(r)} entries but declares {cols} columns")
     return M
 
 
@@ -199,12 +202,21 @@ def code_from_json(data: dict) -> CssCode:
         raise ValueError("'meta' must be a list of per-qubit lists")
     extra = _field(data, "extra", dict, {})
     for key, val in extra.items():
-        if key in ("labels", "signs"):
-            val = _field(extra, key, list)
         if key == "labels":
-            val = [tuple(v) if isinstance(v, list) else v for v in val]
+            val = [tuple(v) if isinstance(v, list) else v for v in _field(extra, key, list)]
+        elif key == "signs":
+            _check_signs(_field(extra, key, list), n)
         meta[key] = val
     return CssCode(n, hx, hz, [vec_from_support(s) for s in lx], [vec_from_support(s) for s in lz], meta)
+
+
+def _check_signs(signs: list, n: int) -> None:
+    """A color code's flag signs: one int +1 or -1 per qubit."""
+    if len(signs) != n:
+        raise ValueError(f"'signs' has {len(signs)} entries for {n} qubits")
+    bad = next((i for i, s in enumerate(signs) if type(s) is not int or s not in (1, -1)), None)
+    if bad is not None:
+        raise ValueError(f"'signs' entry {bad} is {signs[bad]!r}, not +1 or -1")
 
 
 # -- circuits -----------------------------------------------------------------
@@ -243,17 +255,41 @@ def hypergraph_from_json(data: dict) -> Hypergraph:
     def devert(v):
         return tuple(v) if isinstance(v, list) else v
 
-    return Hypergraph(
-        data["kind"],
-        [devert(v) for v in data["vertices"]],
-        [tuple(devert(v) for v in e) for e in data["hyperedges"]],
-        [tuple(devert(v) for v in e) for e in data.get("unknown", [])],
-    )
+    def edges(key: str, default=None) -> list[tuple]:
+        out = []
+        for e in _field(data, key, list, default):
+            if type(e) is not list:
+                raise ValueError(f"{key!r} entry {e!r} is not a list of vertices")
+            out.append(tuple(devert(v) for v in e))
+        return out
+
+    _check_object(data, "hypergraph")
+    if data["kind"] not in ("base", "full"):
+        raise ValueError(f"hypergraph kind {data['kind']!r} is not 'base' or 'full'")
+    return Hypergraph(data["kind"], [devert(v) for v in _field(data, "vertices", list)],
+                      edges("hyperedges"), edges("unknown", []))
+
+
+def form_entries(data: dict) -> list[tuple[tuple[int, int, int], object]]:
+    """The coefficients of a form file as ((i, j, k), value) pairs, each key
+    "i,j,k" read as three ints in the order written."""
+    out = []
+    for key, v in _field(data, "coeffs", dict).items():
+        try:
+            idx = tuple(int(t) for t in key.split(","))
+        except ValueError:
+            idx = ()
+        if len(idx) != 3:
+            raise ValueError(f"form coefficient key {key!r} is not three comma-separated ints")
+        out.append((idx, v))
+    return out
 
 
 def form_from_json(data: dict) -> ThreeForm:
-    coeffs = {}
-    for key, v in data["coeffs"].items():
-        i, j, k = (int(t) for t in key.split(","))
-        coeffs[(i, j, k)] = v
-    return ThreeForm(data["m"], coeffs)
+    _check_object(data, "form")
+    m = _size(data, "m", "form")
+    coeffs = dict(form_entries(data))
+    bad = [v for v in coeffs.values() if type(v) is not int]
+    if bad:
+        raise ValueError(f"form coefficient {bad[0]!r} is not an int")
+    return ThreeForm(m, coeffs)

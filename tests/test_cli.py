@@ -484,6 +484,103 @@ def test_code_and_circuit_files_are_shape_checked(workdir, kind, edit, why):
             1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
 
 
+BAD_SIGNS = [
+    # a truncated list made a 100-gate T layer for 144 qubits, a 0 became Tdg
+    # and a string escaped run_manifest as TypeError
+    (lambda s: s[:100], "'signs' has 100 entries for 144 qubits"),
+    (lambda s: s[:5] + [0] + s[6:], "'signs' entry 5 is 0, not +1 or -1"),
+    (lambda s: ["x"] + s[1:], "'signs' entry 0 is 'x', not +1 or -1"),
+    (lambda s: s[:7] + [True] + s[8:], "'signs' entry 7 is True, not +1 or -1"),
+    (lambda s: s[:9] + [1.0] + s[10:], "'signs' entry 9 is 1.0, not +1 or -1"),
+    (lambda s: s + [1], "'signs' has 145 entries for 144 qubits"),
+]
+
+
+@pytest.mark.parametrize("edit,why", BAD_SIGNS)
+def test_color_code_signs_are_checked(workdir, edit, why):
+    assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
+    assert main(["code", "build", "t3.json", "--type", "color", "--out", "cc.json"]) == 0
+    assert main(["gate", "t", "cc.json", "--out", "t.json"]) == 0
+    data = serialize.read("cc.json")
+    data["extra"]["signs"] = edit(data["extra"]["signs"])
+    with pytest.raises(ValueError, match=re.escape(why)):
+        serialize.code_from_json(data)
+    serialize.write("cc.json", data)
+    for step in (["gate", "t", "cc.json", "--out", "t2.json"], ["gate", "check", "t.json", "cc.json"]):
+        serialize.write("one.manifest.json", {"steps": [step]})
+        assert run_manifest("one.manifest.json") == (
+            1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
+    assert not os.path.exists("t2.json")
+
+
+def _form_inputs():
+    """A matrix, a cup-product form, a hypergraph and a Sullivan 3-form file."""
+    assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
+    assert main(["mcg", "twist", "--genus", "1", "--curve", "a:1", "--out", "m.json"]) == 0
+    assert main(["cup", "form", "t3.json", "--out", "form.json"]) == 0
+    assert main(["hypergraph", "build", "form.json", "--out", "h.json"]) == 0
+    serialize.write("mu.json", {"m": 3, "coeffs": {"1,2,3": 1}})
+
+
+BAD_LOADS = [
+    # (file, step, edit, error); each used to escape run_manifest as a
+    # TypeError, AttributeError or IndexError
+    ("m.json", ["snf", "m.json"], lambda d: d.__setitem__("entries", 5),
+     "'entries' must be a list, not int"),
+    ("m.json", ["snf", "m.json"], lambda d: [1, 2], "a matrix file must hold a JSON object, not list"),
+    ("m.json", ["snf", "m.json"], lambda d: d["entries"].__setitem__(0, 5),
+     "matrix row 0 is not a list of ints: 5"),
+    ("m.json", ["snf", "m.json"], lambda d: d["entries"][1].__setitem__(0, "1"),
+     "matrix row 1 is not a list of ints: ['1', 1]"),
+    ("m.json", ["snf", "m.json"], lambda d: d.__setitem__("rows", "2"),
+     "matrix rows '2' is not a nonnegative int"),
+    ("m.json", ["mcg", "torus-homology", "--matrix", "m.json"], lambda d: d.__setitem__("cols", None),
+     "matrix cols None is not a nonnegative int"),
+    ("h.json", ["hypergraph", "degrees", "h.json"], lambda d: d.__setitem__("vertices", 5),
+     "'vertices' must be a list, not int"),
+    ("h.json", ["hypergraph", "degrees", "h.json"], lambda d: d["hyperedges"].__setitem__(0, 5),
+     "'hyperedges' entry 5 is not a list of vertices"),
+    ("h.json", ["hypergraph", "degrees", "h.json"], lambda d: d.__setitem__("unknown", [7]),
+     "'unknown' entry 7 is not a list of vertices"),
+    ("h.json", ["hypergraph", "degrees", "h.json"], lambda d: d.__setitem__("kind", "x"),
+     "hypergraph kind 'x' is not 'base' or 'full'"),
+    ("h.json", ["report", "h.json"], lambda d: d.__setitem__("hyperedges", {}),
+     "'hyperedges' must be a list, not dict"),
+    ("mu.json", ["sullivan", "synth", "mu.json"], lambda d: d.__setitem__("coeffs", [1]),
+     "'coeffs' must be an object, not list"),
+    ("mu.json", ["sullivan", "roundtrip", "mu.json"], lambda d: d.__setitem__("coeffs", {"1,2": 1}),
+     "form coefficient key '1,2' is not three comma-separated ints"),
+    ("mu.json", ["sullivan", "synth", "mu.json"], lambda d: d.__setitem__("coeffs", {"1,2,3": "1"}),
+     "form coefficient '1' is not an int"),
+    ("mu.json", ["sullivan", "synth", "mu.json"], lambda d: [1], "a form file must hold a JSON object, not list"),
+    ("mu.json", ["hypergraph", "build", "mu.json"], lambda d: d.__setitem__("m", "3"),
+     "form m '3' is not a nonnegative int"),
+    ("form.json", ["hypergraph", "build", "form.json"], lambda d: d.__setitem__("coeffs", [1]),
+     "'coeffs' must be an object, not list"),
+    ("form.json", ["hypergraph", "build", "form.json"], lambda d: d.__setitem__("labels", 5),
+     "'labels' must be a list, not int"),
+    ("form.json", ["hypergraph", "build", "form.json", "--lift"],
+     lambda d: d.__setitem__("coeffs", {"0,1,9": 1}),
+     "form coefficient key (0, 1, 9) needs three distinct indices in 0..2"),
+    ("form.json", ["hypergraph", "build", "form.json"], lambda d: d.__setitem__("coeffs", {"0,a,1": 1}),
+     "form coefficient key '0,a,1' is not three comma-separated ints"),
+    ("form.json", ["hypergraph", "build", "form.json"], lambda d: [0],
+     "a form file must hold a JSON object, not list"),
+]
+
+
+@pytest.mark.parametrize("name,step,edit,why", BAD_LOADS)
+def test_matrix_hypergraph_and_form_files_are_shape_checked(workdir, name, step, edit, why):
+    _form_inputs()
+    for good in (["snf", "m.json"], ["hypergraph", "degrees", "h.json"], ["sullivan", "synth", "mu.json"],
+                 ["hypergraph", "build", "form.json", "--lift"], ["hypergraph", "build", "mu.json"]):
+        assert main(good) == 0, good
+    serialize.write(name, _corrupt(serialize.read(name), edit))
+    serialize.write("one.manifest.json", {"steps": [step]})
+    assert run_manifest("one.manifest.json") == (
+        1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
+
+
 def _corrupt(data, edit):
     """A deep copy of data changed in place by edit, or what edit returns."""
     data = json.loads(json.dumps(data))

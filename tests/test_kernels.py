@@ -6,7 +6,11 @@ the dense routes they replaced.
 reduces each candidate by every basis row, ``gauss_jordan_invert`` sweeps
 pivot columns with row swaps, and ``builder_subdivide`` keys every flag by
 its cell and subset chain and recomputes chains and iterated faces per
-simplex.  The fast paths must agree with them exactly.
+simplex.  The split code-space check, whose Z, S and T terms take
+``_pull_back_linear``, is checked against one ``pull_back`` of every
+monomial; the color code's class-picked logical Z against
+``extend_basis`` over the full ker hx, and its sign table against
+``flag_sign`` per flag.  The fast paths must agree with them exactly.
 """
 
 import itertools
@@ -15,13 +19,16 @@ import time
 
 import pytest
 
-from tricode import complexes
-from tricode.codes import color_code
-from tricode.complexes import _Builder, Subdivision, barycentric_subdivide
-from tricode.gates import check_logical_gate, extract_logical_action, transversal_t
-from tricode.gf2 import BitMatrix, dot, extend_basis, invert, row_reduce
+from tricode import complexes, gates
+from tricode.codes import CssCode, _kernel_picks, color_code
+from tricode.complexes import _Builder, Subdivision, barycentric_subdivide, orientation_signs
+from tricode.gates import (DiagonalCircuit, PhasePolynomial, _kernel_generators,
+                           _pull_back_linear, check_logical_gate, extract_logical_action,
+                           pull_back, transversal_t)
+from tricode.gf2 import (BitMatrix, dot, dual_basis, extend_basis, invert, kernel_from_rref,
+                         row_reduce)
 
-from test_local_check import t3_cover
+from test_local_check import random_circuit, random_code, t3_cover
 
 
 # -- references ------------------------------------------------------------------
@@ -279,6 +286,144 @@ def test_subdivision_matches_builder_reference(name):
     assert got.cell_chain == want.cell_chain
     assert got.subset_chain == want.subset_chain
     assert complexes.validate(got.complex) == []
+
+
+# -- the degree-1 pullback --------------------------------------------------------
+
+
+def unsplit_check(circuit: DiagonalCircuit, code: CssCode, monkeypatch) -> gates.GateCheck:
+    """check_logical_gate with the Z, S and T terms expanded by ``pull_back``
+    like every other monomial: the route before the split."""
+    with monkeypatch.context() as m:
+        m.setattr(gates, "_pull_back_linear", lambda coeffs, gens, masks: pull_back(coeffs, masks))
+        return check_logical_gate(circuit, code)
+
+
+def random_sparse_code(rng: random.Random) -> CssCode:
+    """A CSS code on 12..40 qubits with sparse X checks, so that generators
+    overlap in pairs and triples; logical X strings half of the time, else
+    the spanning set is completed.  Now and then a logical X is bent off
+    ker hz, in place or as an extra copy (so that the rest still span)."""
+    n = rng.randint(12, 40)
+    hx_rows = [0] * rng.randint(2, 8)
+    for i in range(len(hx_rows)):
+        for q in rng.sample(range(n), rng.randint(2, max(2, n // 3))):
+            hx_rows[i] |= 1 << q
+    hx = BitMatrix(len(hx_rows), n, hx_rows)
+    null = hx.nullspace()
+    rng.shuffle(null)
+    hz_rows = null[: rng.randint(0, len(null))]
+    hz = BitMatrix(len(hz_rows), n, hz_rows)
+    lx = lz = []
+    if rng.random() < 0.5:
+        lx = extend_basis(row_reduce(hx_rows)[0], hz.nullspace())
+        lz = extend_basis(row_reduce(hz_rows)[0], hx.nullspace())
+        if lx and rng.random() < 0.5:
+            bent = lx[0] ^ 1 << rng.randrange(n)
+            lx, lz = ([bent] + lx[1:], lz) if rng.random() < 0.5 else (lx + [bent], lz + [0])
+    return CssCode(n, hx, hz, lx, lz, {})
+
+
+def random_mixed_circuit(rng: random.Random, code: CssCode) -> DiagonalCircuit:
+    """Z, S, Sdg, T and Tdg on many qubits plus a few CZ and CCZ.  Half of
+    the time the one-qubit part is a sum of T layers on X-stabilizer rows
+    and CCZs on triples, which the check passes more often."""
+    n = code.n
+    kinds = ["Z", "S", "Sdg", "T", "Tdg"]
+    gates_ = [(rng.choice(kinds), (q,)) for q in rng.sample(range(n), rng.randint(1, n))]
+    if rng.random() < 0.5:
+        gates_ = [(rng.choice(("T", "Tdg")), (q,)) for q in range(n)]
+    for _ in range(rng.randint(0, 3)):
+        gates_.append(("CZ", tuple(rng.sample(range(n), 2))))
+    for _ in range(rng.randint(0, 3)):
+        gates_.append(("CCZ", tuple(rng.sample(range(n), 3))))
+    return DiagonalCircuit(n, gates_)
+
+
+def test_kernel_generator_masks_describe_the_generators():
+    rng = random.Random(8)
+    for _ in range(200):
+        code = random_sparse_code(rng) if rng.random() < 0.5 else random_code(rng)
+        gens, masks, _ = _kernel_generators(code)
+        assert masks == BitMatrix(len(gens), code.n, gens).transpose().rows
+
+
+def test_split_pullback_matches_full_pullback_on_random_codes(monkeypatch):
+    rng = random.Random(1209)
+    seen, kinds = set(), set()
+    for trial in range(400):
+        code = random_sparse_code(rng) if trial % 2 else random_code(rng)
+        circ = random_mixed_circuit(rng, code) if trial % 3 else random_circuit(rng, code.n)
+        gens, masks, _ = _kernel_generators(code)
+        coeffs = PhasePolynomial.from_circuit(circ).coeffs
+        linear = {S: c for S, c in coeffs.items() if len(S) == 1}
+        assert _pull_back_linear(linear, gens, masks) == pull_back(linear, masks)
+        chk = check_logical_gate(circ, code)
+        assert chk == unsplit_check(circ, code, monkeypatch)
+        seen.add(chk.status)
+        kinds |= {kind for kind, _ in circ.gates}
+    assert seen == {"PASS", "FAIL"}
+    assert kinds == set(gates.GATE_COEFF)
+
+
+@pytest.mark.parametrize("name", ["T3", "sigma-rot:2 mapping torus"])
+def test_split_pullback_matches_full_pullback_on_t_layers(name, monkeypatch):
+    code = color_code(SUBDIVIDED[name]())
+    layer = transversal_t(code).gates
+    rng = random.Random(13)
+    circuits = [layer, [("Tdg" if k == "T" else "T", qs) for k, qs in layer],
+                [("S" if k == "T" else "Sdg", qs) for k, qs in layer]]
+    for trial in range(24):
+        g = list(layer)
+        for q in rng.sample(range(code.n), 1 + trial % 3):
+            g[q] = (rng.choice(["Tdg" if g[q][0] == "T" else "T", "S", "Sdg", "Z"]), g[q][1])
+        if trial % 4 == 0:
+            g.append(("CCZ", tuple(rng.sample(range(code.n), 3))))
+        circuits.append(g)
+    statuses = []
+    for g in circuits:
+        circ = DiagonalCircuit(code.n, g)
+        chk = check_logical_gate(circ, code)
+        assert chk == unsplit_check(circ, code, monkeypatch)
+        if chk.passed:
+            assert extract_logical_action(circ, code, chk).gate_list() == \
+                extract_logical_action(circ, code, unsplit_check(circ, code, monkeypatch)).gate_list()
+        statuses.append(chk.status)
+    assert statuses[:3] == ["PASS"] * 3 and "FAIL" in statuses
+
+
+# -- the color code's logical Z and signs --------------------------------------------
+
+
+def reference_logicals(hx: BitMatrix, hz: BitMatrix) -> tuple[list[int], list[int]]:
+    """(lx before dualising, lz) as extend_basis over both full kernels picks them."""
+    hx_rref, hz_rref = row_reduce(hx.rows), row_reduce(hz.rows)
+    lx = extend_basis(hx_rref[0], kernel_from_rref(*hz_rref, hx.ncols))
+    return lx, extend_basis(hz_rref[0], kernel_from_rref(*hx_rref, hx.ncols))
+
+
+COLOR_COMPLEXES = ["T3", "sd(T3)", "sigma-rot:2 mapping torus", "Sigma_2 x S1", "T3 L=2 cover"]
+
+
+@pytest.mark.parametrize("name", COLOR_COMPLEXES)
+def test_color_code_logicals_and_signs_match_references(name):
+    K = SUBDIVIDED[name]()
+    code = color_code(K)
+    lx, lz = reference_logicals(code.hx, code.hz)
+    assert code.logical_z == lz
+    assert code.logical_x == dual_basis(lx, lz)
+    assert _kernel_picks(*row_reduce(code.hx.rows), lx, code.n) == lz
+    sub, eps = barycentric_subdivide(K), orientation_signs(K)
+    assert code.meta["signs"] == [sub.flag_sign(3, s) * eps[sub.cell_chain[3][s][-1][1]]
+                                  for s in range(code.n)]
+
+
+def test_kernel_picks_match_extend_basis_on_random_codes():
+    rng = random.Random(31)
+    for _ in range(300):
+        code = random_sparse_code(rng)
+        lx, lz = reference_logicals(code.hx, code.hz)
+        assert _kernel_picks(*row_reduce(code.hx.rows), lx, code.n) == lz
 
 
 # -- a ladder rung --------------------------------------------------------------------
