@@ -14,6 +14,7 @@ reports can speak in terms of those cycles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 Cell = tuple[int, int]  # (dimension, index)
@@ -493,26 +494,47 @@ class Subdivision:
     # per dimension, per simplex: the chain of vertex-position subsets
     subset_chain: list[list[tuple[frozenset, ...]]]
 
-    def flag_permutation(self, n: int, s: int) -> tuple[int, ...]:
-        """Insertion order of vertex positions along a full flag."""
-        chain = self.subset_chain[n][s]
-        prev: frozenset = frozenset()
-        out = []
-        for A in chain:
-            new = A - prev
-            if len(new) != 1:
-                raise ValueError("not a full flag")
-            out.append(next(iter(new)))
-            prev = A
-        return tuple(out)
 
-    def flag_sign(self, n: int, s: int) -> int:
-        """Parity (+1/-1) of the permutation ordering the flag's cell chain."""
-        perm = self.flag_permutation(n, s)
-        inversions = sum(
-            1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-        )
-        return -1 if inversions % 2 else 1
+@functools.cache
+def _flag_chains(dims: int):
+    """(subsets, chains, position) for the simplices of a subdivision, built
+    once per dimension and shared: callers must not change ``position``.
+
+    subsets[p]: the nonempty subsets of {0..p}, by size and then
+    lexicographically.  chains[p][n]: the chains A_0 < ... < A_n = {0..p} in
+    lexicographic order of that list, the n-simplices over one p-cell.
+    position[p][n]: a chain's index in chains[p][n].
+    """
+    import itertools
+
+    subsets, chains = [], []
+    for p in range(dims + 1):
+        subsets.append(tuple(frozenset(c) for r in range(1, p + 2)
+                             for c in itertools.combinations(range(p + 1), r)))
+        chains.append(tuple(tuple(c + (subsets[p][-1],)
+                                  for c in itertools.combinations(subsets[p][:-1], n)
+                                  if all(a < b for a, b in zip(c, c[1:])))
+                            for n in range(p + 1)))
+    position = [[{c: i for i, c in enumerate(cs)} for cs in chains_p] for chains_p in chains]
+    return tuple(subsets), tuple(chains), position
+
+
+def _flag_offsets(K: DeltaComplex, chains) -> list[list[int]]:
+    """offset[n][p]: index of the first n-simplex of the subdivision over the
+    p-cells of K (p >= n), whose simplices follow cell by cell in the order of
+    chains[p][n]; offset[n][K.dims + 1] is the number of n-simplices."""
+    dims = K.dims
+    offset = [[0] * (dims + 2) for _ in range(dims + 1)]
+    for n in range(dims + 1):
+        for p in range(n, dims + 1):
+            offset[n][p + 1] = offset[n][p] + K.n_cells(p) * len(chains[p][n])
+    return offset
+
+
+def _relabel(chain, top: frozenset) -> tuple[frozenset, ...]:
+    """The subsets of ``chain`` in the vertex positions of the face ``top``."""
+    at = {v: k for k, v in enumerate(sorted(top))}
+    return tuple(frozenset(at[v] for v in A) for A in chain)
 
 
 def barycentric_subdivide(K: DeltaComplex) -> Subdivision:
@@ -523,37 +545,22 @@ def barycentric_subdivide(K: DeltaComplex) -> Subdivision:
     result records each simplex's chain of original cells (the flag map).
 
     The n-simplices are numbered by p, then tau, then the chain's position in
-    ``chains[p][n]``, so every face index is arithmetic: face i < n drops A_i
-    (same cell), face n is the flag of the cell spanned by A_{n-1}, its chain
-    relabelled.  Chains, their face positions and the cells spanned by each
-    vertex subset are computed once, not per simplex.
+    ``chains[p][n]`` (``_flag_offsets``), so every face index is arithmetic:
+    face i < n drops A_i (same cell), face n is the flag of the cell spanned
+    by A_{n-1}, its chain relabelled.  Chains, their face positions and the
+    cells spanned by each vertex subset are computed once, not per simplex.
     """
-    import itertools
-
     dims = K.dims
-    subsets, chains = [], []  # per p: nonempty subsets of {0..p} by size; chains per n
-    for p in range(dims + 1):
-        subsets.append([frozenset(c) for r in range(1, p + 2)
-                        for c in itertools.combinations(range(p + 1), r)])
-        # A_0 < ... < A_n = {0..p}, in lexicographic order of the subset list
-        chains.append([[c + (subsets[p][-1],) for c in itertools.combinations(subsets[p][:-1], n)
-                        if all(a < b for a, b in zip(c, c[1:]))] for n in range(p + 1)])
-    position = [[{c: i for i, c in enumerate(cs)} for cs in chains_p] for chains_p in chains]
-    # offset[n][p]: index of the first n-simplex over the p-cells of K
-    offset = [[0] * (dims + 1) for _ in range(dims + 1)]
-    for n in range(dims + 1):
-        for p in range(n, dims):
-            offset[n][p + 1] = offset[n][p] + K.n_cells(p) * len(chains[p][n])
+    subsets, chains, position = _flag_chains(dims)
+    offset = _flag_offsets(K, chains)
     # per n-chain, n >= 1: positions of faces i < n, A_{n-1}, position of face n
     templates = [[[] for _ in range(p + 1)] for p in range(dims + 1)]
     for p in range(dims + 1):
         for n in range(1, p + 1):
             for c in chains[p][n]:
-                relabel = {v: k for k, v in enumerate(sorted(c[n - 1]))}
-                newchain = tuple(frozenset(relabel[v] for v in A) for A in c[:n])
                 templates[p][n].append((
                     tuple(position[p][n - 1][c[:i] + c[i + 1:]] for i in range(n)),
-                    c[n - 1], position[len(c[n - 1]) - 1][n - 1][newchain]))
+                    c[n - 1], position[len(c[n - 1]) - 1][n - 1][_relabel(c[:n], c[n - 1])]))
 
     face: list[list[tuple[int, ...]]] = [[] for _ in range(dims + 1)]
     cell_chain: list[list[tuple[Cell, ...]]] = [[] for _ in range(dims + 1)]

@@ -7,6 +7,7 @@ that every basis this module produces is reproducible across runs.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 
@@ -113,6 +114,56 @@ def _insert(by_pivot: dict[int, int], r: int) -> int:
     return 0
 
 
+def echelon(rows) -> dict[int, int]:
+    """Forward echelon of span(rows): one row per pivot (its lowest set bit),
+    keyed by pivot, each reduced only by the pivots it hit."""
+    by_pivot: dict[int, int] = {}
+    for r in rows:
+        _insert(by_pivot, r)
+    return by_pivot
+
+
+def top_pivots(rows) -> set[int]:
+    """The highest set bits of the nonzero vectors of span(rows): the pivots of
+    an echelon keyed by highest instead of lowest bit."""
+    by_top: dict[int, int] = {}
+    for r in rows:
+        while r:
+            p = r.bit_length() - 1
+            b = by_top.get(p)
+            if b is None:
+                by_top[p] = r
+                break
+            r ^= b
+    return set(by_top)
+
+
+def remainder(by_pivot: dict[int, int], x: int, pivot_mask: int) -> int:
+    """x plus the echelon rows that clear its pivot bits, lowest first: the one
+    vector of x + span with no bit in ``pivot_mask``, the RREF remainder."""
+    while hit := x & pivot_mask:
+        x ^= by_pivot[(hit & -hit).bit_length() - 1]
+    return x
+
+
+def null_vectors(by_pivot: dict[int, int], free) -> list[int]:
+    """For each non-pivot column j in ``free``, the null-space vector of the
+    echelon with bit j and no other non-pivot bit (``kernel_from_rref``'s v_j).
+    Back substitution, highest pivot first: bit p is the parity of row p's
+    overlap with the bits already set, so row p pairs to zero.  Rows with
+    pivots above j have no bit at or below j, so they are skipped."""
+    pivots = sorted(by_pivot)
+    rows = [by_pivot[p] for p in pivots]
+    out = []
+    for j in free:
+        v = 1 << j
+        for i in reversed(range(bisect.bisect(pivots, j))):
+            if (rows[i] & v).bit_count() & 1:
+                v |= 1 << pivots[i]
+        out.append(v)
+    return out
+
+
 def row_reduce(rows) -> tuple[list[int], list[int]]:
     """Reduced row echelon basis of the span plus pivot columns.
 
@@ -121,9 +172,7 @@ def row_reduce(rows) -> tuple[list[int], list[int]]:
     substitution then clears every other pivot column, highest pivot first.
     Reducing twice equals reducing once (the representation is canonical).
     """
-    by_pivot: dict[int, int] = {}
-    for r in rows:
-        _insert(by_pivot, r)
+    by_pivot = echelon(rows)
     pivots = sorted(by_pivot)
     above = 0  # pivot columns already reduced
     for p in reversed(pivots):
@@ -175,9 +224,7 @@ def solve_augmented(rows: list[int], ncols: int, m: int) -> list[int | None]:
 def extend_basis(old_rows: list[int], candidates: list[int]) -> list[int]:
     """Candidates that enlarge span(old_rows), greedily and deterministically.
     Passing an RREF basis as old_rows costs no elimination."""
-    by_pivot: dict[int, int] = {}
-    for r in old_rows:
-        _insert(by_pivot, r)
+    by_pivot = echelon(old_rows)
     return [c for c in candidates if _insert(by_pivot, c)]
 
 
@@ -204,10 +251,14 @@ def dual_basis(vecs: list[int], against: list[int]) -> list[int] | None:
 def invert(rows: list[int], n: int) -> list[int] | None:
     """Inverse of an n x n GF(2) matrix given as packed rows, or None.
 
-    The RREF of [A | I] is [I | A^-1] exactly when its pivots are 0..n-1."""
+    Row i of A^-1 is the x with A^T x = e_i: the bits below n of the null
+    vector of [A^T | I] at free column n + i.  A is singular exactly when
+    the echelon of [A^T | I] has a pivot at or above n."""
     if any(r >> n for r in rows):
         raise ValueError(f"row has a bit at or above column {n}")
-    basis, pivots = row_reduce([r | 1 << (n + i) for i, r in enumerate(rows)])
-    if pivots != list(range(n)):
+    cols = BitMatrix(n, n, list(rows)).transpose().rows
+    by_pivot = echelon([c | 1 << (n + i) for i, c in enumerate(cols)])
+    if any(p >= n for p in by_pivot):
         return None
-    return [r >> n for r in basis]
+    low = (1 << n) - 1
+    return [v & low for v in null_vectors(by_pivot, range(n, 2 * n))]

@@ -106,14 +106,29 @@ class MappingTorusHomology:
         return " + ".join(parts) if parts else "0"
 
 
+def _shape(M: IntMatrix, what: str, square: bool) -> tuple[int, int]:
+    """(rows, cols) of a nonempty matrix whose rows have one length, square
+    when asked; ValueError otherwise."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    if not cols:
+        raise ValueError(f"{what} is empty ({rows} rows, {cols} columns)")
+    bad = next((i for i, r in enumerate(M) if len(r) != cols), None)
+    if bad is not None:
+        raise ValueError(f"{what} is ragged: row {bad} has {len(M[bad])} entries, row 0 has {cols}")
+    if square and rows != cols:
+        raise ValueError(f"{what} must be square, not {rows}x{cols}")
+    return rows, cols
+
+
 def mapping_torus_homology(fhat: IntMatrix, coeff: str = "Z") -> MappingTorusHomology | int:
     """Homology of the mapping torus of a symplectic matrix.
 
     Over Z: Z (the base circle) plus Coker(fhat - Id), read off the Smith
     normal form.  Over Z2: the first Betti number, 1 + corank of
-    (fhat - Id) mod 2.
+    (fhat - Id) mod 2.  ValueError unless fhat is a nonempty square matrix.
     """
-    n = len(fhat)
+    n, _ = _shape(fhat, "the mapping class matrix", square=True)
     delta = [[fhat[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     if coeff.upper() == "Z":
         res = smith_normal_form(delta)
@@ -257,9 +272,11 @@ def thurston(N: IntMatrix, word: list[str]) -> ThurstonResult:
     nu is the Perron-Frobenius eigenvalue of N N^T; the word (over
     A, B, A-, B-) maps to 2x2 real matrices T_A = [[1, sqrt(nu)], [0, 1]],
     T_B = [[1, 0], [-sqrt(nu), 1]]; |trace| > 2 certifies pseudo-Anosov and
-    the larger eigenvalue modulus is the stretch factor.
+    the larger eigenvalue modulus is the stretch factor.  N is rows x cols
+    for multicurves of rows and cols components; ValueError when it is empty
+    or ragged.
     """
-    rows, cols = len(N), len(N[0])
+    rows, cols = _shape(N, "the intersection matrix N", square=False)
     NNT = [[float(sum(N[i][t] * N[j][t] for t in range(cols))) for j in range(rows)] for i in range(rows)]
     if not _is_irreducible(NNT):
         raise ValueError("N N^T is reducible: Perron-Frobenius does not apply")

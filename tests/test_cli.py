@@ -357,6 +357,26 @@ def test_manifest_reports_repeated_and_float_logical_qubits(workdir):
         assert lines[0].endswith(f"): gate check ccz.json {name}.json")
 
 
+def test_manifest_reports_bad_mcg_matrix_shapes(workdir):
+    # a non-square mapping class used to print H_1 of its square part, and an
+    # empty N used to escape run_manifest as an IndexError
+    serialize.write("wide.json", serialize.matrix_to_json([[1, 0, 0], [0, 1, 0]]))
+    serialize.write("empty.json", serialize.matrix_to_json([]))
+    for step, why in [
+        (["mcg", "torus-homology", "--matrix", "wide.json"],
+         "the mapping class matrix must be square, not 2x3"),
+        (["mcg", "torus-homology", "--matrix", "wide.json", "--coeff", "z2"],
+         "the mapping class matrix must be square, not 2x3"),
+        (["mcg", "torus-homology", "--matrix", "empty.json"],
+         "the mapping class matrix is empty (0 rows, 0 columns)"),
+        (["mcg", "thurston", "--n", "empty.json"],
+         "the intersection matrix N is empty (0 rows, 0 columns)"),
+    ]:
+        serialize.write("one.manifest.json", {"steps": [step]})
+        assert run_manifest("one.manifest.json") == (
+            1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
+
+
 def test_manifest_reports_missing_or_bad_arguments(workdir):
     # each of these used to escape run_manifest as a traceback; bfs refuses a
     # sector whose checks do not make a graph (--sector x of a 3D toric code,

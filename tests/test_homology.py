@@ -416,11 +416,13 @@ def test_one_elimination_per_boundary_matrix(monkeypatch):
         fn(*args)
         return counts["row_reduce"], counts["rank"]
 
+    # the k x k inversion in dual_basis runs on gf2.echelon, not on
+    # row_reduce, so it is not counted
     assert spent(homology.betti_all, cover) == (0, 3)
-    assert spent(form_from_cup, cover) == (3, 0)
-    assert spent(toric_code, cover, 3) == (3, 0)
+    assert spent(form_from_cup, cover) == (2, 0)
+    assert spent(toric_code, cover, 3) == (2, 0)
     assert spent(systole_bfs, cover) == (2, 0)
     code = toric_code(cover, 3)
     assert spent(lambda: distance(code, sector="z")) == (0, 0)
-    assert spent(form_from_cup, sigma4) == (6, 0)
-    assert spent(toric_code, sigma4, 3) == (6, 0)
+    assert spent(form_from_cup, sigma4) == (5, 0)
+    assert spent(toric_code, sigma4, 3) == (5, 0)

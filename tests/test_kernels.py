@@ -1,5 +1,5 @@
-"""The sparse GF(2) kernels and the arithmetic barycentric subdivision against
-the dense routes they replaced.
+"""The sparse GF(2) kernels, the arithmetic barycentric subdivision and the
+color code's flag incidences against the dense routes they replaced.
 
 ``dense_matmul`` runs a dot product for every (row, column) pair,
 ``dense_nullspace`` reads every column of every RREF row, ``scan_extend_basis``
@@ -8,25 +8,30 @@ pivot columns with row swaps, and ``builder_subdivide`` keys every flag by
 its cell and subset chain and recomputes chains and iterated faces per
 simplex.  The split code-space check, whose Z, S and T terms take
 ``_pull_back_linear``, is checked against one ``pull_back`` of every
-monomial; the color code's class-picked logical Z against
-``extend_basis`` over the full ker hx, and its sign table against
-``flag_sign`` per flag.  The fast paths must agree with them exactly.
+monomial.  The color code's checks are checked against ``walked_checks``,
+which reads each flag's vertices and edges off the faces of
+``barycentric_subdivide``; its logical bases (``_logical_picks``, from
+forward echelons) against ``extend_basis`` over both full kernels of the
+RREFs; and its sign table against ``flag_sign`` per flag of the
+subdivision.  The fast paths must agree with them exactly.
 """
 
 import itertools
 import random
+import sys
 import time
 
 import pytest
 
 from tricode import complexes, gates
-from tricode.codes import CssCode, _kernel_picks, color_code
+from tricode.codes import CssCode, _logical_picks, color_code
 from tricode.complexes import _Builder, Subdivision, barycentric_subdivide, orientation_signs
 from tricode.gates import (DiagonalCircuit, PhasePolynomial, _kernel_generators,
                            _pull_back_linear, check_logical_gate, extract_logical_action,
                            pull_back, transversal_t)
-from tricode.gf2 import (BitMatrix, dot, dual_basis, extend_basis, invert, kernel_from_rref,
-                         row_reduce)
+from tricode.gf2 import (BitMatrix, dot, dual_basis, echelon, extend_basis, invert,
+                         kernel_from_rref, null_vectors, remainder, row_reduce, top_pivots,
+                         vec_from_support)
 
 from test_local_check import random_circuit, random_code, t3_cover
 
@@ -235,6 +240,35 @@ def test_extend_basis_matches_scan_reference():
         assert len(row_reduce(full)[0]) == len(row_reduce(m.rows)[0]) + len(got)
 
 
+def span_of(rows: list[int]) -> set[int]:
+    span = {0}
+    for r in rows:
+        span |= {v ^ r for v in span}
+    return span
+
+
+def test_echelon_helpers_match_rref_references():
+    rng = random.Random(7)
+    for m in matrices(8):
+        basis, pivots = row_reduce(m.rows)
+        by_pivot = echelon(m.rows)
+        assert sorted(by_pivot) == pivots
+        free = [j for j in range(m.ncols) if j not in by_pivot]
+        assert null_vectors(by_pivot, free) == kernel_from_rref(basis, pivots, m.ncols)
+        picked = rng.sample(free, min(len(free), 3))
+        assert null_vectors(by_pivot, picked) == [kernel_from_rref(basis, pivots, m.ncols)[
+            free.index(j)] for j in picked]
+        mask = vec_from_support(pivots)
+        for x in random_matrix(rng, 5, m.ncols, "dense").rows:
+            want = x
+            for row, p in zip(basis, pivots):
+                if x >> p & 1:
+                    want ^= row
+            assert remainder(by_pivot, x, mask) == want
+        if m.nrows <= 12:
+            assert top_pivots(m.rows) == {v.bit_length() - 1 for v in span_of(m.rows) if v}
+
+
 def test_invert_matches_gauss_jordan_reference():
     rng = random.Random(6)
     seen = set()
@@ -392,7 +426,52 @@ def test_split_pullback_matches_full_pullback_on_t_layers(name, monkeypatch):
     assert statuses[:3] == ["PASS"] * 3 and "FAIL" in statuses
 
 
-# -- the color code's logical Z and signs --------------------------------------------
+# -- the color code's checks, logicals and signs ---------------------------------------
+
+
+def walked_checks(K: complexes.DeltaComplex) -> tuple[BitMatrix, BitMatrix]:
+    """hx and hz of the color code read off the faces of the subdivision: a
+    flag's 6 edges are the 3 edges of its face 0 (vertices 123), edges 02 and
+    01 of its face 3 (vertices 012) and edge 03 of its face 1 (023); its 4
+    vertices are the ends of edges 23 and 01."""
+    sd = barycentric_subdivide(K).complex
+    f1, f2, f3 = sd.face[1], sd.face[2], sd.face[3]
+    n = sd.n_cells(3)
+    vert_rows = [0] * sd.n_cells(0)
+    edge_rows = [0] * sd.n_cells(1)
+    for s in range(n):
+        bit = 1 << s
+        t0, t1, _, t3 = f3[s]
+        e23, e13, e12 = f2[t0]
+        _, e02, e01 = f2[t3]
+        for e in (e23, e13, e12, e02, e01, f2[t1][1]):
+            edge_rows[e] |= bit
+        for v in f1[e23] + f1[e01]:
+            vert_rows[v] |= bit
+    return BitMatrix(len(vert_rows), n, vert_rows), BitMatrix(len(edge_rows), n, edge_rows)
+
+
+def flag_permutation(sub: Subdivision, n: int, s: int) -> tuple[int, ...]:
+    """Insertion order of vertex positions along a full flag."""
+    chain = sub.subset_chain[n][s]
+    prev: frozenset = frozenset()
+    out = []
+    for A in chain:
+        new = A - prev
+        if len(new) != 1:
+            raise ValueError("not a full flag")
+        out.append(next(iter(new)))
+        prev = A
+    return tuple(out)
+
+
+def flag_sign(sub: Subdivision, n: int, s: int) -> int:
+    """Parity (+1/-1) of the permutation ordering the flag's cell chain."""
+    perm = flag_permutation(sub, n, s)
+    inversions = sum(
+        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
+    )
+    return -1 if inversions % 2 else 1
 
 
 def reference_logicals(hx: BitMatrix, hz: BitMatrix) -> tuple[list[int], list[int]]:
@@ -409,21 +488,45 @@ COLOR_COMPLEXES = ["T3", "sd(T3)", "sigma-rot:2 mapping torus", "Sigma_2 x S1", 
 def test_color_code_logicals_and_signs_match_references(name):
     K = SUBDIVIDED[name]()
     code = color_code(K)
-    lx, lz = reference_logicals(code.hx, code.hz)
+    hx, hz = walked_checks(K)
+    assert (code.hx, code.hz) == (hx, hz)
+    lx, lz = reference_logicals(hx, hz)
     assert code.logical_z == lz
     assert code.logical_x == dual_basis(lx, lz)
-    assert _kernel_picks(*row_reduce(code.hx.rows), lx, code.n) == lz
+    assert _logical_picks(hx, hz) == (lx, lz, code.k)
     sub, eps = barycentric_subdivide(K), orientation_signs(K)
-    assert code.meta["signs"] == [sub.flag_sign(3, s) * eps[sub.cell_chain[3][s][-1][1]]
+    assert code.meta["signs"] == [flag_sign(sub, 3, s) * eps[sub.cell_chain[3][s][-1][1]]
                                   for s in range(code.n)]
 
 
 def test_kernel_picks_match_extend_basis_on_random_codes():
     rng = random.Random(31)
+    ks = set()
     for _ in range(300):
         code = random_sparse_code(rng)
         lx, lz = reference_logicals(code.hx, code.hz)
-        assert _kernel_picks(*row_reduce(code.hx.rows), lx, code.n) == lz
+        assert _logical_picks(code.hx, code.hz) == (lx, lz, len(lz))
+        ks.add(len(lz))
+    assert len(ks) > 5
+
+
+def test_color_code_runs_no_rref_kernel_or_subdivision(monkeypatch):
+    built = {name: SUBDIVIDED[name]() for name in COLOR_COMPLEXES}
+    want = {name: color_code(K) for name, K in built.items()}
+
+    def refuse(*args):
+        raise AssertionError("the color code took a route it should not")
+
+    for modname, mod in list(sys.modules.items()):
+        for fn in ("row_reduce", "kernel_from_rref", "barycentric_subdivide"):
+            if modname.startswith("tricode") and hasattr(mod, fn):
+                monkeypatch.setattr(mod, fn, refuse)
+    with pytest.raises(AssertionError):
+        BitMatrix(1, 2, [1]).nullspace()
+    with pytest.raises(AssertionError):
+        complexes.barycentric_subdivide(built["T3"])
+    for name, K in built.items():
+        assert color_code(K) == want[name]
 
 
 # -- a ladder rung --------------------------------------------------------------------
@@ -441,3 +544,17 @@ def test_t3_cover_3_color_code_rung():
     gates = act.gate_list()
     assert len(gates) == 6 and all(kind == "CCZ" for kind, _ in gates)
     assert elapsed < 10.0, f"T^3 L = 3 color-code rung took {elapsed:.1f}s"
+
+
+def test_t3_cover_4_color_code_rung():
+    t0 = time.perf_counter()
+    code = color_code(t3_cover(4))
+    circ = transversal_t(code)
+    chk = check_logical_gate(circ, code)
+    act = extract_logical_action(circ, code, chk)
+    elapsed = time.perf_counter() - t0
+    assert (code.n, code.k) == (9216, 9)
+    assert chk.status == "PASS"
+    gates = act.gate_list()
+    assert len(gates) == 6 and all(kind == "CCZ" for kind, _ in gates)
+    assert elapsed < 10.0, f"T^3 L = 4 color-code rung took {elapsed:.1f}s"

@@ -169,6 +169,37 @@ def test_thurston_rejects_reducible():
         thurston([[1, 0], [0, 1]], ["A", "B"])
 
 
+@pytest.mark.parametrize("M, why", [
+    ([[1, 0, 0], [0, 1, 0]], "must be square, not 2x3"),
+    ([[1, 0], [0, 1], [0, 0]], "must be square, not 3x2"),
+    ([], "is empty"),
+    ([[]], "is empty"),
+    ([[1, 0], [0]], "ragged: row 1 has 1 entries, row 0 has 2"),
+])
+def test_mapping_torus_homology_rejects_bad_shapes(M, why):
+    for coeff in ("Z", "Z2"):
+        with pytest.raises(ValueError, match=why):
+            mapping_torus_homology(M, coeff)
+
+
+@pytest.mark.parametrize("N, why", [
+    ([], "is empty"),
+    ([[]], "is empty"),
+    ([[4, 8], [0]], "ragged: row 1 has 1 entries, row 0 has 2"),
+])
+def test_thurston_rejects_bad_shapes(N, why):
+    with pytest.raises(ValueError, match=why):
+        thurston(N, ["A", "B"])
+
+
+def test_thurston_takes_multicurves_of_different_sizes():
+    # two components against three: N N^T = [[2, 1], [1, 2]] has nu = 3
+    res = thurston([[1, 1, 0], [0, 1, 1]], ["A", "B"])
+    assert res.nu == pytest.approx(3)
+    assert res.trace == pytest.approx(2 - 3)
+    assert not res.is_pseudo_anosov
+
+
 def test_thickened_single_twists():
     act_b = thickened_dehn_twist_action("b:1", 2)
     assert act_b.cnots == [("a1xc", "b1xc")]
