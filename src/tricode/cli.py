@@ -207,7 +207,7 @@ def cmd_gate(args) -> int:
         if args.membrane is None:
             raise SystemExit("gate cz needs --membrane FILE")
         K = _load_complex(args.file)
-        dim, z = serialize.cochain_from_json(serialize.read(args.membrane))
+        dim, z = serialize.cochain_from_json(serialize.read(args.membrane), K)
         if dim != 2:
             raise SystemExit("membrane file must hold a 2-cycle")
         i, j = (int(t) for t in args.copies.split(","))
@@ -603,5 +603,16 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def console_main(argv: list[str] | None = None) -> int:
+    """The ``tricode`` command: main, with unreadable or malformed input
+    reported as one ``error:`` line on stderr and exit status 1 rather than
+    a traceback (``run_manifest`` reports the same errors per step)."""
+    try:
+        return main(argv)
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

@@ -106,15 +106,22 @@ def validate(K: DeltaComplex) -> list[str]:
                     if K.face[n - 1][fs[j]][i] != K.face[n - 1][fs[i]][j - 1]:
                         bad.append(f"{n}-simplex {s}: d_{i} d_{j} != d_{j - 1} d_{i}")
     for n in range(2, K.dims + 1):
-        # del del = 0 over GF(2)
-        for s in range(K.n_cells(n)):
-            acc: dict[int, int] = {}
-            for f in K.face[n][s]:
-                for g in K.face[n - 1][f]:
-                    acc[g] = acc.get(g, 0) ^ 1
-            if any(acc.values()):
-                bad.append(f"{n}-simplex {s}: del del != 0")
+        bad += [f"{n}-simplex {s}: del del != 0" for s in del_del_nonzero(K, n)]
     return bad
+
+
+def del_del_nonzero(K: DeltaComplex, n: int) -> list[int]:
+    """The n-simplices s with del del s != 0 over GF(2): some (n-2)-simplex
+    occurs an odd number of times among the faces of the faces of s."""
+    below, out = K.face[n - 1], []
+    for s, fs in enumerate(K.face[n]):
+        acc = 0
+        for f in fs:
+            for g in below[f]:
+                acc ^= 1 << g
+        if acc:
+            out.append(s)
+    return out
 
 
 def is_closed(K: DeltaComplex) -> bool:

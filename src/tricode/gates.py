@@ -10,9 +10,10 @@ Everything here is exact and symbolic (residuals are never matrices):
 * code-space preservation, decided exactly for every diagonal circuit by one
   Z_8 pullback of its phase polynomial (``pull_back``) onto a local spanning
   set of ker hz: the X-stabilizer rows plus the logical X strings in ker hz
-  (completed from a nullspace basis only when they fall short).  The circuit
-  preserves the code space iff no monomial of the pulled-back polynomial
-  contains a stabilizer variable.  The Z, S and T terms skip the expansion
+  (plus the null vectors of hz that ``gf2.kernel_completion`` picks when
+  they fall short of spanning it).  The circuit preserves the code space
+  iff no monomial of the pulled-back polynomial contains a stabilizer
+  variable.  The Z, S and T terms skip the expansion
   (``_pull_back_linear``): their pullback is the triorthogonality sums,
   popcounts of the overlaps of one, two and three generators;
 * extraction of the induced logical gate as a phase polynomial over the
@@ -29,7 +30,7 @@ from . import homology
 from .complexes import DeltaComplex
 from .codes import CssCode
 from .cup import spine_edges
-from .gf2 import BitMatrix, dot, extend_basis, row_reduce, support
+from .gf2 import BitMatrix, dot, echelon, kernel_completion, support
 
 GATE_COEFF = {"Z": 4, "S": 2, "Sdg": 6, "T": 1, "Tdg": 7, "CZ": 4, "CCZ": 4}
 GATE_ARITY = {"Z": 1, "S": 1, "Sdg": 1, "T": 1, "Tdg": 1, "CZ": 2, "CCZ": 3}
@@ -281,9 +282,10 @@ def _kernel_generators(code: CssCode) -> tuple[list[int], list[int], bool]:
 
     G is the X-stabilizer rows (variable a = hx row a), then the logical X
     strings (variable m + j = logical j; zeroed when outside ker hz), then
-    nullspace vectors only if these do not span ker hz (never for a
-    well-formed code).  Returns G, the masks and whether every logical X
-    lies in ker hz.  Raises on an X-stabilizer row outside ker hz.
+    the null vectors of hz that complete their span to ker hz
+    (``kernel_completion``: none for a well-formed code).  Returns G, the
+    masks and whether every logical X lies in ker hz.  Raises on an
+    X-stabilizer row outside ker hz.
     """
     m = code.hx.nrows
     gens = code.hx.rows + code.logical_x
@@ -299,9 +301,7 @@ def _kernel_generators(code: CssCode) -> tuple[list[int], list[int], bool]:
         raise ValueError(f"X-stabilizer row {row} has odd overlap with a Z-stabilizer row "
                          "(not a CSS code)")
     gens = [0 if (outside >> a) & 1 else g for a, g in enumerate(gens)]
-    extra = []
-    if len(extend_basis([], gens)) < code.n - code.hz.rank():
-        extra = extend_basis(gens, code.hz.nullspace())
+    extra = kernel_completion(gens, code.hz.rows, code.n)
     if outside or extra:  # else the masks above already describe gens
         gens += extra
         masks = BitMatrix(len(gens), code.n, gens).transpose().rows
@@ -428,13 +428,11 @@ def coset_support(code: CssCode, plus: list[int], fixed: int = 0) -> list[int]:
     """All basis strings of the code state with logical qubits in ``plus`` in
     the plus state and the rest fixed to the computational values in
     ``fixed`` (bit j = logical value of qubit j)."""
-    gens = list(row_reduce(code.hx.rows)[0])
-    gens += [code.logical_x[j] for j in plus]
     base = 0
     for j in range(code.k):
         if j not in plus and (fixed >> j) & 1:
             base ^= code.logical_x[j]
-    basis = row_reduce(gens)[0]
+    basis = list(echelon(code.hx.rows + [code.logical_x[j] for j in plus]).values())
     if len(basis) > 24:
         raise ValueError(f"coset support dimension {len(basis)} exceeds the 2^24 cap")
     out = [base]  # entry m is base + sum of basis[i] over the bits i of m

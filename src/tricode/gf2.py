@@ -3,6 +3,11 @@
 Rows are Python ints (bit j = column j), so all operations are exact and
 word-parallel.  Pivoting is deterministic (lowest column index first) so
 that every basis this module produces is reproducible across runs.
+
+Every elimination is a forward ``echelon`` keyed by pivot, with null
+vectors back-substituted only where they are picked; ``quotient_bases``
+turns two mutually orthogonal row sets into the logical operators of a
+CSS code or the cycle and cocycle representatives of homology.
 """
 
 from __future__ import annotations
@@ -94,11 +99,13 @@ class BitMatrix:
         return all(r == 0 for r in self.rows)
 
     def rank(self) -> int:
-        return len(extend_basis([], self.rows))
+        return len(echelon(self.rows))
 
     def nullspace(self) -> list[int]:
-        """Basis of {v : M v = 0}, in deterministic order."""
-        return kernel_from_rref(*row_reduce(self.rows), self.ncols)
+        """Basis of {v : M v = 0}: one null vector per non-pivot column, in
+        increasing column order (``null_vectors``)."""
+        by_pivot = echelon(self.rows)
+        return null_vectors(by_pivot, [j for j in range(self.ncols) if j not in by_pivot])
 
 def _insert(by_pivot: dict[int, int], r: int) -> int:
     """Forward-eliminate r by the stored rows whose pivots (lowest set bits) it
@@ -140,15 +147,15 @@ def top_pivots(rows) -> set[int]:
 
 def remainder(by_pivot: dict[int, int], x: int, pivot_mask: int) -> int:
     """x plus the echelon rows that clear its pivot bits, lowest first: the one
-    vector of x + span with no bit in ``pivot_mask``, the RREF remainder."""
+    vector of x + span with no bit in ``pivot_mask``."""
     while hit := x & pivot_mask:
         x ^= by_pivot[(hit & -hit).bit_length() - 1]
     return x
 
 
 def null_vectors(by_pivot: dict[int, int], free) -> list[int]:
-    """For each non-pivot column j in ``free``, the null-space vector of the
-    echelon with bit j and no other non-pivot bit (``kernel_from_rref``'s v_j).
+    """For each non-pivot column j in ``free``, the null-space vector v_j of the
+    echelon with bit j and no other non-pivot bit: the canonical kernel basis.
     Back substitution, highest pivot first: bit p is the parity of row p's
     overlap with the bits already set, so row p pairs to zero.  Rows with
     pivots above j have no bit at or below j, so they are skipped."""
@@ -164,66 +171,69 @@ def null_vectors(by_pivot: dict[int, int], free) -> list[int]:
     return out
 
 
-def row_reduce(rows) -> tuple[list[int], list[int]]:
-    """Reduced row echelon basis of the span plus pivot columns.
+def kernel_completion(rows, hz_rows, n: int) -> list[int]:
+    """The canonical null vectors of hz (``null_vectors``, increasing column)
+    that ``extend_basis(rows, ker hz basis)`` picks, for rows inside ker hz.
 
-    The pivot of a row is its lowest set bit.  Forward elimination keeps one
-    row per pivot and reduces each new row only by the pivots it hits; back
-    substitution then clears every other pivot column, highest pivot first.
-    Reducing twice equals reducing once (the representation is canonical).
+    Restriction to the non-pivot columns F of hz maps ker hz one-to-one onto
+    F (v_j to e_j), and span(rows) onto span(rows|F).  So v_j enlarges
+    span(rows) plus the earlier v exactly when no vector of span(rows|F) has
+    highest bit j.  Empty exactly when rows span ker hz.
     """
-    by_pivot = echelon(rows)
-    pivots = sorted(by_pivot)
-    above = 0  # pivot columns already reduced
-    for p in reversed(pivots):
-        r = by_pivot[p]
-        hit = r & above
-        while hit:
-            low = hit & -hit
-            r ^= by_pivot[low.bit_length() - 1]
-            hit ^= low
-        by_pivot[p] = r
-        above |= 1 << p
-    return [by_pivot[p] for p in pivots], pivots
+    # the null vectors do not depend on the order of the rows; on the color
+    # code's Z checks the sparsest rows first eliminate 1.1-1.7x faster
+    ez = echelon(sorted(hz_rows, key=int.bit_count))
+    free = [j for j in range(n) if j not in ez]
+    free_mask = vec_from_support(free)
+    spanned = top_pivots([r & free_mask for r in rows])
+    return null_vectors(ez, [j for j in free if j not in spanned])
 
 
-def kernel_from_rref(basis: list[int], pivots: list[int], ncols: int) -> list[int]:
-    """Null space basis of a matrix with RREF (basis, pivots): one vector per
-    free column j < ncols, in increasing j, with bit p set when the RREF row
-    with pivot p has bit j (and bit j itself)."""
-    free = (1 << ncols) - 1
-    for p in pivots:
-        free &= ~(1 << p)
-    vecs = {j: 1 << j for j in support(free)}
-    for row, p in zip(basis, pivots):
-        for j in support(row & free):
-            vecs[j] |= 1 << p
-    return list(vecs.values())
+def quotient_bases(hx_rows, hz_rows, n: int) -> tuple[list[int], list[int]]:
+    """(lx, lz) for mutually orthogonal row sets (hx hz^T = 0) on n columns:
+    lx completes span(hx) inside ker hz and lz completes span(hz) inside
+    ker hx, each picked from the canonical null vectors as ``extend_basis``
+    over the full kernel would pick them.  Both have n - rank hx - rank hz
+    vectors: a CSS code's logical X and Z, or H^q and H_q representatives
+    for hx = del_q and hz = del_{q+1}^T.  Only the picked vectors are built.
+
+    lx: ``kernel_completion``.  lz: v_j (free column j of hx) lies in
+    span(hz) iff it pairs trivially with every lx, since ker hz = span(hx) +
+    span(lx) and span(hz) is its annihilator in ker hx.  So v_j enlarges the
+    picks iff its k-bit class, its pairings with lx, is independent of
+    theirs.  Bit j of lx_i's remainder by hx's echelon is the pairing of v_j
+    with lx_i.
+    """
+    lx = kernel_completion(hx_rows, hz_rows, n)
+    ex = echelon(hx_rows)
+    pivot_mask = vec_from_support(ex)
+    planes = [remainder(ex, x, pivot_mask) for x in lx]
+    first: dict[int, int] = {}  # each nonzero class at its first column (a repeat is dependent)
+    for j, c in enumerate(BitMatrix(len(planes), n, planes).transpose().rows):
+        if c:
+            first.setdefault(c, j)
+    return lx, null_vectors(ex, [first[c] for c in extend_basis([], list(first))])
 
 
 def solve_augmented(rows: list[int], ncols: int, m: int) -> list[int | None]:
     """Solutions of m systems M x = b_j sharing one coefficient matrix, in one
     elimination.  Bits below ``ncols`` of each row hold M, bit ncols + j holds
-    b_j.  Entry j is the solution with every free variable zero (pivot variable
-    p = right-hand side of the RREF row with pivot p), or None when system j is
-    inconsistent, i.e. some RREF row with no coefficient bits carries b_j.
+    b_j.  Entry j is the solution with every free variable zero, or None when
+    system j is inconsistent, i.e. some echelon row with no coefficient bits
+    (pivot at or above ncols) carries b_j.  The solution is the bits below
+    ncols of the null vector at column ncols + j of the coefficient rows.
     """
-    basis, pivots = row_reduce(rows)
-    sols = [0] * m
+    by_pivot = echelon(rows)
     bad = 0
-    for r, p in zip(basis, pivots):
-        rhs = r >> ncols
-        if p >= ncols:
-            bad |= rhs
-            continue
-        for j in support(rhs):
-            sols[j] |= 1 << p
-    return [None if (bad >> j) & 1 else x for j, x in enumerate(sols)]
+    for p in [p for p in by_pivot if p >= ncols]:
+        bad |= by_pivot.pop(p) >> ncols
+    low = (1 << ncols) - 1
+    return [None if (bad >> j) & 1 else v & low
+            for j, v in enumerate(null_vectors(by_pivot, range(ncols, ncols + m)))]
 
 
 def extend_basis(old_rows: list[int], candidates: list[int]) -> list[int]:
-    """Candidates that enlarge span(old_rows), greedily and deterministically.
-    Passing an RREF basis as old_rows costs no elimination."""
+    """Candidates that enlarge span(old_rows), greedily and deterministically."""
     by_pivot = echelon(old_rows)
     return [c for c in candidates if _insert(by_pivot, c)]
 

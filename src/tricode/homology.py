@@ -1,18 +1,19 @@
 """GF(2) homology and cohomology of Delta-complexes.
 
 Boundary matrices act on bit-packed chain vectors (bit s = simplex s).
-Bases are canonical: deterministic elimination with lowest-index pivots,
-and homology/cohomology bases are returned with an identity pairing so
-downstream reports are stable across runs.
+Bases are canonical: in degree n, ``gf2.quotient_bases`` on the rows of
+del_n and of del_{n+1}^T picks the cocycles completing the coboundaries
+and the cycles completing the boundaries, from one forward elimination per
+boundary matrix.  Homology/cohomology bases are returned with an identity
+pairing so downstream reports are stable across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import DeltaComplex
-from .gf2 import (BitMatrix, dot, dual_basis, extend_basis, kernel_from_rref, row_reduce,
-                  solve_augmented, vec_from_support)
+from .complexes import DeltaComplex, del_del_nonzero
+from .gf2 import BitMatrix, dot, dual_basis, quotient_bases, solve_augmented, vec_from_support
 
 
 def boundary_matrix(K: DeltaComplex, n: int) -> BitMatrix:
@@ -26,18 +27,19 @@ def boundary_matrix(K: DeltaComplex, n: int) -> BitMatrix:
     return BitMatrix(K.n_cells(n - 1), K.n_cells(n), rows)
 
 
-def chain_spaces(K: DeltaComplex, n: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """(cycles, boundaries, cocycles, coboundaries) in degree n, from one
-    elimination of del_n and one of del_{n+1}^T.
+def representatives(K: DeltaComplex, n: int) -> tuple[list[int], list[int]]:
+    """(cocycles, cycles) of degree n: H^n and H_n class representatives,
+    the canonical null vectors of del_{n+1}^T and of del_n that complete
+    im delta_{n-1} (the row space of del_n) and im del_{n+1}.  del_0 has no
+    rows and del_{d+1} no columns, so every degree is covered.
 
-    ker del_n and ker delta_n = ker del_{n+1}^T are read off the RREFs; the
-    RREF bases span im delta_{n-1} (the row space of del_n) and im del_{n+1}.
-    del_0 has no rows and del_{d+1} no columns, so every degree is covered.
+    ValueError unless del del = 0 on every simplex of K: the picks assume it.
     """
-    c = K.n_cells(n)
-    down = row_reduce(boundary_matrix(K, n).rows)
-    up = row_reduce(boundary_matrix(K, n + 1).transpose().rows)
-    return kernel_from_rref(*down, c), up[0], kernel_from_rref(*up, c), down[0]
+    for m in range(2, K.dims + 1):
+        if bad := del_del_nonzero(K, m):
+            raise ValueError(f"{m}-simplex {bad[0]}: del del != 0, not a chain complex")
+    return quotient_bases(boundary_matrix(K, n).rows,
+                          boundary_matrix(K, n + 1).transpose().rows, K.n_cells(n))
 
 
 def betti(K: DeltaComplex, n: int) -> int:
@@ -67,20 +69,15 @@ def homology_basis(K: DeltaComplex, n: int) -> HomologyBasis:
     """Cycle and cocycle representatives with identity pairing.
 
     Cycles complete im del_{n+1} inside ker del_n; cocycles complete
-    im delta_{n-1} inside ker delta_n, then are recombined so that
-    cocycle_j(cycle_i) = delta_ij.
+    im delta_{n-1} inside ker delta_n (``representatives``), then are
+    recombined so that cocycle_j(cycle_i) = delta_ij.
     """
-    return _canonical_basis(K, n, chain_spaces(K, n))
+    cocycles, cycles = representatives(K, n)
+    return _canonical_basis(n, cocycles, cycles)
 
 
-def _canonical_basis(K: DeltaComplex, n: int, spaces) -> HomologyBasis:
-    """homology_basis from the chain_spaces(K, n) already computed."""
-    cycles, boundaries, cocycles, coboundaries = spaces
-    cycles = extend_basis(boundaries, cycles)
-    cocycles = extend_basis(coboundaries, cocycles)
-    b = K.n_cells(n) - len(coboundaries) - len(boundaries)
-    if not len(cycles) == len(cocycles) == b:
-        raise RuntimeError(f"{len(cycles)} cycles and {len(cocycles)} cocycles for b_{n} = {b}")
+def _canonical_basis(n: int, cocycles: list[int], cycles: list[int]) -> HomologyBasis:
+    """homology_basis from the representatives already picked."""
     # invertible since both bases are complete
     new_cocycles = dual_basis(cocycles, cycles)
     if new_cocycles is None:
@@ -100,21 +97,20 @@ def named_cycle_vector(K: DeltaComplex, name: str) -> tuple[int, int]:
 
 
 def logical_basis(K: DeltaComplex, n: int) -> tuple[list[str] | None, list[int], list[int]]:
-    """(names, cycles, dual cocycles) of H_n from one chain_spaces call.
+    """(names, cycles, dual cocycles) of H_n from one ``representatives`` call.
 
     The builder's named n-cycles are the basis when there are b_n of them and
     their pairing with the H^n class representatives is invertible; otherwise
     names is None and the basis is homology_basis's canonical one.
     """
-    spaces = chain_spaces(K, n)
-    _, boundaries, cocycles, coboundaries = spaces
+    cocycles, cycles = representatives(K, n)
     names = [nm for nm, (d, _) in K.cycles.items() if d == n]
-    if len(names) == K.n_cells(n) - len(coboundaries) - len(boundaries):
-        cycles = [named_cycle_vector(K, nm)[1] for nm in names]
-        duals = dual_basis(extend_basis(coboundaries, cocycles), cycles)
+    if len(names) == len(cocycles):
+        named = [named_cycle_vector(K, nm)[1] for nm in names]
+        duals = dual_basis(cocycles, named)
         if duals is not None:
-            return names, cycles, duals
-    hb = _canonical_basis(K, n, spaces)
+            return names, named, duals
+    hb = _canonical_basis(n, cocycles, cycles)
     return None, hb.cycles, hb.cocycles
 
 
@@ -142,8 +138,7 @@ def poincare_duals(K: DeltaComplex, zs: list[int], q: int | None = None,
         return []
     ncells = K.n_cells(p)
     if beta_basis is None:  # H^q class representatives: only the span mod coboundaries matters
-        _, _, cocycles, coboundaries = chain_spaces(K, q)
-        beta_basis = extend_basis(coboundaries, cocycles)
+        beta_basis, _ = representatives(K, q)
     # integral(c cup beta) = sum over top simplices of c(front) beta(back)
     faces = [(K.front(d, s, p), K.back(d, s, q)) for s in range(K.n_cells(d))]
     rows = boundary_matrix(K, p + 1).transpose().rows

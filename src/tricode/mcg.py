@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .snf import IntMatrix, identity, matmul, smith_normal_form
-from .gf2 import row_reduce, vec_from_support, dot
+from .gf2 import echelon, vec_from_support, dot
 
 
 def symplectic_form(g: int) -> IntMatrix:
@@ -137,7 +137,7 @@ def mapping_torus_homology(fhat: IntMatrix, coeff: str = "Z") -> MappingTorusHom
         return MappingTorusHomology(1 + zero, torsion, res.diagonal)
     if coeff.upper() in ("Z2", "GF2"):
         rows = [vec_from_support(j for j in range(n) if delta[i][j] % 2) for i in range(n)]
-        rank = len(row_reduce(rows)[0])
+        rank = len(echelon(rows))
         return 1 + (n - rank)
     raise ValueError("coeff must be Z or Z2")
 

@@ -44,7 +44,7 @@ def read(path: str):
         return json.load(fh)
 
 
-_JSON_TYPE = {list: "a list", dict: "an object"}
+_JSON_TYPE = {list: "a list", dict: "an object", str: "a string"}
 
 
 def _field(data: dict, key: str, kind: type, default=None):
@@ -132,8 +132,19 @@ def matrix_from_json(data: dict) -> list[list[int]]:
     return M
 
 
-def cochain_from_json(data: dict) -> tuple[int, int]:
-    return data["dim"], vec_from_support(data["support"])
+def cochain_from_json(data: dict, K: DeltaComplex) -> tuple[int, int]:
+    """(dim, bit vector) of a chain or cochain on K: an int dim and a strictly
+    increasing list of cell indices below K.n_cells(dim)."""
+    _check_object(data, "cochain")
+    dim = data["dim"]
+    if type(dim) is not int:
+        raise ValueError(f"cochain dim {dim!r} is not an int")
+    cells, ncells = _field(data, "support", list), K.n_cells(dim)
+    if any(type(c) is not int for c in cells) or any(
+            a >= b for a, b in zip([-1] + cells, cells + [ncells])):
+        raise ValueError(f"'support' must be a strictly increasing list of {dim}-cell "
+                         f"indices in 0..{ncells - 1}")
+    return dim, vec_from_support(cells)
 
 
 # -- codes -------------------------------------------------------------------
@@ -253,7 +264,11 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 
 def hypergraph_from_json(data: dict) -> Hypergraph:
     def devert(v):
-        return tuple(v) if isinstance(v, list) else v
+        if type(v) in (str, int):
+            return v
+        if type(v) is list and all(type(x) in (str, int) for x in v):
+            return tuple(v)
+        raise ValueError(f"hypergraph vertex {v!r} is not a str or int, or a list of them")
 
     def edges(key: str, default=None) -> list[tuple]:
         out = []
@@ -264,9 +279,10 @@ def hypergraph_from_json(data: dict) -> Hypergraph:
         return out
 
     _check_object(data, "hypergraph")
-    if data["kind"] not in ("base", "full"):
-        raise ValueError(f"hypergraph kind {data['kind']!r} is not 'base' or 'full'")
-    return Hypergraph(data["kind"], [devert(v) for v in _field(data, "vertices", list)],
+    kind = _field(data, "kind", str)
+    if kind not in ("base", "full"):
+        raise ValueError(f"hypergraph kind {kind!r} is not 'base' or 'full'")
+    return Hypergraph(kind, [devert(v) for v in _field(data, "vertices", list)],
                       edges("hyperedges"), edges("unknown", []))
 
 

@@ -9,7 +9,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from tricode import complexes, homology
 from tricode.cup import Cochain, cup
 from tricode.gates import PhasePolynomial
-from tricode.gf2 import BitMatrix
+from tricode.gf2 import BitMatrix, echelon, support
 from tricode.mcg import ThickenedTwistAction
 
 
@@ -58,6 +58,49 @@ def path_graph(n: int) -> complexes.DeltaComplex:
 
 # References the tests compare the package against; nothing in the package
 # needs them.
+
+
+def row_reduce(rows) -> tuple[list[int], list[int]]:
+    """Reduced row echelon basis of the span plus pivot columns: the forward
+    echelon, then back substitution clearing every other pivot column,
+    highest pivot first.  Reducing twice equals reducing once."""
+    by_pivot = echelon(rows)
+    pivots = sorted(by_pivot)
+    above = 0  # pivot columns already reduced
+    for p in reversed(pivots):
+        r = by_pivot[p]
+        hit = r & above
+        while hit:
+            low = hit & -hit
+            r ^= by_pivot[low.bit_length() - 1]
+            hit ^= low
+        by_pivot[p] = r
+        above |= 1 << p
+    return [by_pivot[p] for p in pivots], pivots
+
+
+def kernel_from_rref(basis: list[int], pivots: list[int], ncols: int) -> list[int]:
+    """Null space basis of a matrix with RREF (basis, pivots): one vector per
+    free column j < ncols, in increasing j, with bit p set when the RREF row
+    with pivot p has bit j (and bit j itself)."""
+    free = (1 << ncols) - 1
+    for p in pivots:
+        free &= ~(1 << p)
+    vecs = {j: 1 << j for j in support(free)}
+    for row, p in zip(basis, pivots):
+        for j in support(row & free):
+            vecs[j] |= 1 << p
+    return list(vecs.values())
+
+
+def chain_spaces(K, n: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(cycles, boundaries, cocycles, coboundaries) in degree n: the full
+    kernels of del_n and del_{n+1}^T and the RREF bases of their row spaces,
+    from one RREF of each."""
+    c = K.n_cells(n)
+    down = row_reduce(homology.boundary_matrix(K, n).rows)
+    up = row_reduce(homology.boundary_matrix(K, n + 1).transpose().rows)
+    return kernel_from_rref(*down, c), up[0], kernel_from_rref(*up, c), down[0]
 
 
 def check_logicals(code) -> list[str]:

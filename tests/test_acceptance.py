@@ -255,7 +255,7 @@ def test_criterion_8_sullivan_roundtrip():
 def _simulator_verdict(circuit, code) -> bool:
     """Independent oracle: phases constant on every X-stabilizer coset of the
     all-plus support."""
-    from tricode.gf2 import row_reduce
+    from conftest import row_reduce
 
     f = PhasePolynomial.from_circuit(circuit)
     stab_basis, stab_pivots = row_reduce(code.hx.rows)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from tricode import codes, serialize
+from tricode import codes, complexes, serialize
 from tricode.cli import main, run_manifest
 
 MANIFEST = os.path.join(os.path.dirname(__file__), "..", "manifests", "t3.manifest.json")
@@ -586,6 +586,13 @@ BAD_LOADS = [
      "form coefficient key '0,a,1' is not three comma-separated ints"),
     ("form.json", ["hypergraph", "build", "form.json"], lambda d: [0],
      "a form file must hold a JSON object, not list"),
+    # an object vertex used to escape as TypeError: unhashable type: 'dict'
+    ("h.json", ["hypergraph", "degrees", "h.json"], lambda d: d["vertices"].__setitem__(0, {"a": 1}),
+     "hypergraph vertex {'a': 1} is not a str or int, or a list of them"),
+    ("h.json", ["hypergraph", "degrees", "h.json"],
+     lambda d: d["hyperedges"][0].__setitem__(0, [["bxc"], 1]),
+     "hypergraph vertex [['bxc'], 1] is not a str or int, or a list of them"),
+    ("h.json", ["report", "h.json"], lambda d: d.__setitem__("kind", 5), "'kind' must be a string, not int"),
 ]
 
 
@@ -656,3 +663,76 @@ def test_complex_files_are_range_checked(workdir, edit, why):
     serialize.write("one.manifest.json", {"steps": [step]})
     assert run_manifest("one.manifest.json") == (1, [f"step 0 failed (exit 1): {' '.join(step)}"])
     assert serialize.read("v.json") == {"valid": False, "violations": [why]}
+
+
+def test_membrane_files_are_checked(workdir):
+    # a null or string support used to escape run_manifest as a TypeError, an
+    # index past the 2-simplices as an IndexError from cz_membrane_circuit
+    assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
+    cells = sorted(serialize.complex_from_json(serialize.read("t3.json")).cycles["axb"][1])
+    order = "'support' must be a strictly increasing list of 2-cell indices in 0..11"
+    step = ["gate", "cz", "t3.json", "--membrane", "memb.json"]
+    for memb, why in [
+        ({"dim": 2, "support": None}, "'support' must be a list, not NoneType"),
+        ({"dim": 2, "support": "ab"}, "'support' must be a list, not str"),
+        ({"dim": 2, "support": cells + [999]}, order),
+        ({"dim": 2, "support": [-1] + cells}, order),
+        ({"dim": 2, "support": cells[::-1]}, order),
+        ({"dim": 2, "support": cells + cells[-1:]}, order),
+        ({"dim": 2, "support": [float(c) for c in cells]}, order),
+        ({"dim": "2", "support": cells}, "cochain dim '2' is not an int"),
+        ({"dim": True, "support": cells}, "cochain dim True is not an int"),
+        ([2, cells], "a cochain file must hold a JSON object, not list"),
+    ]:
+        serialize.write("memb.json", memb)
+        serialize.write("one.manifest.json", {"steps": [step]})
+        assert run_manifest("one.manifest.json") == (
+            1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), memb
+    serialize.write("memb.json", {"dim": 2, "support": cells})
+    assert main(step + ["--out", "cz.json"]) == 0
+
+
+def _del_del_mutants():
+    """Complexes whose indices are all in range but with del del != 0, and
+    the simplex reported: T^3 with one face of a tetrahedron moved (del_2
+    del_3), and sd(T^3) with one edge of a triangle moved (del_1 del_2)."""
+    t3 = complexes.build_torus3()
+    sd = complexes.barycentric_subdivide(t3).complex
+    for K, n in ((t3, 3), (sd, 2)):
+        data = serialize.complex_to_json(K)
+        simplex = _first(data, n)
+        simplex["faces"][0] = (simplex["faces"][0] + 1) % K.n_cells(n - 1)
+        yield data, f"{n}-simplex 0"
+
+
+def test_del_del_nonzero_is_refused(workdir):
+    # such complexes used to get bases: homology basis raised a RuntimeError
+    # that escaped run_manifest, or toric_code wrote a code
+    for data, where in _del_del_mutants():
+        assert f"{where}: del del != 0" in complexes.validate(serialize.complex_from_json(data))
+        serialize.write("bad.json", data)
+        why = f"{where}: del del != 0, not a chain complex"
+        for step in (["homology", "basis", "bad.json", "--dim", "1"], ["cup", "form", "bad.json"],
+                     ["code", "build", "bad.json", "--type", "toric:3", "--out", "c.json"]):
+            serialize.write("one.manifest.json", {"steps": [step]})
+            assert run_manifest("one.manifest.json") == (
+                1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
+        assert not os.path.exists("c.json")
+
+
+def test_console_script_prints_an_error_line_not_a_traceback(workdir):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    assert main(["complex", "build", "--preset", "sigma-rot:2", "--out", "s.json"]) == 0
+    proc = subprocess.run([sys.executable, "-m", "tricode.cli", "code", "build", "s.json",
+                           "--type", "color"], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: color_code needs a 3-complex\n"
+    # the same failure inside a manifest is still reported as its step
+    step = ["code", "build", "s.json", "--type", "color"]
+    serialize.write("one.manifest.json", {"steps": [step]})
+    assert run_manifest("one.manifest.json") == (
+        1, [f"step 0 failed (ValueError: color_code needs a 3-complex): {' '.join(step)}"])
+    proc = subprocess.run([sys.executable, "-m", "tricode.cli", "homology", "betti", "s.json"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "betti: 1 4 1\n", "")

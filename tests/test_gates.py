@@ -31,9 +31,9 @@ from tricode.gates import (
     pull_back,
     transversal_t,
 )
-from tricode.gf2 import BitMatrix, row_reduce, support, vec_from_support
+from tricode.gf2 import BitMatrix, support, vec_from_support
 
-from conftest import check_logicals, degree, minus, shifted
+from conftest import chain_spaces, check_logicals, degree, minus, shifted
 from test_local_check import exact_coset_verdict, logical_phase
 
 
@@ -181,7 +181,7 @@ def test_ccz_check_nontrivial_stabilizers(t2xs1_2layers):
 def test_non_cycle_membrane_fails_check(t2xs1_2layers):
     K = t2xs1_2layers
     code = toric_code(K, 3)
-    bad = homology.chain_spaces(K, 2)[1][0] ^ (1 << 0)
+    bad = chain_spaces(K, 2)[1][0] ^ (1 << 0)
     circ = cz_membrane_circuit(K, bad, (1, 2), check=False)
     chk = check_logical_gate(circ, code)
     assert chk.status == "FAIL"

@@ -9,9 +9,9 @@ from tricode.complexes import (barycentric_subdivide, build_point, build_sigma_g
                                build_sigma_g_rotsym, build_torus3, mapping_torus,
                                product_with_circle, rotation_automorphism)
 from tricode.cup import named_dual_cocycles
-from tricode.gf2 import BitMatrix, dot, extend_basis, row_reduce, solve_augmented, vec_from_support
+from tricode.gf2 import BitMatrix, dot, extend_basis, solve_augmented, vec_from_support
 
-from conftest import tetrahedron_boundary
+from conftest import chain_spaces, row_reduce, tetrahedron_boundary
 
 
 def test_betti_t3(t3):
@@ -63,7 +63,7 @@ def test_homology_basis_sphere_empty():
 
 def test_named_cycles_span_h1(t3):
     hb = homology.homology_basis(t3, 1)
-    _, boundaries, _, _ = homology.chain_spaces(t3, 1)
+    _, boundaries, _, _ = chain_spaces(t3, 1)
     span = hb.cycles + boundaries
     classes = []
     for nm in ("a", "b", "c"):
@@ -81,7 +81,7 @@ def test_poincare_dual_t3(t3):
 
 
 def test_poincare_dual_boundary_is_trivial(t3):
-    b = homology.chain_spaces(t3, 2)[1][0]
+    b = chain_spaces(t3, 2)[1][0]
     pd = homology.poincare_duals(t3, [b])[0]
     hb = homology.homology_basis(t3, 1)
     assert all(dot(pd, z) == 0 for z in hb.cycles)
@@ -251,7 +251,7 @@ def test_poincare_duals_batch_equals_single_solves():
     rng = random.Random(23)
     for K in _closed_3_complexes():
         hb2 = homology.homology_basis(K, 2)
-        _, boundaries, _, _ = homology.chain_spaces(K, 2)
+        _, boundaries, _, _ = chain_spaces(K, 2)
         named = [vec_from_support(cells) for d, cells in K.cycles.values() if d == 2]
         zs = named + hb2.cycles + [0]
         for _ in range(4):  # random homologous representatives
@@ -354,11 +354,16 @@ def _spaces_complexes():
 
 
 def test_chain_spaces_match_the_four_reference_helpers():
+    # the reference chain spaces agree with the four helpers, and the picks of
+    # homology.representatives are the vectors extend_basis picks from them
     for K in _spaces_complexes():
         for n in range(-1, K.dims + 2):
             refs = (ref_cycle_space(K, n), ref_boundary_space(K, n),
                     ref_cocycle_space(K, n), ref_coboundary_space(K, n))
-            assert homology.chain_spaces(K, n) == refs, (K.counts, n)
+            assert chain_spaces(K, n) == refs, (K.counts, n)
+            cycles, boundaries, cocycles, coboundaries = refs
+            assert homology.representatives(K, n) == (
+                extend_basis(coboundaries, cocycles), extend_basis(boundaries, cycles)), (K.counts, n)
 
 
 def test_betti_all_and_default_duals_match_per_call_forms():
@@ -368,7 +373,7 @@ def test_betti_all_and_default_duals_match_per_call_forms():
             continue  # no fundamental class: no Poincare duals
         q = K.dims - 1
         hb = homology.homology_basis(K, q)
-        _, boundaries, _, _ = homology.chain_spaces(K, q)
+        _, boundaries, _, _ = chain_spaces(K, q)
         zs = hb.cycles + boundaries[:3] + [0]
         assert homology.poincare_duals(K, zs) == homology.poincare_duals(
             K, zs, beta_basis=hb.cocycles)
@@ -382,13 +387,17 @@ def test_named_basis_of_a_sphere_is_empty():
 
 
 def _count_eliminations(monkeypatch):
-    """Count gf2.row_reduce calls (under every name a tricode module bound
-    it to) and BitMatrix.rank calls."""
-    counts = {"row_reduce": 0, "rank": 0}
-    original, original_rank = gf2.row_reduce, gf2.BitMatrix.rank
+    """Count gf2.echelon calls (under every name a tricode module bound it
+    to) and BitMatrix.rank calls.  Left out are echelons of no rows (the
+    empty start of extend_basis) and those of invert, which only ever sees
+    the k x k pairing of dual_basis: neither eliminates a boundary matrix."""
+    counts = {"echelon": 0, "rank": 0}
+    original, original_rank = gf2.echelon, gf2.BitMatrix.rank
 
     def counted(rows):
-        counts["row_reduce"] += 1
+        rows = list(rows)
+        if rows and sys._getframe(1).f_code.co_name != "invert":
+            counts["echelon"] += 1
         return original(rows)
 
     def counted_rank(self):
@@ -396,8 +405,8 @@ def _count_eliminations(monkeypatch):
         return original_rank(self)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("tricode") and getattr(mod, "row_reduce", None) is original:
-            monkeypatch.setattr(mod, "row_reduce", counted)
+        if name.startswith("tricode") and getattr(mod, "echelon", None) is original:
+            monkeypatch.setattr(mod, "echelon", counted)
     monkeypatch.setattr(gf2.BitMatrix, "rank", counted_rank)
     return counts
 
@@ -412,17 +421,17 @@ def test_one_elimination_per_boundary_matrix(monkeypatch):
     counts = _count_eliminations(monkeypatch)
 
     def spent(fn, *args):
-        counts.update(row_reduce=0, rank=0)
+        counts.update(echelon=0, rank=0)
         fn(*args)
-        return counts["row_reduce"], counts["rank"]
+        return counts["echelon"], counts["rank"]
 
-    # the k x k inversion in dual_basis runs on gf2.echelon, not on
-    # row_reduce, so it is not counted
-    assert spent(homology.betti_all, cover) == (0, 3)
+    # rank is one echelon of its rows
+    assert spent(homology.betti_all, cover) == (3, 3)
     assert spent(form_from_cup, cover) == (2, 0)
     assert spent(toric_code, cover, 3) == (2, 0)
     assert spent(systole_bfs, cover) == (2, 0)
     code = toric_code(cover, 3)
     assert spent(lambda: distance(code, sector="z")) == (0, 0)
+    # plus the H^2 representatives (del_2, del_3^T) and the Poincare-dual solve
     assert spent(form_from_cup, sigma4) == (5, 0)
     assert spent(toric_code, sigma4, 3) == (5, 0)

@@ -10,9 +10,9 @@ simplex.  The split code-space check, whose Z, S and T terms take
 ``_pull_back_linear``, is checked against one ``pull_back`` of every
 monomial.  The color code's checks are checked against ``walked_checks``,
 which reads each flag's vertices and edges off the faces of
-``barycentric_subdivide``; its logical bases (``_logical_picks``, from
-forward echelons) against ``extend_basis`` over both full kernels of the
-RREFs; and its sign table against ``flag_sign`` per flag of the
+``barycentric_subdivide``; its logical bases (``gf2.quotient_bases``,
+from forward echelons) against ``extend_basis`` over both full kernels of
+the RREFs; and its sign table against ``flag_sign`` per flag of the
 subdivision.  The fast paths must agree with them exactly.
 """
 
@@ -24,15 +24,16 @@ import time
 import pytest
 
 from tricode import complexes, gates
-from tricode.codes import CssCode, _logical_picks, color_code
+from tricode.codes import CssCode, color_code
 from tricode.complexes import _Builder, Subdivision, barycentric_subdivide, orientation_signs
 from tricode.gates import (DiagonalCircuit, PhasePolynomial, _kernel_generators,
                            _pull_back_linear, check_logical_gate, extract_logical_action,
                            pull_back, transversal_t)
 from tricode.gf2 import (BitMatrix, dot, dual_basis, echelon, extend_basis, invert,
-                         kernel_from_rref, null_vectors, remainder, row_reduce, top_pivots,
+                         kernel_completion, null_vectors, quotient_bases, remainder, top_pivots,
                          vec_from_support)
 
+from conftest import kernel_from_rref, row_reduce
 from test_local_check import random_circuit, random_code, t3_cover
 
 
@@ -493,7 +494,7 @@ def test_color_code_logicals_and_signs_match_references(name):
     lx, lz = reference_logicals(hx, hz)
     assert code.logical_z == lz
     assert code.logical_x == dual_basis(lx, lz)
-    assert _logical_picks(hx, hz) == (lx, lz, code.k)
+    assert quotient_bases(hx.rows, hz.rows, code.n) == (lx, lz)
     sub, eps = barycentric_subdivide(K), orientation_signs(K)
     assert code.meta["signs"] == [flag_sign(sub, 3, s) * eps[sub.cell_chain[3][s][-1][1]]
                                   for s in range(code.n)]
@@ -505,8 +506,13 @@ def test_kernel_picks_match_extend_basis_on_random_codes():
     for _ in range(300):
         code = random_sparse_code(rng)
         lx, lz = reference_logicals(code.hx, code.hz)
-        assert _logical_picks(code.hx, code.hz) == (lx, lz, len(lz))
+        assert quotient_bases(code.hx.rows, code.hz.rows, code.n) == (lx, lz)
         ks.add(len(lz))
+        # rows inside ker hz: some stabilizers plus some logicals and their sums
+        rows = [r for r in code.hx.rows if rng.random() < 0.7]
+        rows += [x ^ y for x, y in zip(lx, lx[1:] + lx[:1]) if rng.random() < 0.5]
+        assert kernel_completion(rows, code.hz.rows, code.n) == extend_basis(
+            rows, kernel_from_rref(*row_reduce(code.hz.rows), code.n))
     assert len(ks) > 5
 
 
@@ -517,12 +523,12 @@ def test_color_code_runs_no_rref_kernel_or_subdivision(monkeypatch):
     def refuse(*args):
         raise AssertionError("the color code took a route it should not")
 
-    for modname, mod in list(sys.modules.items()):
-        for fn in ("row_reduce", "kernel_from_rref", "barycentric_subdivide"):
-            if modname.startswith("tricode") and hasattr(mod, fn):
-                monkeypatch.setattr(mod, fn, refuse)
-    with pytest.raises(AssertionError):
-        BitMatrix(1, 2, [1]).nullspace()
+    tricode = [mod for name, mod in sys.modules.items() if name.startswith("tricode")]
+    assert not [mod for mod in tricode for fn in ("row_reduce", "kernel_from_rref")
+                if hasattr(mod, fn)]  # the RREF route is gone from the package
+    for mod in tricode:
+        if hasattr(mod, "barycentric_subdivide"):
+            monkeypatch.setattr(mod, "barycentric_subdivide", refuse)
     with pytest.raises(AssertionError):
         complexes.barycentric_subdivide(built["T3"])
     for name, K in built.items():

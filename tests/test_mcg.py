@@ -11,7 +11,7 @@ from tricode.complexes import (
     mapping_torus,
     sheet_projection,
 )
-from tricode.gf2 import BitMatrix, dot, extend_basis, row_reduce, vec_from_support
+from tricode.gf2 import BitMatrix, dot, extend_basis, vec_from_support
 from tricode.mcg import (
     UNKNOWN,
     curve_class,
@@ -29,7 +29,7 @@ from tricode.mcg import (
 )
 from tricode.snf import identity, matmul
 
-from conftest import cnot_pair_between_handles
+from conftest import cnot_pair_between_handles, row_reduce
 
 PAPER_T = {
     "t1": [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
