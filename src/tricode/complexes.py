@@ -3,9 +3,10 @@
 A ``DeltaComplex`` stores, for every n-simplex, the indices of its n+1
 faces; ``face[n][s][i]`` is the (n-1)-simplex obtained by deleting vertex
 position i.  Identifications are allowed (one-vertex models), so builders
-stay desk-scale.  Every builder output satisfies the simplicial identity
-d_i d_j = d_{j-1} d_i (i < j) and del del = 0 over GF(2); ``validate``
-checks this.
+stay desk-scale.  A complex is checked once, when it is constructed
+(``validate``): face indices in range, the simplicial identities
+d_i d_j = d_{j-1} d_i (i < j), which imply del del = 0 over GF(2), and
+closed named cycles.  It is frozen, so nothing downstream checks again.
 
 Builders label distinguished edges and record named cycles (a, b, c,
 products with the circle direction, the fibre surface) so downstream gate
@@ -20,13 +21,20 @@ from dataclasses import dataclass, field
 Cell = tuple[int, int]  # (dimension, index)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeltaComplex:
+    """ValueError at construction unless ``validate`` finds nothing: the
+    first three violations, then how many more."""
+
     # face[0] is a list of () placeholders, one per vertex
     face: list[list[tuple[int, ...]]]
     labels: dict[Cell, str] = field(default_factory=dict)
     # name -> (dim, sorted tuple of cell indices), each a GF(2) cycle
     cycles: dict[str, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if bad := validate(self):
+            raise ValueError("; ".join(bad[:3]) + (f"; and {len(bad) - 3} more" if bad[3:] else ""))
 
     @property
     def dims(self) -> int:
@@ -73,9 +81,15 @@ class DeltaComplex:
         return sum((-1) ** n * c for n, c in enumerate(self.counts))
 
 
-def index_violations(K: DeltaComplex) -> list[str]:
-    """Face arities and face and cycle indices out of range: what every
-    reader of K relies on (empty list == safe to index)."""
+def validate(K: DeltaComplex) -> list[str]:
+    """All invariant violations (empty list == well-formed), in three passes:
+    face arities and face and cycle indices out of range (the later passes
+    need them in range); the simplicial identities; named cycles z with
+    del z != 0.
+
+    The identities imply del del = 0 over GF(2): in del del s the term
+    d_i d_j s with i < j cancels d_{j-1} d_i s, and (i, j) -> (j-1, i) is a
+    bijection onto the pairs (i', j') with i' >= j'."""
     bad: list[str] = []
     for n in range(K.dims + 1):
         below, arity = K.n_cells(n - 1), n + 1 if n else 0
@@ -90,38 +104,23 @@ def index_violations(K: DeltaComplex) -> list[str]:
         ok = type(dim) is int and 0 <= dim <= K.dims
         if not ok or any(type(c) is not int or not 0 <= c < K.n_cells(dim) for c in cells):
             bad.append(f"cycle {name!r}: cell index out of range")
-    return bad
-
-
-def validate(K: DeltaComplex) -> list[str]:
-    """All invariant violations (empty list == well-formed)."""
-    if bad := index_violations(K):
+    if bad:
         return bad
     for n in range(2, K.dims + 1):
-        for s in range(K.n_cells(n)):
-            fs = K.face[n][s]
-            for j in range(n + 1):
-                for i in range(j):
-                    # d_i d_j = d_{j-1} d_i for i < j
-                    if K.face[n - 1][fs[j]][i] != K.face[n - 1][fs[i]][j - 1]:
-                        bad.append(f"{n}-simplex {s}: d_{i} d_{j} != d_{j - 1} d_{i}")
-    for n in range(2, K.dims + 1):
-        bad += [f"{n}-simplex {s}: del del != 0" for s in del_del_nonzero(K, n)]
-    return bad
-
-
-def del_del_nonzero(K: DeltaComplex, n: int) -> list[int]:
-    """The n-simplices s with del del s != 0 over GF(2): some (n-2)-simplex
-    occurs an odd number of times among the faces of the faces of s."""
-    below, out = K.face[n - 1], []
-    for s, fs in enumerate(K.face[n]):
+        below = K.face[n - 1]
+        pairs = [(i, j) for j in range(1, n + 1) for i in range(j)]
+        for s, fs in enumerate(K.face[n]):
+            for i, j in pairs:  # d_i d_j = d_{j-1} d_i for i < j
+                if below[fs[j]][i] != below[fs[i]][j - 1]:
+                    bad.append(f"{n}-simplex {s}: d_{i} d_{j} != d_{j - 1} d_{i}")
+    for name, (dim, cells) in K.cycles.items():
         acc = 0
-        for f in fs:
-            for g in below[f]:
-                acc ^= 1 << g
+        for c in set(cells):
+            for f in K.face[dim][c]:
+                acc ^= 1 << f
         if acc:
-            out.append(s)
-    return out
+            bad.append(f"cycle {name!r}: not closed, del z != 0")
+    return bad
 
 
 def is_closed(K: DeltaComplex) -> bool:
@@ -180,14 +179,15 @@ class _Builder:
     def idx(self, dim: int, key) -> int:
         return self.index[dim][key]
 
-    def freeze(self) -> DeltaComplex:
+    def freeze(self, labels: dict | None = None, cycles: dict | None = None) -> DeltaComplex:
+        """The complex, with labels and named cycles keyed by final indices."""
         face: list[list[tuple[int, ...]]] = [[() for _ in self.index[0]]]
         for n in range(1, self.dims + 1):
             table = [()] * len(self.index[n])
             for key, i in self.index[n].items():
                 table[i] = tuple(self.index[n - 1][f] for f in self.faces[n][key])
             face.append(table)
-        return DeltaComplex(face)
+        return DeltaComplex(face, labels or {}, cycles or {})
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +245,16 @@ def build_torus3() -> DeltaComplex:
     for n in (1, 2, 3):
         for path in paths_by_dim[n]:
             b.add(n, path, faces_of_path(path) if n > 1 else ((), ()))
-    K = b.freeze()
-    for path in paths_by_dim[1]:
-        K.labels[(1, b.idx(1, path))] = _T3_NAMES[path[0]]
-    for name, step in (("a", 0), ("b", 1), ("c", 2)):
-        K.cycles[name] = (1, (b.idx(1, (frozenset({step}),)),))
-    for name, pair in (("axb", (0, 1)), ("axc", (0, 2)), ("bxc", (1, 2))):
-        i, j = pair
+    labels = {(1, b.idx(1, path)): _T3_NAMES[path[0]] for path in paths_by_dim[1]}
+    cycles = {name: (1, (b.idx(1, (frozenset({step}),)),))
+              for name, step in (("a", 0), ("b", 1), ("c", 2))}
+    for name, (i, j) in (("axb", (0, 1)), ("axc", (0, 2)), ("bxc", (1, 2))):
         cells = (
             b.idx(2, (frozenset({i}), frozenset({j}))),
             b.idx(2, (frozenset({j}), frozenset({i}))),
         )
-        K.cycles[name] = (2, tuple(sorted(cells)))
-    return K
+        cycles[name] = (2, tuple(sorted(cells)))
+    return b.freeze(labels, cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +267,13 @@ def _side_info(i: int) -> tuple[str, bool]:
     j = i // 4 + 1
     r = i % 4
     return (f"a{j}" if r in (0, 2) else f"b{j}", r < 2)
+
+
+def _handle_edges(b: _Builder, g: int) -> DeltaComplex:
+    """Freeze a genus-g surface builder with its edges a_j and b_j labelled
+    and named as 1-cycles."""
+    edges = [(nm, b.idx(1, nm)) for j in range(1, g + 1) for nm in (f"a{j}", f"b{j}")]
+    return b.freeze({(1, e): nm for nm, e in edges}, {nm: (1, (e,)) for nm, e in edges})
 
 
 def build_sigma_g(g: int) -> DeltaComplex:
@@ -303,13 +307,7 @@ def build_sigma_g(g: int) -> DeltaComplex:
             b.add(2, f"T{i}", (name, hi, lo))
         else:
             b.add(2, f"T{i}", (name, lo, hi))
-    K = b.freeze()
-    for j in range(1, g + 1):
-        for nm in (f"a{j}", f"b{j}"):
-            e = b.idx(1, nm)
-            K.labels[(1, e)] = nm
-            K.cycles[nm] = (1, (e,))
-    return K
+    return _handle_edges(b, g)
 
 
 def build_sigma_g_rotsym(g: int) -> DeltaComplex:
@@ -337,13 +335,7 @@ def build_sigma_g_rotsym(g: int) -> DeltaComplex:
             b.add(2, f"U{i}", (name, hi, lo))
         else:
             b.add(2, f"U{i}", (name, lo, hi))
-    K = b.freeze()
-    for j in range(1, g + 1):
-        for nm in (f"a{j}", f"b{j}"):
-            e = b.idx(1, nm)
-            K.labels[(1, e)] = nm
-            K.cycles[nm] = (1, (e,))
-    return K
+    return _handle_edges(b, g)
 
 
 def rotation_automorphism(K: DeltaComplex, g: int, handles: int = 1) -> SimplicialAutomorphism:
@@ -442,17 +434,12 @@ def mapping_torus(K: DeltaComplex, phi: SimplicialAutomorphism, layers: int = 1)
                         b.add(p, ("D", t, p, s, j), d_faces(t, p, s, j))
                 for j in range(p + 1):
                     b.add(p + 1, ("S", t, p, s, j), s_faces(t, p, s, j))
-    out = b.freeze()
-    bad = validate(out)
-    if bad:
-        raise ValueError(f"mapping torus gluing failed validation: {bad[:3]}")
-
     identity = all(phi.perm[p][s] == s for p in range(n + 1) for s in range(K.n_cells(p)))
-    for (d, s), lab in K.labels.items():
-        out.labels[(d, b.idx(d, ("H", 0, d, s)))] = lab
+    labels = {(d, b.idx(d, ("H", 0, d, s))): lab for (d, s), lab in K.labels.items()}
+    cycles = {}
     # horizontal copies of named cycles survive at layer 0
     for name, (d, cells) in K.cycles.items():
-        out.cycles[name] = (d, tuple(sorted(b.idx(d, ("H", 0, d, c)) for c in cells)))
+        cycles[name] = (d, tuple(sorted(b.idx(d, ("H", 0, d, c)) for c in cells)))
         # the swept cycle (name x c) closes up iff phi fixes the chain
         if all(phi.perm[d][c] in cells for c in cells):
             swept = [
@@ -461,7 +448,7 @@ def mapping_torus(K: DeltaComplex, phi: SimplicialAutomorphism, layers: int = 1)
                 for c in cells
                 for j in range(d + 1)
             ]
-            out.cycles[f"{name}xc"] = (d + 1, tuple(sorted(swept)))
+            cycles[f"{name}xc"] = (d + 1, tuple(sorted(swept)))
     # the vertical cycle c: follow the phi-orbit of vertex 0
     vert: list[int] = []
     v = 0
@@ -470,13 +457,13 @@ def mapping_torus(K: DeltaComplex, phi: SimplicialAutomorphism, layers: int = 1)
         v = phi.perm[0][v]
         if v == 0:
             break
-    out.cycles["c"] = (1, tuple(sorted(vert)))
+    cycles["c"] = (1, tuple(sorted(vert)))
     if n >= 1:
         fibre = tuple(sorted(b.idx(n, ("H", 0, n, s)) for s in range(K.n_cells(n))))
-        out.cycles["fiber"] = (n, fibre)
+        cycles["fiber"] = (n, fibre)
     if identity and n >= 1:
-        out.labels[(1, b.idx(1, ("S", 0, 0, 0, 0)))] = "c"
-    return out
+        labels[(1, b.idx(1, ("S", 0, 0, 0, 0)))] = "c"
+    return b.freeze(labels, cycles)
 
 
 def product_with_circle(K: DeltaComplex, layers: int = 1) -> DeltaComplex:
@@ -496,10 +483,6 @@ def build_point() -> DeltaComplex:
 @dataclass
 class Subdivision:
     complex: DeltaComplex
-    # per dimension, per simplex: the chain of original cells of the flag
-    cell_chain: list[list[tuple[Cell, ...]]]
-    # per dimension, per simplex: the chain of vertex-position subsets
-    subset_chain: list[list[tuple[frozenset, ...]]]
 
 
 @functools.cache
@@ -549,7 +532,7 @@ def barycentric_subdivide(K: DeltaComplex) -> Subdivision:
 
     An n-simplex is a flag: a cell tau of K of dimension p together with a
     chain of vertex-position subsets A_0 < A_1 < ... < A_n = {0..p}.  The
-    result records each simplex's chain of original cells (the flag map).
+    vertex over tau is labelled ``bary:`` and tau's label.
 
     The n-simplices are numbered by p, then tau, then the chain's position in
     ``chains[p][n]`` (``_flag_offsets``), so every face index is arithmetic:
@@ -570,25 +553,18 @@ def barycentric_subdivide(K: DeltaComplex) -> Subdivision:
                     c[n - 1], position[len(c[n - 1]) - 1][n - 1][_relabel(c[:n], c[n - 1])]))
 
     face: list[list[tuple[int, ...]]] = [[] for _ in range(dims + 1)]
-    cell_chain: list[list[tuple[Cell, ...]]] = [[] for _ in range(dims + 1)]
-    subset_chain: list[list[tuple]] = [[] for _ in range(dims + 1)]
-    for p in range(dims + 1):
-        for s in range(K.n_cells(p)):
-            cell_of = {A: K.iterated_face(p, s, tuple(sorted(A))) for A in subsets[p]}
-            for n in range(p + 1):
-                cell_chain[n] += [tuple(cell_of[A] for A in c) for c in chains[p][n]]
-                subset_chain[n] += chains[p][n]
-                same = offset[n - 1][p] + s * len(chains[p][n - 1]) if n else 0
-                for subs, top, newpos in templates[p][n]:
-                    d, idx = cell_of[top]
-                    face[n].append(tuple(same + j for j in subs) + (
-                        offset[n - 1][d] + idx * len(chains[d][n - 1]) + newpos,))
-    face[0] = [()] * len(cell_chain[0])
-    sd = DeltaComplex(face)
-    for i, fl in enumerate(cell_chain[0]):
-        d, idx = fl[0]
-        sd.labels[(0, i)] = f"bary:{K.label(d, idx)}"
-    return Subdivision(sd, cell_chain, subset_chain)
+    cells = [(p, s) for p in range(dims + 1) for s in range(K.n_cells(p))]
+    for p, s in cells:
+        cell_of = {A: K.iterated_face(p, s, tuple(sorted(A))) for A in subsets[p]}
+        for n in range(1, p + 1):
+            same = offset[n - 1][p] + s * len(chains[p][n - 1])
+            for subs, top, newpos in templates[p][n]:
+                d, idx = cell_of[top]
+                face[n].append(tuple(same + j for j in subs) + (
+                    offset[n - 1][d] + idx * len(chains[d][n - 1]) + newpos,))
+    face[0] = [()] * len(cells)  # the vertex over each cell of K, in the order of cells
+    labels = {(0, i): f"bary:{K.label(p, s)}" for i, (p, s) in enumerate(cells)}
+    return Subdivision(DeltaComplex(face, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -623,18 +599,16 @@ def cyclic_cover(K: DeltaComplex, cochain: dict[int, int], m: int) -> tuple[Delt
                 for i, f in enumerate(K.face[p][s]):
                     fks.append(key(p - 1, f, sheet + shift if i == 0 else sheet))
                 b.add(p, key(p, s, sheet), tuple(fks))
-    cover = b.freeze()
-    bad = validate(cover)
-    if bad:
-        raise ValueError(f"cochain is not a cocycle mod {m}: {bad[:3]}")
+    labels = {(d, b.idx(d, key(d, s, 0))): f"{lab}~0" for (d, s), lab in K.labels.items()}
+    try:
+        cover = b.freeze(labels)
+    except ValueError as exc:
+        raise ValueError(f"cochain is not a cocycle mod {m}: {exc}") from None
     perm = [
         [b.idx(p, key(p, s, sheet + 1)) for (p_, s, sheet) in b.index[p]]
         for p in range(K.dims + 1)
     ]
-    deck = SimplicialAutomorphism(perm)
-    for (d, s), lab in K.labels.items():
-        cover.labels[(d, b.idx(d, key(d, s, 0)))] = f"{lab}~0"
-    return cover, deck
+    return cover, SimplicialAutomorphism(perm)
 
 
 def sheet_projection(K: DeltaComplex, cover: DeltaComplex, m: int) -> list[list[int]]:

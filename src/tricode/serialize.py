@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 
-from .complexes import DeltaComplex, index_violations
+from .complexes import DeltaComplex
 from .codes import CssCode
 from .gates import DiagonalCircuit
 from .gf2 import BitMatrix, support, vec_from_support
@@ -89,11 +89,15 @@ def complex_to_json(K: DeltaComplex) -> dict:
 
 
 def complex_from_json(data: dict) -> DeltaComplex:
+    """The complex of a JSON object, checked by ``DeltaComplex`` itself."""
     _check_object(data, "complex")
     dims = _size(data, "dims", "complex")
+    simplices = _field(data, "simplices", list)
+    if dims > len(simplices):  # levels 0..dims, each inhabited, need dims + 1 simplices
+        raise ValueError(f"complex dims {dims} exceeds its {len(simplices)} simplices")
     face: list[list[tuple[int, ...]]] = [[] for _ in range(dims + 1)]
     labels: dict = {}
-    for entry in _field(data, "simplices", list):
+    for entry in simplices:
         n = entry.get("dim") if type(entry) is dict else None
         if type(n) is not int or not 0 <= n <= dims or type(entry.get("faces")) is not list:
             raise ValueError(f"simplex {entry!r}: needs a dim in 0..{dims} and a list of faces")
@@ -101,14 +105,12 @@ def complex_from_json(data: dict) -> DeltaComplex:
         face[n].append(tuple(entry["faces"]))
         if "label" in entry:
             labels[(n, idx)] = entry["label"]
-    K = DeltaComplex(face, labels)
+    cycles = {}
     for nm, cyc in _field(data, "cycles", dict, {}).items():
         if type(cyc) is not dict or type(cyc.get("cells")) is not list:
             raise ValueError(f"cycle {nm!r}: needs an object with a dim and a list of cells")
-        K.cycles[nm] = (cyc["dim"], tuple(cyc["cells"]))
-    if bad := index_violations(K):
-        raise ValueError("; ".join(bad[:3]) + (f"; and {len(bad) - 3} more" if bad[3:] else ""))
-    return K
+        cycles[nm] = (cyc["dim"], tuple(cyc["cells"]))
+    return DeltaComplex(face, labels, cycles)
 
 
 # -- matrices and cochains ---------------------------------------------------

@@ -60,6 +60,22 @@ def path_graph(n: int) -> complexes.DeltaComplex:
 # needs them.
 
 
+def del_del_nonzero(face, n: int) -> list[int]:
+    """The n-simplices s of the face lists ``face`` with del del s != 0 over
+    GF(2): some (n-2)-simplex occurs an odd number of times among the faces
+    of the faces of s.  Order-blind, unlike the simplicial identities that
+    ``DeltaComplex`` checks, which imply it."""
+    below, out = face[n - 1], []
+    for s, fs in enumerate(face[n]):
+        acc = 0
+        for f in fs:
+            for g in below[f]:
+                acc ^= 1 << g
+        if acc:
+            out.append(s)
+    return out
+
+
 def row_reduce(rows) -> tuple[list[int], list[int]]:
     """Reduced row echelon basis of the span plus pivot columns: the forward
     echelon, then back substitution clearing every other pivot column,

@@ -9,7 +9,9 @@ import time
 import pytest
 
 from tricode import codes, complexes, serialize
-from tricode.cli import main, run_manifest
+from tricode.cli import console_main, main, run_manifest
+
+from conftest import del_del_nonzero
 
 MANIFEST = os.path.join(os.path.dirname(__file__), "..", "manifests", "t3.manifest.json")
 
@@ -632,6 +634,9 @@ BAD_COMPLEXES = [
     (lambda d: _first(d, 1).__setitem__("faces", 5),
      "simplex {'dim': 1, 'faces': 5, 'label': 'a'}: needs a dim in 0..3 and a list of faces"),
     (lambda d: d.__setitem__("dims", -1), "complex dims -1 is not a nonnegative int"),
+    # a dims no simplex list can fill used to allocate dims + 1 lists first
+    (lambda d: d.__setitem__("dims", len(d["simplices"]) + 1), "complex dims 27 exceeds its 26 simplices"),
+    (lambda d: d["cycles"]["axb"].__setitem__("cells", [0]), "cycle 'axb': not closed, del z != 0"),
     (lambda d: d["cycles"]["a"].__setitem__("cells", [7]), "cycle 'a': cell index out of range"),
     (lambda d: d["cycles"]["a"].__setitem__("dim", 5), "cycle 'a': cell index out of range"),
     (lambda d: d["cycles"]["a"].__setitem__("cells", [0.5]), "cycle 'a': cell index out of range"),
@@ -694,30 +699,154 @@ def test_membrane_files_are_checked(workdir):
 
 def _del_del_mutants():
     """Complexes whose indices are all in range but with del del != 0, and
-    the simplex reported: T^3 with one face of a tetrahedron moved (del_2
-    del_3), and sd(T^3) with one edge of a triangle moved (del_1 del_2)."""
+    the dimension of the simplex reported: T^3 with one face of a
+    tetrahedron moved (del_2 del_3), and sd(T^3) with one edge of a triangle
+    moved (del_1 del_2)."""
     t3 = complexes.build_torus3()
     sd = complexes.barycentric_subdivide(t3).complex
     for K, n in ((t3, 3), (sd, 2)):
         data = serialize.complex_to_json(K)
         simplex = _first(data, n)
         simplex["faces"][0] = (simplex["faces"][0] + 1) % K.n_cells(n - 1)
-        yield data, f"{n}-simplex 0"
+        yield data, n
+
+
+def _faces(data) -> list[list[tuple]]:
+    """The face lists of a complex file, read without any check."""
+    return [[tuple(e["faces"]) for e in data["simplices"] if e["dim"] == n]
+            for n in range(data["dims"] + 1)]
+
+
+def _refused(data) -> str:
+    """The loader's message for a complex file it refuses."""
+    with pytest.raises(ValueError) as err:
+        serialize.complex_from_json(data)
+    return str(err.value)
 
 
 def test_del_del_nonzero_is_refused(workdir):
     # such complexes used to get bases: homology basis raised a RuntimeError
-    # that escaped run_manifest, or toric_code wrote a code
-    for data, where in _del_del_mutants():
-        assert f"{where}: del del != 0" in complexes.validate(serialize.complex_from_json(data))
+    # that escaped run_manifest, or toric_code wrote a code.  The loader
+    # refuses them by the simplicial identities, which imply del del = 0
+    for data, n in _del_del_mutants():
+        assert del_del_nonzero(_faces(data), n)[0] == 0
+        why = _refused(data)
+        assert why.startswith(f"{n}-simplex 0: d_")
         serialize.write("bad.json", data)
-        why = f"{where}: del del != 0, not a chain complex"
         for step in (["homology", "basis", "bad.json", "--dim", "1"], ["cup", "form", "bad.json"],
                      ["code", "build", "bad.json", "--type", "toric:3", "--out", "c.json"]):
             serialize.write("one.manifest.json", {"steps": [step]})
             assert run_manifest("one.manifest.json") == (
                 1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
         assert not os.path.exists("c.json")
+
+
+def _swap_faces(data, dim: int, k: int, i: int, j: int) -> None:
+    """Swap faces i and j of the k-th simplex of dimension dim."""
+    fs = [e for e in data["simplices"] if e["dim"] == dim][k]["faces"]
+    fs[i], fs[j] = fs[j], fs[i]
+
+
+def _open_a1(data) -> None:
+    """Add to the named cycle a1 the first edge that is not a loop."""
+    edges = [e["faces"] for e in data["simplices"] if e["dim"] == 1]
+    cells = data["cycles"]["a1"]["cells"]
+    cells.append(next(i for i, (u, v) in enumerate(edges) if u != v and i not in cells))
+    cells.sort()
+
+
+# Complex files that pass the index checks and used to give wrong results with
+# no error: (preset, edit, start of the loader's message).
+REPRODUCTIONS = [
+    # cup form wrote unit_triples [] where it should be [[0, 1, 2]]
+    ("t3", lambda d: _swap_faces(d, 3, 0, 0, 3), "3-simplex 0: d_"),
+    # gate check printed PASS, gate action 7 logical gates where there are 6 CCZs
+    ("t3", lambda d: _swap_faces(d, 3, 2, 0, 2), "3-simplex 2: d_"),
+    # code build --type toric:1 wrote a code whose logical Z 0 had an X-syndrome
+    ("product:2,2", _open_a1, "cycle 'a1': not closed, del z != 0"),
+]
+
+
+@pytest.mark.parametrize("preset,edit,start", REPRODUCTIONS)
+def test_face_order_and_open_cycles_are_refused_on_load(workdir, preset, edit, start):
+    assert main(["complex", "build", "--preset", preset, "--out", "k.json"]) == 0
+    data = _corrupt(serialize.read("k.json"), edit)
+    assert not any(del_del_nonzero(_faces(data), n) for n in range(2, 4))  # order-blind
+    why = _refused(data)
+    assert why.startswith(start)
+    serialize.write("bad.json", data)
+    for step in (["cup", "form", "bad.json", "--out", "out.json"],
+                 ["gate", "ccz", "bad.json", "--out", "out.json"],
+                 ["code", "build", "bad.json", "--type", "toric:1", "--out", "out.json"],
+                 ["code", "build", "bad.json", "--type", "toric:3", "--out", "out.json"],
+                 ["code", "build", "bad.json", "--type", "color", "--out", "out.json"]):
+        serialize.write("one.manifest.json", {"steps": [step]})
+        assert run_manifest("one.manifest.json") == (
+            1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
+        assert not os.path.exists("out.json")
+    assert main(["complex", "validate", "bad.json", "--out", "v.json"]) == 1
+    assert serialize.read("v.json") == {"valid": False, "violations": [why]}
+
+
+BAD_MANIFESTS = [
+    # each used to escape the tricode command as a traceback, or, for a
+    # steps object, to run its key as a command
+    ([["complex", "build"]], "a manifest file must hold a JSON object, not list"),
+    ({"steps": [5]}, "manifest step 5 is not a list of str or int tokens"),
+    ({"steps": {"a": 1}}, "'steps' must be a list, not dict"),
+    ({"steps": [["report", 1.5]]}, "manifest step ['report', 1.5] is not a list of str or int tokens"),
+    ({"expect": ["x"]}, "manifest expect entry 'x' is not an object with a 'value'"),
+    ({"expect": [{"file": "b.json", "path": "betti"}]},
+     "manifest expect entry {'file': 'b.json', 'path': 'betti'} is not an object with a 'value'"),
+    ({"expect": [{"file": "b.json", "path": "betti", "value": 1, "tol": "a"}]},
+     "'tol' must be a number, not str"),
+    ({"expect": [{"file": "b.json", "path": "betti", "value": 1, "tol": True}]},
+     "'tol' must be a number, not bool"),
+    ({"expect": [{"file": 3, "path": "betti", "value": 1}]}, "'file' must be a string, not int"),
+    ({"expect": [{"file": "b.json", "path": ["betti"], "value": 1}]}, "'path' must be a string, not list"),
+    ({"expect": [{"file": "b.json", "path": "betti", "value": 1, "provenance": 7}]},
+     "'provenance' must be a string, not int"),
+]
+
+
+@pytest.mark.parametrize("manifest,why", BAD_MANIFESTS)
+def test_malformed_manifests_print_one_error_line(workdir, capsys, manifest, why):
+    serialize.write("m.json", manifest)
+    assert console_main(["run-manifest", "m.json"]) == 1
+    assert capsys.readouterr() == ("", f"error: {why}\n")
+
+
+def test_manifest_int_tokens_and_mistyped_paths(workdir):
+    # int tokens used to break the step line with a TypeError; a path through
+    # a number and a tolerance against a list used to raise TypeError too
+    assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
+    serialize.write("m.json", {
+        "steps": [["homology", "betti", "t3.json", "--dim", 1, "--out", "b.json"]],
+        "expect": [{"file": "b.json", "path": "betti.x", "value": 3},
+                   {"file": "b.json", "path": "betti.#", "value": 3},
+                   {"file": "b.json", "path": "dim", "value": 1.2, "tol": 0.5},
+                   {"file": "b.json", "path": "dim", "value": [1], "tol": 0.5}]})
+    assert run_manifest("m.json") == (1, [
+        "step 0 ok: homology betti t3.json --dim 1 --out b.json",
+        "FAIL b.json:betti.x: path not found",
+        "FAIL b.json:betti.#: path not found",
+        "PASS b.json:dim = 1 (expected 1.2) []",
+        "FAIL b.json:dim = 1 (expected [1]) []"])
+
+
+def test_report_checks_thurston_files(workdir, capsys):
+    # a null nu used to escape run_manifest as a TypeError
+    why = "a thurston file needs a number 'nu' and a number or null 'stretch'"
+    for data, msg in [({"nu": None}, why), ({"nu": True}, why), ({"nu": "1"}, why),
+                      ({"nu": 1.0, "stretch": "2"}, why), ({"nu": 1.0, "stretch": False}, why),
+                      (["nu"], "a report file must hold a JSON object, not list")]:
+        serialize.write("th.json", data)
+        serialize.write("one.manifest.json", {"steps": [["report", "th.json"]]})
+        assert run_manifest("one.manifest.json") == (
+            1, [f"step 0 failed (ValueError: {msg}): report th.json"]), data
+    serialize.write("th.json", {"nu": 0.5, "stretch": None})
+    assert main(["report", "th.json"]) == 0
+    assert capsys.readouterr().out == "nu~0.5000 stretch~nan pA=no\n"
 
 
 def test_console_script_prints_an_error_line_not_a_traceback(workdir):

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from tricode import homology
@@ -18,7 +21,7 @@ from tricode.complexes import (
     validate_automorphism,
 )
 
-from conftest import single_triangle, tetrahedron_boundary
+from conftest import del_del_nonzero, single_triangle, tetrahedron_boundary
 
 
 def count_cube_paths():
@@ -131,21 +134,78 @@ def test_euler_characteristic_matches_betti():
         assert chi_cells == chi_betti
 
 
+def edited(K: DeltaComplex, n: int, s: int, faces) -> list:
+    """K's face lists with the n-simplex s given the faces ``faces``."""
+    face = [list(f) for f in K.face]
+    face[n][s] = tuple(faces)
+    return face
+
+
 def test_validator_detects_range_violation(t3):
-    face = [list(map(list, f)) for f in t3.face]
-    face[2][0][1] = 99
-    bad = validate(DeltaComplex([[() for _ in face[0]]] + [[tuple(r) for r in f] for f in face[1:]]))
-    assert any("out of range" in b for b in bad)
-    assert len(bad) == 1
+    # the complex is refused when it is constructed, before any pass reads it
+    face = edited(t3, 2, 0, (t3.face[2][0][0], 99, t3.face[2][0][2]))
+    with pytest.raises(ValueError, match=r"^2-simplex 0: face 1 index 99 out of range$"):
+        DeltaComplex(face)
 
 
 def test_validator_detects_identity_violation(t3):
-    face = [list(map(list, f)) for f in t3.face]
-    # swap two faces of one tetrahedron: breaks d_i d_j = d_{j-1} d_i
-    face[3][0][0], face[3][0][1] = face[3][0][1], face[3][0][0]
-    K = DeltaComplex([[() for _ in face[0]]] + [[tuple(r) for r in f] for f in face[1:]])
-    bad = validate(K)
-    assert any("d_" in b and "simplex 0" in b for b in bad)
+    # swap two faces of one tetrahedron: breaks d_i d_j = d_{j-1} d_i, and the
+    # construction refuses it with the first three violations
+    f0, f1, f2, f3 = t3.face[3][0]
+    with pytest.raises(ValueError, match=r"^3-simplex 0: d_\d d_\d != d_\d d_\d; "
+                                         r".*; and \d+ more$") as err:
+        DeltaComplex(edited(t3, 3, 0, (f1, f0, f2, f3)))
+    assert str(err.value).count("3-simplex 0: d_") == 3
+
+
+def test_named_cycles_must_be_closed(t3):
+    with pytest.raises(ValueError, match=r"^cycle 'axb': not closed, del z != 0$"):
+        DeltaComplex(t3.face, t3.labels, {**t3.cycles, "axb": (2, (0,))})
+    with pytest.raises(ValueError, match=r"^cycle 'a': cell index out of range$"):
+        DeltaComplex(t3.face, t3.labels, {"a": (1, (7,))})
+    K = DeltaComplex(t3.face, t3.labels, {**t3.cycles, "axb+axc": (2, (0, 1, 3, 6))})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        K.cycles = {}
+
+
+RANDOM_EDIT_COMPLEXES = {
+    "T3": build_torus3,
+    "Sigma_2": lambda: build_sigma_g(2),
+    "sigma-rot:2": lambda: build_sigma_g_rotsym(2),
+    "T2 x S1, 2 layers": lambda: product_with_circle(build_sigma_g(1), 2),
+    "sd(triangle)": lambda: barycentric_subdivide(single_triangle()).complex,
+    "S2": tetrahedron_boundary,
+}
+
+
+def test_identities_imply_del_del_zero_under_random_face_edits():
+    # whenever a face-edited complex is accepted, the order-blind oracle finds
+    # del del = 0; the identities also refuse some edits the oracle misses
+    outcomes = set()
+    for name, build in RANDOM_EDIT_COMPLEXES.items():
+        K, rng = build(), random.Random(name)
+        for _ in range(300):
+            face = [list(f) for f in K.face]
+            for _ in range(rng.choice((1, 1, 2))):
+                n = rng.randrange(1, K.dims + 1)
+                s = rng.randrange(len(face[n]))
+                fs = list(face[n][s])
+                if rng.random() < 0.5:
+                    fs[rng.randrange(n + 1)] = rng.randrange(len(face[n - 1]))
+                else:
+                    i, j = rng.sample(range(n + 1), 2)
+                    fs[i], fs[j] = fs[j], fs[i]
+                face[n][s] = tuple(fs)
+            del_del = any(del_del_nonzero(face, n) for n in range(2, K.dims + 1))
+            try:
+                DeltaComplex(face)
+            except ValueError as exc:
+                assert " d_" in str(exc), name
+                outcomes.add(("refused", del_del))
+            else:
+                assert not del_del, name
+                outcomes.add(("accepted", False))
+    assert outcomes == {("refused", True), ("refused", False), ("accepted", False)}
 
 
 def test_subdivide_single_triangle():
@@ -157,8 +217,9 @@ def test_subdivide_single_triangle():
 def test_subdivide_t3_flags(t3):
     sub = barycentric_subdivide(t3)
     assert sub.complex.n_cells(3) == 6 * 24
-    # a vertex of sd(T^3) is the barycentre of a cell of each dimension
-    assert {fl[0][0] for fl in sub.cell_chain[0]} == {0, 1, 2, 3}
+    # a vertex of sd(T^3) is the barycentre of a cell of T^3, by dimension
+    assert [sub.complex.labels[(0, i)] for i in range(26)] == [
+        f"bary:{t3.label(d, s)}" for d in range(4) for s in range(t3.n_cells(d))]
 
 
 def test_subdivide_preserves_betti(t3, sigma2):
@@ -222,7 +283,7 @@ def test_cyclic_cover_triple():
 
 def test_cyclic_cover_rejects_non_cocycle():
     S2 = build_sigma_g(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cochain is not a cocycle mod 3: 2-simplex \d+: d_"):
         cyclic_cover(S2, {0: 1}, 3)  # a single edge (a1) is not a mod-3 cocycle here
 
 

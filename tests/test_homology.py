@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import random
 import sys
 
@@ -289,15 +289,19 @@ def test_dual_2cycle_labels_ambiguous_and_undefined(t3):
     from tricode.codes import toric_code
     from tricode.hypergraph import form_from_cup
 
-    K = copy.deepcopy(t3)
-    axb, axc = (set(K.cycles[nm][1]) for nm in ("axb", "axc"))
-    K.cycles["axb+axc"] = (2, tuple(sorted(axb ^ axc)))  # pairs with both b and c
+    axb, axc = (set(t3.cycles[nm][1]) for nm in ("axb", "axc"))
+    # pairs with both b and c
+    K = dataclasses.replace(t3, cycles={**t3.cycles, "axb+axc": (2, tuple(sorted(axb ^ axc)))})
     _, cycles, _ = homology.logical_basis(K, 1)
     assert homology.dual_2cycle_labels(K, cycles) == ["bxc", None, None]
     assert toric_code(K, 1).logical_labels() == [("a", 1), ("b", 1), ("c", 1)]
     assert form_from_cup(K).labels == ["bxc", "dual(b)", "dual(c)"]
-    K.cycles["axb+axc"] = (2, (0,))  # not a cycle: no dual, so no labels
-    assert homology.dual_2cycle_labels(K, cycles) == [None, None, None]
+    with pytest.raises(ValueError, match="not closed"):  # a named cycle must be a cycle
+        dataclasses.replace(t3, cycles={**t3.cycles, "axb+axc": (2, (0,))})
+    # T^3 without its first tetrahedron: the named 2-cycles have no Poincare
+    # duals, so no labels
+    K = dataclasses.replace(t3, face=t3.face[:3] + [t3.face[3][1:]])
+    assert homology.dual_2cycle_labels(K, homology.logical_basis(K, 1)[1]) == [None, None, None]
 
 
 def test_named_basis_returns_dual_cocycles(t3):
@@ -306,11 +310,10 @@ def test_named_basis_returns_dual_cocycles(t3):
     assert not any(homology.boundary_matrix(t3, 2).transpose().matvec(c) for c in cocycles)
     assert [[dot(c, z) for c in cocycles] for z in cycles] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     # too few named cycles, or named cycles that are not a basis: the canonical basis
-    K = copy.deepcopy(t3)
-    del K.cycles["c"]
+    K = dataclasses.replace(t3, cycles={nm: z for nm, z in t3.cycles.items() if nm != "c"})
     hb = homology.homology_basis(K, 1)
     assert homology.logical_basis(K, 1) == (None, hb.cycles, hb.cocycles)
-    K.cycles["c"] = K.cycles["b"]
+    K = dataclasses.replace(t3, cycles={**t3.cycles, "c": t3.cycles["b"]})
     assert homology.logical_basis(K, 1) == (None, hb.cycles, hb.cocycles)
 
 

@@ -20,12 +20,13 @@ import itertools
 import random
 import sys
 import time
+from typing import NamedTuple
 
 import pytest
 
 from tricode import complexes, gates
 from tricode.codes import CssCode, color_code
-from tricode.complexes import _Builder, Subdivision, barycentric_subdivide, orientation_signs
+from tricode.complexes import _Builder, barycentric_subdivide, orientation_signs
 from tricode.gates import (DiagonalCircuit, PhasePolynomial, _kernel_generators,
                            _pull_back_linear, check_logical_gate, extract_logical_action,
                            pull_back, transversal_t)
@@ -107,7 +108,15 @@ def gauss_jordan_invert(rows: list[int], n: int) -> list[int] | None:
     return inv
 
 
-def builder_subdivide(K: complexes.DeltaComplex) -> Subdivision:
+class FlagSubdivision(NamedTuple):
+    complex: complexes.DeltaComplex
+    # per dimension, per simplex: the chain of original cells of the flag
+    cell_chain: list[list[tuple]]
+    # per dimension, per simplex: the chain of vertex-position subsets
+    subset_chain: list[list[tuple[frozenset, ...]]]
+
+
+def builder_subdivide(K: complexes.DeltaComplex) -> FlagSubdivision:
     dims = K.dims
     b = _Builder(dims)
 
@@ -153,7 +162,7 @@ def builder_subdivide(K: complexes.DeltaComplex) -> Subdivision:
                         b.add(0, key)
                     else:
                         b.add(n, key, tuple(face_key(p, s, chain, i) for i in range(n + 1)))
-    sd = b.freeze()
+    sd = b.freeze({(0, i): f"bary:{K.label(p, s)}" for (p, s, _), i in b.index[0].items()})
     cell_chain = [[] for _ in range(dims + 1)]
     subset_chain = [[] for _ in range(dims + 1)]
     for n in range(dims + 1):
@@ -162,10 +171,7 @@ def builder_subdivide(K: complexes.DeltaComplex) -> Subdivision:
         for (p, s, chain), i in b.index[n].items():
             cell_chain[n][i] = tuple(K.iterated_face(p, s, tuple(sorted(A))) for A in chain)
             subset_chain[n][i] = chain
-    for i, fl in enumerate(cell_chain[0]):
-        d, idx = fl[0]
-        sd.labels[(0, i)] = f"bary:{K.label(d, idx)}"
-    return Subdivision(sd, cell_chain, subset_chain)
+    return FlagSubdivision(sd, cell_chain, subset_chain)
 
 
 # -- kernels on random matrices ----------------------------------------------------
@@ -314,13 +320,9 @@ SUBDIVIDED = {
 @pytest.mark.parametrize("name", list(SUBDIVIDED))
 def test_subdivision_matches_builder_reference(name):
     K = SUBDIVIDED[name]()
-    got, want = barycentric_subdivide(K), builder_subdivide(K)
-    assert got.complex.face == want.complex.face
-    assert got.complex.labels == want.complex.labels
-    assert got.complex.cycles == want.complex.cycles == {}
-    assert got.cell_chain == want.cell_chain
-    assert got.subset_chain == want.subset_chain
-    assert complexes.validate(got.complex) == []
+    got, want = barycentric_subdivide(K).complex, builder_subdivide(K).complex
+    assert got == want
+    assert got.cycles == {}
 
 
 # -- the degree-1 pullback --------------------------------------------------------
@@ -452,7 +454,7 @@ def walked_checks(K: complexes.DeltaComplex) -> tuple[BitMatrix, BitMatrix]:
     return BitMatrix(len(vert_rows), n, vert_rows), BitMatrix(len(edge_rows), n, edge_rows)
 
 
-def flag_permutation(sub: Subdivision, n: int, s: int) -> tuple[int, ...]:
+def flag_permutation(sub: FlagSubdivision, n: int, s: int) -> tuple[int, ...]:
     """Insertion order of vertex positions along a full flag."""
     chain = sub.subset_chain[n][s]
     prev: frozenset = frozenset()
@@ -466,7 +468,7 @@ def flag_permutation(sub: Subdivision, n: int, s: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def flag_sign(sub: Subdivision, n: int, s: int) -> int:
+def flag_sign(sub: FlagSubdivision, n: int, s: int) -> int:
     """Parity (+1/-1) of the permutation ordering the flag's cell chain."""
     perm = flag_permutation(sub, n, s)
     inversions = sum(
@@ -495,7 +497,7 @@ def test_color_code_logicals_and_signs_match_references(name):
     assert code.logical_z == lz
     assert code.logical_x == dual_basis(lx, lz)
     assert quotient_bases(hx.rows, hz.rows, code.n) == (lx, lz)
-    sub, eps = barycentric_subdivide(K), orientation_signs(K)
+    sub, eps = builder_subdivide(K), orientation_signs(K)
     assert code.meta["signs"] == [flag_sign(sub, 3, s) * eps[sub.cell_chain[3][s][-1][1]]
                                   for s in range(code.n)]
 
