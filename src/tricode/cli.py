@@ -55,19 +55,26 @@ def _build_preset(preset: str, twist_file: str | None):
         if not twist_file:
             raise SystemExit("--twist FILE is required for the mapping-torus preset")
         spec = serialize.read(twist_file)
-        layers = spec.get("layers", 1)
+        serialize._check_object(spec, "twist spec")
+        field = functools.partial(serialize._field, spec)
+        layers = field("layers", int, 1)
         if "base_file" in spec:
-            base = _load_complex(spec["base_file"])
+            base = _load_complex(field("base_file", str))
         else:
-            base = _build_preset(spec["base_preset"], None)
-        kind = spec.get("kind", "identity")
+            base = _build_preset(field("base_preset", str), None)
+        kind = field("kind", str, "identity")
         if kind == "identity":
             phi = complexes.SimplicialAutomorphism.identity(base)
         elif kind == "rotation":
-            g = int(spec["base_preset"].split(":")[1])
-            phi = complexes.rotation_automorphism(base, g, spec.get("handles", 1))
+            name, _, g = field("base_preset", str).partition(":")
+            if name != "sigma-rot":
+                raise ValueError("a rotation twist needs a sigma-rot:g base_preset")
+            phi = complexes.rotation_automorphism(base, int(g), field("handles", int, 1))
         elif kind == "perm":
-            phi = complexes.SimplicialAutomorphism([list(p) for p in spec["perm"]])
+            perm = field("perm", list)
+            if any(type(p) is not list or any(type(s) is not int for s in p) for p in perm):
+                raise ValueError("'perm' must be a list of per-dimension lists of ints")
+            phi = complexes.SimplicialAutomorphism(perm)
         else:
             raise SystemExit(f"unknown twist kind {kind!r}")
         return complexes.mapping_torus(base, phi, layers)
@@ -89,13 +96,9 @@ def cmd_complex(args) -> int:
         _emit(args, {"valid": True, "violations": [], "counts": K.counts,
                      "closed": complexes.is_closed(K)}, "well-formed")
         return 0
-    K = _load_complex(args.file)
-    if args.action == "subdivide":
-        sub = complexes.barycentric_subdivide(K)
-        _emit(args, serialize.complex_to_json(sub.complex),
-              f"subdivision counts {sub.complex.counts}")
-        return 0
-    raise SystemExit(f"unknown complex action {args.action!r}")
+    sub = complexes.barycentric_subdivide(_load_complex(args.file))  # subdivide
+    _emit(args, serialize.complex_to_json(sub.complex), f"subdivision counts {sub.complex.counts}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +114,19 @@ def cmd_homology(args) -> int:
             _emit(args, {"dim": args.dim, "betti": b}, f"b_{args.dim} = {b}")
         else:
             bs = homology.betti_all(K)
-            _emit(args, {"betti": list(bs)}, "betti: " + " ".join(map(str, bs)))
+            _emit(args, {"betti": bs}, "betti: " + " ".join(map(str, bs)))
         return 0
-    if args.action == "basis":
-        if args.dim is None:
-            raise SystemExit("homology basis needs --dim N")
-        hb = homology.homology_basis(K, args.dim)
-        obj = {
-            "dim": args.dim,
-            "cycles": [support(z) for z in hb.cycles],
-            "cocycles": [support(c) for c in hb.cocycles],
-            "pairing": "identity",
-        }
-        _emit(args, obj, f"rank {hb.rank} basis with identity pairing")
-        return 0
-    raise SystemExit(f"unknown homology action {args.action!r}")
+    if args.dim is None:  # basis
+        raise SystemExit("homology basis needs --dim N")
+    hb = homology.homology_basis(K, args.dim)
+    obj = {
+        "dim": args.dim,
+        "cycles": [support(z) for z in hb.cycles],
+        "cocycles": [support(c) for c in hb.cocycles],
+        "pairing": "identity",
+    }
+    _emit(args, obj, f"rank {hb.rank} basis with identity pairing")
+    return 0
 
 
 def cmd_snf(args) -> int:
@@ -149,22 +150,18 @@ def cmd_cup(args) -> int:
         v = cup.triple_cup_integral(K, basis[i], basis[j], basis[k])
         _emit(args, {"cocycles": [i, j, k], "integral": v}, f"integral = {v}")
         return 0
-    if args.action == "form":
-        if K.dims == 2:
-            M = cup.surface_intersection_form(K)
-            _emit(args, {"intersection_form": M},
-                  "\n".join(" ".join(map(str, row)) for row in M))
-            return 0
-        form = hypergraph.form_from_cup(K)
-        obj = {
-            "labels": form.labels,
-            "coeffs": {",".join(map(str, sorted(t))): v
-                       for t, v in form.coefficients.items()},
-            "unit_triples": [list(t) for t in form.known_unit_triples()],
-        }
-        _emit(args, obj, f"labels {form.labels}; unit triples {form.known_unit_triples()}")
+    if K.dims == 2:  # form
+        M = cup.surface_intersection_form(K)
+        _emit(args, {"intersection_form": M}, "\n".join(" ".join(map(str, row)) for row in M))
         return 0
-    raise SystemExit(f"unknown cup action {args.action!r}")
+    form = hypergraph.form_from_cup(K)
+    obj = {
+        "labels": form.labels,
+        "coeffs": {",".join(map(str, sorted(t))): v for t, v in form.coefficients.items()},
+        "unit_triples": form.known_unit_triples(),
+    }
+    _emit(args, obj, f"labels {form.labels}; unit triples {form.known_unit_triples()}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +181,11 @@ def cmd_code(args) -> int:
             raise SystemExit(f"unknown code type {args.type!r}")
         _emit(args, serialize.code_to_json(code), f"n={code.n} k={code.k}")
         return 0
-    if args.action == "distance":
-        code = serialize.code_from_json(serialize.read(args.file))
-        res = codes.distance(code, args.method, budget=args.budget, sector=args.sector)
-        obj = {"dx": res.dx, "dz": res.dz, "flag": res.flagged(), "note": res.note}
-        _emit(args, obj, f"d_x={res.dx} d_z={res.dz} [{res.flagged()}]")
-        return 0
-    raise SystemExit(f"unknown code action {args.action!r}")
+    code = serialize.code_from_json(serialize.read(args.file))  # distance
+    res = codes.distance(code, args.method, budget=args.budget, sector=args.sector)
+    obj = {"dx": res.dx, "dz": res.dz, "flag": res.flagged(), "note": res.note}
+    _emit(args, obj, f"d_x={res.dx} d_z={res.dz} [{res.flagged()}]")
+    return 0
 
 
 def cmd_gate(args) -> int:
@@ -227,23 +222,20 @@ def cmd_gate(args) -> int:
         _emit(args, obj, f"{chk.status} ({chk.mode}) {chk.detail}".rstrip())
         return 0 if chk.passed else 1
     if args.action == "action":
-        act = gates.extract_logical_action(circ, code)
-        gl = [[k, [list(q) if isinstance(q, tuple) else q for q in qs]] for k, qs in act.gate_list()]
-        _emit(args, {"k": act.k, "gates": gl},
-              "\n".join(f"{k} {qs}" for k, qs in act.gate_list()) or "identity")
+        gl = gates.extract_logical_action(circ, code).gate_list()
+        _emit(args, {"k": code.k, "gates": gl}, "\n".join(f"{k} {qs}" for k, qs in gl) or "identity")
         return 0
-    if args.action == "simulate":
-        plus = list(range(code.k)) if args.plus == "all" else [int(t) for t in args.plus.split(",") if t]
-        fixed = int(args.fixed, 2) if args.fixed else 0
-        if any(not 0 <= j < code.k for j in plus):
-            raise SystemExit(f"--plus {args.plus}: logical qubits must lie in 0..{code.k - 1} (k = {code.k})")
-        if fixed >> code.k:  # also catches a sign
-            raise SystemExit(f"--fixed {args.fixed}: needs a binary string of at most k = {code.k} digits")
-        state = gates.coset_simulate(circ, code, plus, fixed).normalized()
-        obj = {"phases": {str(v): p for v, p in sorted(state.phases.items())}}
-        _emit(args, obj, f"{len(state.phases)} basis strings")
-        return 0
-    raise SystemExit(f"unknown gate action {args.action!r}")
+    # simulate
+    plus = list(range(code.k)) if args.plus == "all" else [int(t) for t in args.plus.split(",") if t]
+    fixed = int(args.fixed, 2) if args.fixed else 0
+    if any(not 0 <= j < code.k for j in plus):
+        raise SystemExit(f"--plus {args.plus}: logical qubits must lie in 0..{code.k - 1} (k = {code.k})")
+    if fixed >> code.k:  # also catches a sign
+        raise SystemExit(f"--fixed {args.fixed}: needs a binary string of at most k = {code.k} digits")
+    state = gates.coset_simulate(circ, code, plus, fixed).normalized()
+    obj = {"phases": {str(v): p for v, p in sorted(state.phases.items())}}
+    _emit(args, obj, f"{len(state.phases)} basis strings")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +258,13 @@ def cmd_mcg(args) -> int:
         _emit(args, serialize.matrix_to_json(M), "\n".join(" ".join(map(str, r)) for r in M))
         return 0
     if args.action == "torus-homology":
-        M = serialize.matrix_from_json(serialize.read(args.matrix))
-        if args.coeff.lower() == "z":
-            h = mcg.mapping_torus_homology(M, "Z")
+        h = mcg.mapping_torus_homology(serialize.matrix_from_json(serialize.read(args.matrix)),
+                                       args.coeff)
+        if isinstance(h, int):  # Z2: the first Betti number
+            _emit(args, {"b1_mod2": h}, f"b_1(Z2) = {h}")
+        else:
             _emit(args, {"free_rank": h.free_rank, "torsion": h.torsion,
                          "snf": h.snf_diagonal}, f"H_1 = {h.describe()}")
-        else:
-            b1 = mcg.mapping_torus_homology(M, "Z2")
-            _emit(args, {"b1_mod2": b1}, f"b_1(Z2) = {b1}")
         return 0
     if args.action == "thurston":
         N = serialize.matrix_from_json(serialize.read(args.n))
@@ -293,22 +284,16 @@ def cmd_mcg(args) -> int:
         )
         _emit(args, obj, text)
         return 0
-    if args.action == "thickened":
-        act = mcg.twist_sequence_action(args.sequence.split(), args.genus)
-        labs = act.labels()
-        obj = {
-            "labels": labs,
-            "matrix_columns": [support(c) for c in act.matrix],
-            "cnots": [list(c) for c in act.cnots],
-        }
-        moved = [
-            f"{labs[j]} -> " + " + ".join(labs[i] for i in support(act.matrix[j]))
-            for j in range(len(labs))
-            if act.matrix[j] != 1 << j
-        ]
-        _emit(args, obj, "\n".join(moved) if moved else "identity on the membrane basis")
-        return 0
-    raise SystemExit(f"unknown mcg action {args.action!r}")
+    act = mcg.twist_sequence_action(args.sequence.split(), args.genus)  # thickened
+    labs = act.labels()
+    obj = {"labels": labs, "matrix_columns": [support(c) for c in act.matrix], "cnots": act.cnots}
+    moved = [
+        f"{labs[j]} -> " + " + ".join(labs[i] for i in support(act.matrix[j]))
+        for j in range(len(labs))
+        if act.matrix[j] != 1 << j
+    ]
+    _emit(args, obj, "\n".join(moved) if moved else "identity on the membrane basis")
+    return 0
 
 
 def _load_form(path: str) -> mcg.TripleForm:
@@ -349,17 +334,14 @@ def cmd_hypergraph(args) -> int:
             text += f", kappa={kappa}"
         _emit(args, obj, text)
         return 0
-    if args.action == "degrees":
-        h = serialize.hypergraph_from_json(serialize.read(args.file))
-        rep = hypergraph.degree_report(h)
-        obj = {
-            "histogram": {str(k): v for k, v in sorted(rep.histogram.items())},
-            "max_degree": rep.max_degree,
-            "star_like": rep.star_like,
-        }
-        _emit(args, obj, rep.text())
-        return 0
-    raise SystemExit(f"unknown hypergraph action {args.action!r}")
+    rep = hypergraph.degree_report(serialize.hypergraph_from_json(serialize.read(args.file)))
+    obj = {  # degrees
+        "histogram": {str(k): v for k, v in sorted(rep.histogram.items())},
+        "max_degree": rep.max_degree,
+        "star_like": rep.star_like,
+    }
+    _emit(args, obj, rep.text())
+    return 0
 
 
 def cmd_sullivan(args) -> int:
@@ -370,17 +352,15 @@ def cmd_sullivan(args) -> int:
             "tau": res.tau,
             "m": res.m,
             "fixes_kernel": res.fixes_kernel_lattice(),
-            "predicted_unit_triples": [list(t) for t in res.predicted_form.known_unit_triples()],
+            "predicted_unit_triples": res.predicted_form.known_unit_triples(),
         }
         _emit(args, obj, f"tau is {2 * res.m}x{2 * res.m}; "
                          f"{len(res.predicted_form.known_unit_triples())} unit triples")
         return 0
-    if args.action == "roundtrip":
-        rep = sullivan.roundtrip_check(mu)
-        _emit(args, {"passed": rep.passed, "failures": rep.failures},
-              "PASS" if rep.passed else "FAIL:\n" + "\n".join(rep.failures))
-        return 0 if rep.passed else 1
-    raise SystemExit(f"unknown sullivan action {args.action!r}")
+    rep = sullivan.roundtrip_check(mu)  # roundtrip
+    _emit(args, {"passed": rep.passed, "failures": rep.failures},
+          "PASS" if rep.passed else "FAIL:\n" + "\n".join(rep.failures))
+    return 0 if rep.passed else 1
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,6 @@ class CssCode:
     def k(self) -> int:
         return len(self.logical_x)
 
-    def css_condition(self) -> bool:
-        return self.hx.matmul(self.hz.transpose()).is_zero()
-
     def logical_labels(self) -> list:
         return self.meta.get("labels", list(range(self.k)))
 
@@ -43,7 +40,8 @@ def toric_code(K: DeltaComplex, copies: int = 1) -> CssCode:
     1-cocycles.  The builder's named cycles are used as the basis whenever
     they span H_1, in which case each logical qubit is labelled by the named
     2-cycle dual to its Z-string (recovered via poincare_duals).  The CSS
-    condition is del_1 del_2 = 0, which ``homology.logical_basis`` checks.
+    condition is del_1 del_2 = 0, which every complex meets from its
+    construction on.
     """
     if not 1 <= copies <= 3:
         raise ValueError("copies must be 1..3")
@@ -93,6 +91,13 @@ def color_code(K: DeltaComplex) -> CssCode:
     across neighbouring tetrahedra), so adjacent flags get opposite signs.
     Both logical bases are picked by ``gf2.quotient_bases``, with no full
     kernel.
+
+    The CSS condition holds without a check.  ``orientation_signs`` passes
+    only when every triangle of K lies in exactly two tetrahedra, so every
+    subdivision triangle lies in exactly two flags.  The flags through a
+    subdivision edge then form cycles alternating between its two missing
+    dimensions, an even number of them, and a subdivision vertex off the
+    edge meets it in two flags per triangle they span.
     """
     if K.dims != 3:
         raise ValueError("color_code needs a 3-complex")
@@ -129,11 +134,7 @@ def color_code(K: DeltaComplex) -> CssCode:
         "labels": [(f"c{i}", 0) for i in range(len(lz))],
         "qubit": [("flag", s) for s in range(n)],
     }
-    code = CssCode(n, hx, hz, lx, lz, meta)
-    if not code.css_condition():
-        raise ValueError("CSS condition fails: a vertex and an edge of the subdivision "
-                         "share an odd number of flags")
-    return code
+    return CssCode(n, hx, hz, lx, lz, meta)
 
 
 @functools.cache

@@ -379,12 +379,12 @@ def extract_logical_action(circuit: DiagonalCircuit, code: CssCode,
     qubits (labels from the code metadata).
 
     It is read off the code-space check's Z_8 pullback (``checked``, the
-    result of ``check_logical_gate`` for this circuit and code, is run when
-    it is missing or carries no pullback), so the cost follows the overlaps
-    of the generators, not 2^k.  Requires a passing check and every logical
-    X string in ker hz.
+    result of ``check_logical_gate`` for this circuit and code, is run only
+    when it is missing), so the cost follows the overlaps of the generators,
+    not 2^k.  Requires a passing check and every logical X string in ker hz:
+    a passing check carries no pullback exactly when one is outside.
     """
-    if checked is None or checked.passed and checked.logical is None:
+    if checked is None:
         checked = check_logical_gate(circuit, code)
     if not checked.passed:
         raise ValueError(f"not a logical gate: {checked.status} ({checked.detail})")

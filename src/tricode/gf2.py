@@ -78,26 +78,6 @@ class BitMatrix:
                 out |= 1 << i
         return out
 
-    def matmul(self, other: "BitMatrix") -> "BitMatrix":
-        """Row i of the product is the XOR of the rows of ``other`` picked out
-        by the set bits of row i, so the work follows the bits of self."""
-        if self.ncols != other.nrows:
-            raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} "
-                             f"by {other.nrows}x{other.ncols}")
-        orows = other.rows
-        rows = []
-        for r in self.rows:
-            if r >> self.ncols:
-                raise ValueError(f"row has a bit at or above column {self.ncols}")
-            acc = 0
-            for j in support(r):
-                acc ^= orows[j]
-            rows.append(acc)
-        return BitMatrix(self.nrows, other.ncols, rows)
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
-
     def rank(self) -> int:
         return len(echelon(self.rows))
 

@@ -112,22 +112,20 @@ def logical_basis(K: DeltaComplex, n: int) -> tuple[list[str] | None, list[int],
     return None, hb.cycles, hb.cocycles
 
 
-def poincare_duals(K: DeltaComplex, zs: list[int], q: int | None = None,
+def poincare_duals(K: DeltaComplex, zs: list[int],
                    beta_basis: list[int] | None = None) -> list[int]:
-    """For each q-cycle z in zs on a closed d-complex, a (d-q)-cocycle c with
-    integral(c cup beta) = beta(z) for every q-cocycle basis element beta
-    (d = 3, q = 2: membrane -> 1-cocycle; d = 2, q = 1: curve -> 1-cocycle).
+    """For each q-cycle z in zs on a closed d-complex, q = d - 1, a 1-cocycle
+    c with integral(c cup beta) = beta(z) for every q-cocycle basis element
+    beta (d = 3: membrane -> 1-cocycle; d = 2: curve -> 1-cocycle).
 
     Solved as one GF(2) system with c constrained to the cocycle condition:
     it is built once and each cycle contributes one right-hand-side bit per
     row, above the cochain columns.  Each result is unique up to coboundary.
     Raises if some z has no solution (non-cycle input or a complex without
     GF(2) Poincare duality)."""
-    d = K.dims
-    if q is None:
-        q = d - 1
-    p = d - q
-    if p < 0 or q < 0:
+    d, p = K.dims, 1
+    q = d - p
+    if q < 0:
         raise ValueError("bad degrees")
     del_q = boundary_matrix(K, q)
     if any(del_q.matvec(z) for z in zs):

@@ -10,11 +10,12 @@ thickened-Dehn-twist logical CNOT actions on product 3-manifolds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 from .snf import IntMatrix, identity, matmul, smith_normal_form
-from .gf2 import echelon, vec_from_support, dot
+from .gf2 import BitMatrix, echelon, vec_from_support, dot
 
 
 def symplectic_form(g: int) -> IntMatrix:
@@ -53,10 +54,8 @@ def dehn_twist_matrix(curve: list[int], g: int) -> IntMatrix:
     return M
 
 
-def humphries_curve(name: str, g: int = 2) -> list[int]:
+def humphries_curve(name: str) -> list[int]:
     """H_1 classes of the five genus-2 Humphries twist curves t_1..t_5."""
-    if g != 2:
-        raise ValueError("the Humphries regression anchors are genus 2")
     a1 = [1, 0, 0, 0]
     a2 = [0, 1, 0, 0]
     b1 = [0, 0, 1, 0]
@@ -129,44 +128,35 @@ def mapping_torus_homology(fhat: IntMatrix, coeff: str = "Z") -> MappingTorusHom
     (fhat - Id) mod 2.  ValueError unless fhat is a nonempty square matrix.
     """
     n, _ = _shape(fhat, "the mapping class matrix", square=True)
-    delta = [[fhat[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     if coeff.upper() == "Z":
+        delta = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(fhat)]
         res = smith_normal_form(delta)
         zero = sum(1 for d in res.diagonal if d == 0) + (n - len(res.diagonal))
         torsion = [d for d in res.diagonal if d > 1]
         return MappingTorusHomology(1 + zero, torsion, res.diagonal)
     if coeff.upper() in ("Z2", "GF2"):
-        rows = [vec_from_support(j for j in range(n) if delta[i][j] % 2) for i in range(n)]
-        rank = len(echelon(rows))
-        return 1 + (n - rank)
+        return 1 + n - len(echelon(_minus_identity_gf2(fhat)))
     raise ValueError("coeff must be Z or Z2")
+
+
+def _minus_identity_gf2(fhat: IntMatrix) -> list[int]:
+    """The rows of (fhat - Id) mod 2, packed."""
+    return [vec_from_support(j for j, x in enumerate(row) if (x - (i == j)) % 2)
+            for i, row in enumerate(fhat)]
 
 
 def invariant_subspace_gf2(fhat: IntMatrix) -> list[int]:
     """Basis of ker(fhat - Id) over GF(2): the classes that extend over the
     mapping torus."""
     n = len(fhat)
-    rows = []
-    for i in range(n):
-        rows.append(vec_from_support(j for j in range(n) if (fhat[i][j] - (1 if i == j else 0)) % 2))
-    from .gf2 import BitMatrix
-
-    return BitMatrix(n, n, rows).nullspace()
-
-
-def intersection_form_gf2(g: int) -> list[int]:
-    """Rows of the mod-2 intersection matrix in the (a, b) basis."""
-    J = symplectic_form(g)
-    return [vec_from_support(j for j in range(2 * g) if J[i][j] % 2) for i in range(2 * g)]
+    return BitMatrix(n, n, _minus_identity_gf2(fhat)).nullspace()
 
 
 def gf2_pairing(u: int, v: int, g: int) -> int:
-    J = intersection_form_gf2(g)
-    total = 0
-    for i in range(2 * g):
-        if (u >> i) & 1:
-            total ^= dot(J[i], v)
-    return total
+    """The mod-2 intersection number of two classes in the (a, b) basis: the
+    form pairs a_i with b_i, so it is the overlap of u with v's halves swapped."""
+    half = (1 << g) - 1
+    return dot(u, (v >> g & half) | (v & half) << g)
 
 
 UNKNOWN = "UNKNOWN-ALGEBRAIC"
@@ -203,20 +193,13 @@ def torelli_triple_form(fhat: IntMatrix, g: int) -> TripleForm:
         for j in range(i + 1, len(inv)):
             val = gf2_pairing(inv[i], inv[j], g)
             form.coefficients[frozenset({0, i + 1, j + 1})] = val
-    for t in _triples(1, len(inv) + 1):
+    for t in itertools.combinations(range(1, len(inv) + 1), 3):
         form.coefficients[frozenset(t)] = UNKNOWN
     return form
 
 
-def _triples(lo: int, hi: int):
-    import itertools
-
-    return itertools.combinations(range(lo, hi), 3)
-
-
 def is_torelli_gf2(fhat: IntMatrix) -> bool:
-    n = len(fhat)
-    return all((fhat[i][j] - (1 if i == j else 0)) % 2 == 0 for i in range(n) for j in range(n))
+    return not any(_minus_identity_gf2(fhat))
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +229,24 @@ def _is_irreducible(M: list[list[float]]) -> bool:
     return all(len(r) == n for r in reach)
 
 
-def perron_eigenvalue(M: list[list[float]], tol: float = 1e-14, iters: int = 100000) -> float:
+_PERRON_TOL, _PERRON_ITERS = 1e-14, 100000
+
+
+def perron_eigenvalue(M: list[list[float]]) -> float:
     """Largest eigenvalue of a nonnegative irreducible matrix by power
-    iteration with Rayleigh quotients."""
+    iteration with Rayleigh quotients, to relative tolerance _PERRON_TOL
+    within _PERRON_ITERS steps."""
     n = len(M)
     v = [1.0] * n
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(_PERRON_ITERS):
         w = [sum(M[i][j] * v[j] for j in range(n)) for i in range(n)]
         norm = math.sqrt(sum(x * x for x in w))
         if norm == 0:
             return 0.0
         w = [x / norm for x in w]
         new_lam = sum(w[i] * sum(M[i][j] * w[j] for j in range(n)) for i in range(n))
-        if abs(new_lam - lam) < tol * max(1.0, abs(new_lam)):
+        if abs(new_lam - lam) < _PERRON_TOL * max(1.0, abs(new_lam)):
             return new_lam
         lam, v = new_lam, w
     return lam

@@ -44,7 +44,7 @@ def read(path: str):
         return json.load(fh)
 
 
-_JSON_TYPE = {list: "a list", dict: "an object", str: "a string"}
+_JSON_TYPE = {list: "a list", dict: "an object", str: "a string", int: "an int"}
 
 
 def _field(data: dict, key: str, kind: type, default=None):
@@ -75,16 +75,14 @@ def complex_to_json(K: DeltaComplex) -> dict:
     simplices = []
     for n in range(K.dims + 1):
         for s in range(K.n_cells(n)):
-            entry: dict = {"dim": n, "faces": list(K.face[n][s])}
+            entry: dict = {"dim": n, "faces": K.face[n][s]}
             lab = K.labels.get((n, s))
             if lab is not None:
                 entry["label"] = lab
             simplices.append(entry)
     out = {"dims": K.dims, "simplices": simplices}
     if K.cycles:
-        out["cycles"] = {
-            nm: {"dim": d, "cells": list(cells)} for nm, (d, cells) in K.cycles.items()
-        }
+        out["cycles"] = {nm: {"dim": d, "cells": cells} for nm, (d, cells) in K.cycles.items()}
     return out
 
 
@@ -153,13 +151,8 @@ def cochain_from_json(data: dict, K: DeltaComplex) -> tuple[int, int]:
 
 
 def code_to_json(code: CssCode) -> dict:
-    extra = {}
-    for key in ("kind", "copies", "edges", "labels", "signs"):
-        if key in code.meta:
-            val = code.meta[key]
-            if key == "labels":
-                val = [list(v) if isinstance(v, tuple) else v for v in val]
-            extra[key] = val
+    extra = {key: code.meta[key] for key in ("kind", "copies", "edges", "labels", "signs")
+             if key in code.meta}
     return {
         "format": 2,
         "n": code.n,
@@ -167,7 +160,7 @@ def code_to_json(code: CssCode) -> dict:
         "hz": [support(r) for r in code.hz.rows],
         "logical_x": [support(v) for v in code.logical_x],
         "logical_z": [support(v) for v in code.logical_z],
-        "meta": [list(q) for q in code.meta.get("qubit", [])],
+        "meta": code.meta.get("qubit", []),
         "extra": extra,
     }
 
@@ -209,7 +202,16 @@ def code_from_json(data: dict) -> CssCode:
         raise ValueError("logical_x and logical_z differ in length")
     _check_supports("logical_x", lx, n)
     _check_supports("logical_z", lz, n)
+    lx, lz = [vec_from_support(s) for s in lx], [vec_from_support(s) for s in lz]
     qubits = _field(data, "meta", list, [])
+    # n must be backed by the content (a meta entry, a qubit index, or the n
+    # entries of a dense row), else distance and check would size their work
+    # by a number that the file does not hold
+    dense = fmt == 1 and hx.nrows + hz.nrows > 0
+    backed = n if dense else max([len(qubits)] + [v.bit_length() for v in hx.rows + hz.rows + lx + lz])
+    if n > backed:
+        raise ValueError(f"code n {n} exceeds the {backed} qubits that its meta, rows and "
+                         "logicals name")
     meta = {"qubit": [tuple(q) for q in qubits if type(q) is list]}
     if len(meta["qubit"]) != len(qubits):
         raise ValueError("'meta' must be a list of per-qubit lists")
@@ -220,7 +222,7 @@ def code_from_json(data: dict) -> CssCode:
         elif key == "signs":
             _check_signs(_field(extra, key, list), n)
         meta[key] = val
-    return CssCode(n, hx, hz, [vec_from_support(s) for s in lx], [vec_from_support(s) for s in lz], meta)
+    return CssCode(n, hx, hz, lx, lz, meta)
 
 
 def _check_signs(signs: list, n: int) -> None:
@@ -236,7 +238,7 @@ def _check_signs(signs: list, n: int) -> None:
 
 
 def circuit_to_json(circ: DiagonalCircuit) -> dict:
-    return {"n": circ.n, "gates": [[k, list(q)] for k, q in circ.gates]}
+    return {"n": circ.n, "gates": circ.gates}
 
 
 def circuit_from_json(data: dict) -> DiagonalCircuit:
@@ -254,13 +256,9 @@ def circuit_from_json(data: dict) -> DiagonalCircuit:
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:
-    out = {
-        "kind": h.kind,
-        "vertices": [list(v) if isinstance(v, tuple) else v for v in h.vertices],
-        "hyperedges": [[list(v) if isinstance(v, tuple) else v for v in e] for e in h.hyperedges],
-    }
+    out = {"kind": h.kind, "vertices": h.vertices, "hyperedges": h.hyperedges}
     if h.unknown_triples:
-        out["unknown"] = [[list(v) if isinstance(v, tuple) else v for v in e] for e in h.unknown_triples]
+        out["unknown"] = h.unknown_triples
     return out
 
 

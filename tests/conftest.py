@@ -9,7 +9,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from tricode import complexes, homology
 from tricode.cup import Cochain, cup
 from tricode.gates import PhasePolynomial
-from tricode.gf2 import BitMatrix, echelon, support
+from tricode.gf2 import echelon, support
 from tricode.mcg import ThickenedTwistAction
 
 
@@ -119,17 +119,36 @@ def chain_spaces(K, n: int) -> tuple[list[int], list[int], list[int], list[int]]
     return kernel_from_rref(*down, c), up[0], kernel_from_rref(*up, c), down[0]
 
 
+def gf2_product(a_rows: list[int], b_rows: list[int]) -> list[int]:
+    """A B^T over GF(2) as packed rows: bit j of row i is the parity of the
+    overlap of a_i and b_j, counted qubit by qubit, so only pairs that share
+    a qubit are visited.  The package has no product of its own."""
+    at: dict[int, list[int]] = {}  # qubit -> the rows of B on it
+    for j, b in enumerate(b_rows):
+        for q in support(b):
+            at.setdefault(q, []).append(j)
+    out = []
+    for a in a_rows:
+        odd = 0
+        for q in support(a):
+            for j in at.get(q, ()):
+                odd ^= 1 << j
+        out.append(odd)
+    return out
+
+
 def check_logicals(code) -> list[str]:
-    """Violations of the logical-operator conditions of a CSS code: each
-    logical commutes with the other type's stabilizers, the logicals pair to
-    the identity and k = n - rank hx - rank hz."""
-    lx, lz = (BitMatrix(code.k, code.n, rows) for rows in (code.logical_x, code.logical_z))
+    """Violations of the conditions of a CSS code and its logical operators:
+    hx hz^T = 0, each logical commutes with the other type's stabilizers, the
+    logicals pair to the identity and k = n - rank hx - rank hz."""
     bad = []
-    if not code.hz.matmul(lx.transpose()).is_zero():
+    if any(gf2_product(code.hx.rows, code.hz.rows)):
+        bad.append("an X stabilizer anticommutes with a Z stabilizer")
+    if any(gf2_product(code.hz.rows, code.logical_x)):
         bad.append("a logical X anticommutes with a Z stabilizer")
-    if not code.hx.matmul(lz.transpose()).is_zero():
+    if any(gf2_product(code.hx.rows, code.logical_z)):
         bad.append("a logical Z anticommutes with an X stabilizer")
-    if lx.matmul(lz.transpose()).rows != [1 << i for i in range(code.k)]:
+    if gf2_product(code.logical_x, code.logical_z) != [1 << i for i in range(code.k)]:
         bad.append("the logicals do not pair to the identity")
     if code.n - code.hx.rank() - code.hz.rank() != code.k:
         bad.append("k differs from n - rank hx - rank hz")

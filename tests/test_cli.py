@@ -58,6 +58,27 @@ def test_mapping_torus_preset(workdir):
     assert serialize.read("b.json")["betti"] == [1, 3, 3, 1]
 
 
+@pytest.mark.parametrize("spec, why", [
+    ([{"base_preset": "sigma-rot:2"}], "a twist spec file must hold a JSON object, not list"),
+    ({"base_preset": "sigma-rot:2", "layers": "2"}, "'layers' must be an int, not str"),
+    ({"base_preset": 5}, "'base_preset' must be a string, not int"),
+    ({"base_preset": "sigma-rot:2", "kind": "perm", "perm": 5}, "'perm' must be a list, not int"),
+    ({"base_preset": "sigma-rot:2", "kind": "rotation", "handles": "x"},
+     "'handles' must be an int, not str"),
+    ({"base_preset": "sigma-rot:2", "kind": "perm", "perm": [[0], 5]},
+     "'perm' must be a list of per-dimension lists of ints"),
+    ({"base_preset": "t3", "kind": "rotation"}, "a rotation twist needs a sigma-rot:g base_preset"),
+], ids=["list", "layers", "base_preset", "perm", "handles", "perm entry", "rotation base"])
+def test_twist_specs_are_checked(workdir, spec, why):
+    # each of these used to escape run_manifest as a traceback
+    serialize.write("bad.json", spec)
+    step = ["complex", "build", "--preset", "mapping-torus", "--twist", "bad.json", "--out", "mt.json"]
+    serialize.write("one.manifest.json", {"steps": [step]})
+    assert run_manifest("one.manifest.json") == (
+        1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"])
+    assert not os.path.exists("mt.json")
+
+
 def test_validate_catches_corruption(workdir):
     main(["complex", "build", "--preset", "t3", "--out", "t3.json"])
     data = serialize.read("t3.json")
@@ -705,7 +726,7 @@ def _del_del_mutants():
     t3 = complexes.build_torus3()
     sd = complexes.barycentric_subdivide(t3).complex
     for K, n in ((t3, 3), (sd, 2)):
-        data = serialize.complex_to_json(K)
+        data = json.loads(serialize.dumps(serialize.complex_to_json(K)))  # as a file reads
         simplex = _first(data, n)
         simplex["faces"][0] = (simplex["faces"][0] + 1) % K.n_cells(n - 1)
         yield data, n
@@ -865,3 +886,47 @@ def test_console_script_prints_an_error_line_not_a_traceback(workdir):
     proc = subprocess.run([sys.executable, "-m", "tricode.cli", "homology", "betti", "s.json"],
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "betti: 1 4 1\n", "")
+
+
+def test_torus_homology_coeff_is_checked(workdir):
+    # --coeff q used to print b_1(Z2) and exit 0
+    serialize.write("m.json", serialize.matrix_to_json([[int(i == j) for j in range(4)] for i in range(4)]))
+    step = ["mcg", "torus-homology", "--matrix", "m.json", "--coeff", "q"]
+    serialize.write("one.manifest.json", {"steps": [step]})
+    assert run_manifest("one.manifest.json") == (
+        1, [f"step 0 failed (ValueError: coeff must be Z or Z2): {' '.join(step)}"])
+    for coeff, key in (("z", "free_rank"), ("Z", "free_rank"), ("z2", "b1_mod2"), ("Z2", "b1_mod2")):
+        assert main(["mcg", "torus-homology", "--matrix", "m.json", "--coeff", coeff,
+                     "--out", "h.json"]) == 0
+        assert serialize.read("h.json")[key] == 5, coeff
+
+
+HUGE_N = """
+import resource, sys
+cap = 1 << 30  # far below the 8 GB of one list of n = 10**9 entries
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from tricode.cli import run_manifest
+print(run_manifest(sys.argv[1]))
+"""
+
+
+def test_code_n_is_bounded_by_the_file(workdir):
+    # n = 10**9 used to run report out of memory in the n-sized transposes;
+    # each step runs in a child process under an address-space cap
+    main(["complex", "build", "--preset", "t3", "--out", "t3.json"])
+    main(["code", "build", "t3.json", "--type", "toric:1", "--out", "c.json"])
+    data = serialize.read("c.json")
+    assert data["n"] == 7
+    serialize.write("huge.json", {**data, "n": 10 ** 9, "meta": []})
+    serialize.write("circ.json", {"n": 10 ** 9, "gates": [["Z", [0]]]})
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    why = "ValueError: code n 1000000000 exceeds the 7 qubits that its meta, rows and logicals name"
+    for step in (["report", "huge.json"], ["gate", "check", "circ.json", "huge.json"]):
+        serialize.write("one.manifest.json", {"steps": [step]})
+        proc = subprocess.run([sys.executable, "-c", HUGE_N, "one.manifest.json"],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        line = f"step 0 failed ({why}): {' '.join(step)}"
+        assert proc.stdout == f"{(1, [line])}\n", proc.stderr
+    # the file's own n still loads, with or without its meta
+    for meta in (data["meta"], []):
+        assert serialize.code_from_json({**data, "meta": meta}).n == 7

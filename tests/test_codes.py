@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -30,6 +31,7 @@ from tricode.gf2 import BitMatrix, dot, extend_basis, popcount, vec_from_support
 from tricode.hypergraph import base_hypergraph, form_from_cup, lift_full, magic_state_complexity
 
 from conftest import chain_spaces, check_logicals, tetrahedron_boundary
+from test_kernels import COLOR_COMPLEXES, SUBDIVIDED  # T3, sd(T3), the T3 L=2 cover, ...
 
 
 def brute_force_min_logical(code: CssCode, sector: str) -> int | None:
@@ -51,7 +53,6 @@ def brute_force_min_logical(code: CssCode, sector: str) -> int | None:
 def test_toric_t3_one_copy(t3):
     code = toric_code(t3, 1)
     assert (code.n, code.k) == (7, 3)
-    assert code.css_condition()
     assert check_logicals(code) == []
     assert code.k == homology.betti(t3, 1)
 
@@ -128,10 +129,36 @@ def test_sigma8_circle_2_layers_rung():
 def test_color_code_t3(t3):
     code = color_code(t3)
     assert (code.n, code.k) == (144, 9)
-    assert code.css_condition()
     assert check_logicals(code) == []
     signs = code.meta["signs"]
     assert signs.count(1) == signs.count(-1) == 72
+
+
+def _rotation_torus(g: int):
+    base = build_sigma_g_rotsym(g)
+    return mapping_torus(base, rotation_automorphism(base, g, 1), 1)
+
+
+COLOR_CORPUS = {
+    **{name: SUBDIVIDED[name] for name in COLOR_COMPLEXES},
+    **{f"Sigma_{g} x S1, {layers} layers": lambda g=g, layers=layers: product_with_circle(
+        build_sigma_g(g), layers) for g in (1, 2, 3) for layers in (1, 2, 3)},
+    **{f"sigma-rot:{g} rotation torus": lambda g=g: _rotation_torus(g) for g in (2, 3)},
+    "sd(Sigma_2 x S1)": lambda: barycentric_subdivide(
+        product_with_circle(build_sigma_g(2), 1)).complex,
+}
+
+
+@pytest.mark.parametrize("name", list(COLOR_CORPUS))
+def test_color_code_is_css_on_every_complex(name):
+    # color_code checks no CSS condition: the orientation check implies it
+    assert check_logicals(color_code(COLOR_CORPUS[name]())) == []
+
+
+def test_color_code_refuses_a_complex_with_boundary(t3):
+    K = dataclasses.replace(t3, face=t3.face[:3] + [t3.face[3][1:]])  # one tetrahedron gone
+    with pytest.raises(ValueError, match="complex is not orientable: no flag bipartition"):
+        color_code(K)
 
 
 def test_color_equals_three_toric(t3, s2xs1):
@@ -407,8 +434,7 @@ def test_code_json_roundtrip(t3):
     from tricode import serialize
 
     code = toric_code(t3, 3)
-    data = serialize.code_to_json(code)
-    back = serialize.code_from_json(data)
+    back = serialize.code_from_json(json.loads(serialize.dumps(serialize.code_to_json(code))))
     assert back.n == code.n and back.k == code.k
     assert back.hx.rows == code.hx.rows and back.hz.rows == code.hz.rows
     assert back.logical_x == code.logical_x
@@ -421,7 +447,7 @@ def dense_code_json(code: CssCode) -> dict:
     rows of n 0/1 entries; everything else as in format 2."""
     from tricode import serialize
 
-    data = serialize.code_to_json(code)
+    data = json.loads(serialize.dumps(serialize.code_to_json(code)))
     del data["format"]
     for name in ("hx", "hz"):
         data[name] = [[(r >> j) & 1 for j in range(code.n)] for r in getattr(code, name).rows]
@@ -442,7 +468,7 @@ def test_code_loader_rejects_bad_shapes(t3):
          "logical_x row 0 is not an increasing list of qubits in 0..6"),
         ({"logical_z": dense["logical_z"][:2] + [[-1]]}, "logical_z row 2 is not an increasing"),
     ]
-    good = serialize.code_to_json(code)
+    good = json.loads(serialize.dumps(serialize.code_to_json(code)))
     assert good["format"] == 2 and good["hz"][0] == [0, 1, 3]
     sparse_cases = [
         ({"hz": good["hz"][:1] + [good["hz"][1] + [n]]}, "hz row 1 is not an increasing list"),

@@ -462,11 +462,8 @@ def random_small_css(rng) -> CssCode | None:
     if not null:
         return None
     rng.shuffle(null)
-    hz_rows = null[: rng.randint(1, max(1, len(null) - 1))]
-    hz = BitMatrix(len(hz_rows), n, hz_rows)
-    if not hx.matmul(hz.transpose()).is_zero():
-        return None
-    return CssCode(n, hx, hz, [], [], {})
+    hz_rows = null[: rng.randint(1, max(1, len(null) - 1))]  # null vectors of hx: hx hz^T = 0
+    return CssCode(n, hx, BitMatrix(len(hz_rows), n, hz_rows), [], [], {})
 
 
 def test_criterion_soundness_on_random_codes():

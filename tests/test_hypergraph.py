@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -133,7 +134,7 @@ def test_hypergraph_json_roundtrip(t3):
     from tricode import serialize
 
     h = lift_full(base_hypergraph(form_from_cup(t3)))
-    back = serialize.hypergraph_from_json(serialize.hypergraph_to_json(h))
+    back = serialize.hypergraph_from_json(json.loads(serialize.dumps(serialize.hypergraph_to_json(h))))
     assert back.kind == h.kind
     assert back.vertices == h.vertices
     assert back.hyperedges == h.hyperedges

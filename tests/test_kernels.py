@@ -1,7 +1,6 @@
 """The sparse GF(2) kernels, the arithmetic barycentric subdivision and the
 color code's flag incidences against the dense routes they replaced.
 
-``dense_matmul`` runs a dot product for every (row, column) pair,
 ``dense_nullspace`` reads every column of every RREF row, ``scan_extend_basis``
 reduces each candidate by every basis row, ``gauss_jordan_invert`` sweeps
 pivot columns with row swaps, and ``builder_subdivide`` keys every flag by
@@ -30,27 +29,15 @@ from tricode.complexes import _Builder, barycentric_subdivide, orientation_signs
 from tricode.gates import (DiagonalCircuit, PhasePolynomial, _kernel_generators,
                            _pull_back_linear, check_logical_gate, extract_logical_action,
                            pull_back, transversal_t)
-from tricode.gf2 import (BitMatrix, dot, dual_basis, echelon, extend_basis, invert,
+from tricode.gf2 import (BitMatrix, dual_basis, echelon, extend_basis, invert,
                          kernel_completion, null_vectors, quotient_bases, remainder, top_pivots,
                          vec_from_support)
 
-from conftest import kernel_from_rref, row_reduce
+from conftest import gf2_product, kernel_from_rref, row_reduce
 from test_local_check import random_circuit, random_code, t3_cover
 
 
 # -- references ------------------------------------------------------------------
-
-
-def dense_matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    bt = b.transpose()
-    rows = []
-    for r in a.rows:
-        acc = 0
-        for j, c in enumerate(bt.rows):
-            if dot(r, c):
-                acc |= 1 << j
-        rows.append(acc)
-    return BitMatrix(a.nrows, b.ncols, rows)
 
 
 def dense_nullspace(m: BitMatrix) -> list[int]:
@@ -205,26 +192,6 @@ def matrices(seed: int):
             yield random_matrix(rng, r, c, kind)
 
 
-def test_matmul_matches_dense_reference():
-    rng = random.Random(1)
-    count = 0
-    for a in matrices(2):
-        for inner in (0, 1, 9, 33):
-            b = random_matrix(rng, a.ncols, inner, rng.choice(ANY_SHAPE))
-            assert a.matmul(b) == dense_matmul(a, b)
-            count += 1
-    assert count > 400
-
-
-def test_matmul_errors():
-    a, b = BitMatrix(2, 3, [0b101, 0b011]), BitMatrix(4, 2, [1, 2, 3, 0])
-    with pytest.raises(ValueError, match="cannot multiply 2x3 by 4x2"):
-        a.matmul(b)
-    wide = BitMatrix(2, 3, [0b101, 0b1000])  # row 1 has bit 3 of a 3-column matrix
-    with pytest.raises(ValueError, match="bit at or above column 3"):
-        wide.matmul(BitMatrix(3, 2, [1, 2, 3]))
-
-
 def test_nullspace_matches_dense_reference():
     for m in matrices(3):
         ker = m.nullspace()
@@ -289,7 +256,8 @@ def test_invert_matches_gauss_jordan_reference():
         assert got == gauss_jordan_invert(rows, n)
         seen.add(got is None)
         if got is not None:
-            assert BitMatrix(n, n, rows).matmul(BitMatrix(n, n, got)).rows == [1 << i for i in range(n)]
+            cols = BitMatrix(n, n, got).transpose().rows
+            assert gf2_product(rows, cols) == [1 << i for i in range(n)]
     assert seen == {True, False}
 
 

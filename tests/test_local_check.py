@@ -14,12 +14,11 @@ import time
 
 import pytest
 
-from tricode import complexes, homology
+from tricode import complexes, gates, homology
 from tricode.codes import CssCode, color_code, systole_bfs, toric_code
 from tricode.gates import (
     GATE_COEFF,
     DiagonalCircuit,
-    GateCheck,
     PhasePolynomial,
     _kernel_generators,
     _logical_poly,
@@ -419,12 +418,35 @@ def test_action_is_the_logical_part_of_the_check_pullback(t2xs1_2layers):
         chk = check_logical_gate(circ, c)
         f = PhasePolynomial.from_circuit(circ)
         assert extract_logical_action(circ, c, chk).poly.coeffs == logical_phase(f, c.logical_x).coeffs
-    # a check result without the pullback is run again, so it cannot vouch
-    # for a circuit that is not logical
-    assert extract_logical_action(ccz_circuit(K), code, GateCheck("PASS", "pullback")).poly.coeffs \
-        == extract_logical_action(ccz_circuit(K), code).poly.coeffs
+    dropped = drop(ccz_circuit(K), 0)
     with pytest.raises(ValueError, match="not a logical gate: FAIL"):
-        extract_logical_action(drop(ccz_circuit(K), 0), code, GateCheck("PASS", "pullback"))
+        extract_logical_action(dropped, code, check_logical_gate(dropped, code))
+
+
+def test_action_runs_the_check_only_when_none_is_given(t2xs1_2layers, monkeypatch):
+    # a passing check without the pullback is trusted: the check is
+    # deterministic, so running it again would give no pullback either
+    K = t2xs1_2layers
+    code = toric_code(K, 3)
+    lx = list(code.logical_x)
+    lx[0] ^= 1 << 0  # the bent code of test_logical_outside_ker_hz
+    bent = CssCode(code.n, code.hx, code.hz, lx, code.logical_z, {})
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_logical_gate(*args)
+
+    monkeypatch.setattr(gates, "check_logical_gate", counted)
+    circ = ccz_circuit(K)
+    chk = gates.check_logical_gate(circ, bent)
+    assert chk.passed and chk.logical is None
+    with pytest.raises(ValueError, match="logical X 0 has a Z-syndrome"):
+        extract_logical_action(circ, bent, chk)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="logical X 0 has a Z-syndrome"):
+        extract_logical_action(circ, bent)
+    assert len(calls) == 2
 
 
 def test_non_css_code_raises():

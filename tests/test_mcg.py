@@ -22,6 +22,7 @@ from tricode.mcg import (
     is_symplectic,
     is_torelli_gf2,
     mapping_torus_homology,
+    sym_pairing,
     thickened_dehn_twist_action,
     thurston,
     torelli_triple_form,
@@ -285,8 +286,8 @@ def test_commuting_diagram_triple_cover():
     assert len(row_reduce(lifted_classes)[0]) == 4  # transfer is iso onto I
 
     # mod-2 intersection numbers: the Poincare dual of one cycle on the other
-    pd_cover = homology.poincare_duals(cover, lifted, 1)
-    pd_base = homology.poincare_duals(base, base_hb.cycles, 1)
+    pd_cover = homology.poincare_duals(cover, lifted)
+    pd_base = homology.poincare_duals(base, base_hb.cycles)
     for i in range(4):
         for j in range(4):
             assert dot(pd_cover[j], lifted[i]) == dot(pd_base[j], base_hb.cycles[i])
@@ -294,6 +295,15 @@ def test_commuting_diagram_triple_cover():
     # homology of the twisted mapping torus matches rank(I) + 1
     M = mapping_torus(cover, deck, 1)
     assert homology.betti(M, 1) == len(inv_space) + 1
+
+
+def test_gf2_pairing_is_the_symplectic_form_mod_2():
+    rng = random.Random(5)
+    for g in range(1, 5):
+        for _ in range(100):
+            u, v = rng.getrandbits(2 * g), rng.getrandbits(2 * g)
+            x, y = ([(w >> i) & 1 for i in range(2 * g)] for w in (u, v))
+            assert gf2_pairing(u, v, g) == sym_pairing(x, y, g) % 2
 
 
 def test_invariant_subspace_matches_complex_level():
