@@ -403,15 +403,11 @@ def cmd_report(args) -> int:
 
 
 def _dig(obj, path: str):
-    cur = obj
     for part in path.split("."):
         if part == "#":
-            return len(cur)
-        if isinstance(cur, list):
-            cur = cur[int(part)]
-        else:
-            cur = cur[part]
-    return cur
+            return len(obj)
+        obj = obj[int(part)] if isinstance(obj, list) else obj[part]
+    return obj
 
 
 def _read_manifest(path: str) -> tuple[list[list[str]], list[dict]]:
@@ -461,7 +457,6 @@ def run_manifest(path: str) -> tuple[int, list[str]]:
     failures = 0
     for exp in expects:
         fname = exp["file"]
-        tag = exp.get("provenance", "")
         if not os.path.exists(fname):
             lines.append(f"FAIL {fname}: missing file")
             failures += 1
@@ -472,13 +467,11 @@ def run_manifest(path: str) -> tuple[int, list[str]]:
             lines.append(f"FAIL {fname}:{exp['path']}: path not found")
             failures += 1
             continue
-        want = exp["value"]
-        tol = exp.get("tol", 0)
+        want, tol = exp["value"], exp.get("tol", 0)
         ok = abs(got - want) <= tol if tol and _is_number(want) and _is_number(got) else got == want
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        lines.append(f"{status} {fname}:{exp['path']} = {got!r} (expected {want!r}) [{tag}]")
+        failures += not ok
+        lines.append(f"{'PASS' if ok else 'FAIL'} {fname}:{exp['path']} = {got!r} "
+                     f"(expected {want!r}) [{exp.get('provenance', '')}]")
     return (1 if failures else 0), lines
 
 

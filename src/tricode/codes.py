@@ -16,14 +16,47 @@ from .gf2 import BitMatrix, dot, dual_basis, quotient_bases, support, vec_from_s
 from . import homology
 
 
-@dataclass
+@dataclass(frozen=True)
 class CssCode:
+    """A CSS code, checked once, at construction: hx and hz have n columns and
+    no row or logical a qubit at or above n, the logicals come in k pairs,
+    and meta's "labels" (k distinct ints, strs or pairs of them) and "signs"
+    (n entries of +1 or -1) are well-formed when present.
+
+    ``_spans_ker_hz`` is set only by ``toric_code`` and ``color_code``: the
+    code is CSS and logical_x completes span(hx) to ker hz, by construction.
+    A loaded, hand-made or ``dataclasses.replace``d code starts without it.
+    """
     n: int
     hx: BitMatrix
     hz: BitMatrix
     logical_x: list[int]
     logical_z: list[int]
     meta: dict = field(default_factory=dict)
+    _spans_ker_hz: bool = field(init=False, default=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, k, meta = self.n, len(self.logical_x), self.meta
+        if self.hx.ncols != n or self.hz.ncols != n:
+            raise ValueError(f"hx and hz have {self.hx.ncols} and {self.hz.ncols} columns, "
+                             f"not n = {n}")
+        if any(v >> n for v in itertools.chain(self.hx.rows, self.hz.rows, self.logical_x,
+                                               self.logical_z)):
+            raise ValueError(f"a check row or logical has a qubit at or above n = {n}")
+        if len(self.logical_z) != k:
+            raise ValueError("logical_x and logical_z differ in length")
+        labels = meta.get("labels", range(k))
+        named = all(type(v) in (int, str) or type(v) is tuple and len(v) == 2
+                    and all(type(x) in (int, str) for x in v) for v in labels)
+        if len(labels) != k or not named or len(set(labels)) != k:
+            raise ValueError(f"'labels' must be {k} distinct ints, strs or pairs of them, one per "
+                             f"logical qubit ({len(labels)} given)")
+        signs = meta.get("signs", ())
+        if "signs" in meta and len(signs) != n:
+            raise ValueError(f"'signs' has {len(signs)} entries for {n} qubits")
+        bad = next((i for i, s in enumerate(signs) if type(s) is not int or s not in (1, -1)), None)
+        if bad is not None:
+            raise ValueError(f"'signs' entry {bad} is {signs[bad]!r}, not +1 or -1")
 
     @property
     def k(self) -> int:
@@ -54,7 +87,7 @@ def toric_code(K: DeltaComplex, copies: int = 1) -> CssCode:
         labels1 = [f"h{i}" for i in range(len(cycles))]
     else:
         labels1 = homology.dual_2cycle_labels(K, cycles)
-        if None in labels1:
+        if None in labels1 or len(set(labels1)) < len(labels1):
             labels1 = names
 
     n = copies * E
@@ -70,8 +103,10 @@ def toric_code(K: DeltaComplex, copies: int = 1) -> CssCode:
         "labels": labels,
         "qubit": [("edge", e, cpy + 1) for cpy in range(copies) for e in range(E)],
     }
-    return CssCode(n, BitMatrix(len(hx_rows), n, hx_rows),
-                   BitMatrix(len(hz_rows), n, hz_rows), lx, lz, meta)
+    code = CssCode(n, BitMatrix(len(hx_rows), n, hx_rows), BitMatrix(len(hz_rows), n, hz_rows),
+                   lx, lz, meta)
+    object.__setattr__(code, "_spans_ker_hz", True)  # logical_basis: H^1 over im del_0
+    return code
 
 
 def color_code(K: DeltaComplex) -> CssCode:
@@ -134,7 +169,9 @@ def color_code(K: DeltaComplex) -> CssCode:
         "labels": [(f"c{i}", 0) for i in range(len(lz))],
         "qubit": [("flag", s) for s in range(n)],
     }
-    return CssCode(n, hx, hz, lx, lz, meta)
+    code = CssCode(n, hx, hz, lx, lz, meta)
+    object.__setattr__(code, "_spans_ker_hz", True)  # quotient_bases; CSS as above
+    return code
 
 
 @functools.cache
@@ -166,15 +203,26 @@ def _tetrahedron_flags():
 class DistanceResult:
     dx: int | None
     dz: int | None
-    exact: bool
+    exact_x: bool | None  # None: the sector was not searched, or k = 0
+    exact_z: bool | None
     certificate_x: int | None = None
     certificate_z: int | None = None
     note: str = ""
 
+    @property
+    def exact(self) -> bool:
+        return False not in (self.exact_x, self.exact_z)
+
     def flagged(self) -> str:
-        if self.dx is None and self.dz is None:
+        """Per searched sector, "exact" or "budget exceeded" (its d is then
+        None); one word when the sectors agree."""
+        flags = [(s, "exact" if e else "budget exceeded")
+                 for s, e in (("x", self.exact_x), ("z", self.exact_z)) if e is not None]
+        if not flags:
             return "undefined (k = 0)"
-        return "exact" if self.exact else "UPPER BOUND"
+        if len({f for _, f in flags}) == 1:
+            return flags[0][1]
+        return ", ".join(f"d_{s} {f}" for s, f in flags)
 
 
 def _min_weight_logical(commute_rows: list[int], pair_ops: list[int], n: int,
@@ -223,13 +271,13 @@ def distance(code: CssCode, method: str = "exact", budget: int = 1 << 26,
     if method not in ("exact", "bfs"):
         raise ValueError(f"unknown method {method!r}")
     if code.k == 0:
-        return DistanceResult(None, None, True, note="k = 0: distance undefined")
+        return DistanceResult(None, None, None, None, note="k = 0: distance undefined")
     found = {s: _min_weight_logical(checks, pairs, code.n, budget if method == "exact" else None, s)
              for s, checks, pairs in (("z", code.hx.rows, code.logical_x),
                                       ("x", code.hz.rows, code.logical_z)) if sector in ("both", s)}
-    (dz, cz, ez), (dx, cx, ex) = (found.get(s, (None, None, True)) for s in "zx")
-    note = "" if ez and ex else f"budget {budget} exceeded; partial search only"
-    return DistanceResult(dx, dz, ez and ex, cx, cz, note)
+    (dz, cz, ez), (dx, cx, ex) = (found.get(s, (None, None, None)) for s in "zx")
+    note = "" if False not in (ex, ez) else f"budget {budget} exceeded; partial search only"
+    return DistanceResult(dx, dz, ex, ez, cx, cz, note)
 
 
 def _shortest_nontrivial_cycle(V: int, ends, ecls: list[int]) -> tuple[int, int] | None:

@@ -194,17 +194,6 @@ class _Builder:
 # T^3 from the unit cube
 # ---------------------------------------------------------------------------
 
-_T3_NAMES = {
-    frozenset({0}): "a",
-    frozenset({1}): "b",
-    frozenset({2}): "c",
-    frozenset({0, 1}): "ab",
-    frozenset({0, 2}): "ac",
-    frozenset({1, 2}): "bc",
-    frozenset({0, 1, 2}): "abc",
-}
-
-
 def build_torus3() -> DeltaComplex:
     """One-vertex T^3: the ordered unit cube split into 6 tetrahedra, with
     opposite faces identified.
@@ -233,19 +222,13 @@ def build_torus3() -> DeltaComplex:
     paths_by_dim: list[list[tuple]] = [[()], [], [], []]
     for n in (1, 2, 3):
         for steps in itertools.product(subsets, repeat=n):
-            used = set()
-            ok = True
-            for st in steps:
-                if used & st:
-                    ok = False
-                    break
-                used |= st
-            if ok:
-                paths_by_dim[n].append(tuple(steps))
+            if sum(map(len, steps)) == len(frozenset().union(*steps)):  # pairwise disjoint
+                paths_by_dim[n].append(steps)
     for n in (1, 2, 3):
         for path in paths_by_dim[n]:
             b.add(n, path, faces_of_path(path) if n > 1 else ((), ()))
-    labels = {(1, b.idx(1, path)): _T3_NAMES[path[0]] for path in paths_by_dim[1]}
+    labels = {(1, b.idx(1, path)): "".join("abc"[i] for i in sorted(path[0]))
+              for path in paths_by_dim[1]}
     cycles = {name: (1, (b.idx(1, (frozenset({step}),)),))
               for name, step in (("a", 0), ("b", 1), ("c", 2))}
     for name, (i, j) in (("axb", (0, 1)), ("axc", (0, 2)), ("bxc", (1, 2))):
@@ -350,17 +333,10 @@ def rotation_automorphism(K: DeltaComplex, g: int, handles: int = 1) -> Simplici
         j = int(nm[1:])
         return f"{nm[0]}{(j - 1 + handles) % g + 1}"
 
-    by_label: dict[str, int] = {}
-    rev: list[str] = [""] * K.n_cells(1)
-    for s in range(K.n_cells(1)):
-        lab = K.labels.get((1, s))
-        rev[s] = lab if lab else ""
     # reconstruct descriptor names for unlabelled edges (spokes) by position:
     # builder added a/b edges first (2g of them), then spokes R0..R{4g-1}
-    for s in range(K.n_cells(1)):
-        if not rev[s]:
-            rev[s] = f"R{s - 2 * g}"
-        by_label[rev[s]] = s
+    rev = [K.labels.get((1, s)) or f"R{s - 2 * g}" for s in range(K.n_cells(1))]
+    by_label = {nm: s for s, nm in enumerate(rev)}
     perm1 = [by_label[edge_map(rev[s])] for s in range(K.n_cells(1))]
     perm2 = [(s + shift) % n_sides for s in range(K.n_cells(2))]
     phi = SimplicialAutomorphism([list(range(K.n_cells(0))), perm1, perm2])
@@ -582,9 +558,6 @@ def cyclic_cover(K: DeltaComplex, cochain: dict[int, int], m: int) -> tuple[Delt
     """
     b = _Builder(K.dims)
 
-    def front_edge(p: int, s: int) -> int:
-        return K.front(p, s, 1)
-
     def key(p, s, sheet):
         return (p, s, sheet % m)
 
@@ -594,11 +567,9 @@ def cyclic_cover(K: DeltaComplex, cochain: dict[int, int], m: int) -> tuple[Delt
                 if p == 0:
                     b.add(0, key(0, s, sheet))
                     continue
-                shift = cochain.get(front_edge(p, s), 0)
-                fks = []
-                for i, f in enumerate(K.face[p][s]):
-                    fks.append(key(p - 1, f, sheet + shift if i == 0 else sheet))
-                b.add(p, key(p, s, sheet), tuple(fks))
+                shift = cochain.get(K.front(p, s, 1), 0)
+                b.add(p, key(p, s, sheet), tuple(key(p - 1, f, sheet + shift if i == 0 else sheet)
+                                                 for i, f in enumerate(K.face[p][s])))
     labels = {(d, b.idx(d, key(d, s, 0))): f"{lab}~0" for (d, s), lab in K.labels.items()}
     try:
         cover = b.freeze(labels)
@@ -617,11 +588,7 @@ def sheet_projection(K: DeltaComplex, cover: DeltaComplex, m: int) -> list[list[
     Relies on the cover builder's deterministic ordering (base cells cycle
     fastest within each sheet block).
     """
-    proj = []
-    for p in range(K.dims + 1):
-        base = K.n_cells(p)
-        proj.append([i % base for i in range(cover.n_cells(p))])
-    return proj
+    return [[i % K.n_cells(p) for i in range(cover.n_cells(p))] for p in range(K.dims + 1)]
 
 
 def orientation_signs(K: DeltaComplex) -> list[int] | None:
@@ -652,10 +619,7 @@ def orientation_signs(K: DeltaComplex) -> list[int] | None:
                     if sa + sb != 0:
                         return None
                     continue
-                if ta == t:
-                    partner, sp, smine = tb, sb, sa
-                else:
-                    partner, sp, smine = ta, sa, sb
+                partner, sp, smine = (tb, sb, sa) if ta == t else (ta, sa, sb)
                 want = -eps[t] * smine * sp
                 if eps[partner] == 0:
                     eps[partner] = want

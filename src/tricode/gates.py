@@ -286,10 +286,16 @@ def _kernel_generators(code: CssCode) -> tuple[list[int], list[int], bool]:
     (``kernel_completion``: none for a well-formed code).  Returns G, the
     masks and whether every logical X lies in ker hz.  Raises on an
     X-stabilizer row outside ker hz.
+
+    A code built by ``toric_code`` or ``color_code`` skips the CSS and
+    spanning passes: both hold by construction.  Any other code, such as a
+    loaded one, pays them, with one elimination of hz, on every check.
     """
     m = code.hx.nrows
     gens = code.hx.rows + code.logical_x
     masks = BitMatrix(len(gens), code.n, gens).transpose().rows  # per qubit: the generators on it
+    if code._spans_ker_hz:
+        return gens, masks, True
     outside = 0  # generators with odd overlap with some Z-stabilizer row
     for r in code.hz.rows:
         odd = 0
@@ -389,8 +395,9 @@ def extract_logical_action(circuit: DiagonalCircuit, code: CssCode,
     if not checked.passed:
         raise ValueError(f"not a logical gate: {checked.status} ({checked.detail})")
     if checked.logical is None:
-        j = next(j for j, lx in enumerate(code.logical_x) if code.hz.matvec(lx))
-        raise ValueError(f"logical X {j} has a Z-syndrome (not in ker hz)")
+        j = next((j for j, lx in enumerate(code.logical_x) if code.hz.matvec(lx)), None)
+        raise ValueError("the check carries no logical pullback" if j is None
+                         else f"logical X {j} has a Z-syndrome (not in ker hz)")
     return LogicalAction(code.k, code.logical_labels(), _logical_poly(checked.logical, code.k))
 
 

@@ -198,8 +198,6 @@ def code_from_json(data: dict) -> CssCode:
     hx = _matrix_from_json("hx", _field(data, "hx", list), n, fmt)
     hz = _matrix_from_json("hz", _field(data, "hz", list), n, fmt)
     lx, lz = _field(data, "logical_x", list), _field(data, "logical_z", list)
-    if len(lx) != len(lz):
-        raise ValueError("logical_x and logical_z differ in length")
     _check_supports("logical_x", lx, n)
     _check_supports("logical_z", lz, n)
     lx, lz = [vec_from_support(s) for s in lx], [vec_from_support(s) for s in lz]
@@ -217,21 +215,10 @@ def code_from_json(data: dict) -> CssCode:
         raise ValueError("'meta' must be a list of per-qubit lists")
     extra = _field(data, "extra", dict, {})
     for key, val in extra.items():
-        if key == "labels":
-            val = [tuple(v) if isinstance(v, list) else v for v in _field(extra, key, list)]
-        elif key == "signs":
-            _check_signs(_field(extra, key, list), n)
-        meta[key] = val
+        if key in ("labels", "signs"):  # CssCode checks their entries
+            val = _field(extra, key, list)
+        meta[key] = [tuple(v) if isinstance(v, list) else v for v in val] if key == "labels" else val
     return CssCode(n, hx, hz, lx, lz, meta)
-
-
-def _check_signs(signs: list, n: int) -> None:
-    """A color code's flag signs: one int +1 or -1 per qubit."""
-    if len(signs) != n:
-        raise ValueError(f"'signs' has {len(signs)} entries for {n} qubits")
-    bad = next((i for i, s in enumerate(signs) if type(s) is not int or s not in (1, -1)), None)
-    if bad is not None:
-        raise ValueError(f"'signs' entry {bad} is {signs[bad]!r}, not +1 or -1")
 
 
 # -- circuits -----------------------------------------------------------------

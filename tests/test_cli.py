@@ -556,6 +556,77 @@ def test_color_code_signs_are_checked(workdir, edit, why):
     assert not os.path.exists("t2.json")
 
 
+def _t3_cover_files() -> None:
+    """The T^3 L = 3 cover's toric:3 code (n = 567, k = 9, d_z = 3) and its
+    CCZ circuit, as c3.json and ccz.json."""
+    from test_local_check import t3_cover
+
+    from tricode import gates
+
+    K = t3_cover(3)
+    serialize.write("c3.json", serialize.code_to_json(codes.toric_code(K, 3)))
+    serialize.write("ccz.json", serialize.circuit_to_json(gates.ccz_circuit(K)))
+
+
+BAD_LABELS = [
+    # a short list escaped run_manifest as IndexError, and a repeated label
+    # made gate action print CCZ (5, 5, 5) six times and exit 0
+    (lambda labs: labs[:2], 2),
+    (lambda labs: [5] * len(labs), 9),
+    (lambda labs: labs + [["h0", 4]], 10),
+    (lambda labs: labs[:8] + [labs[0]], 9),
+    (lambda labs: labs[:8] + [1.5], 9),
+    (lambda labs: labs[:8] + [True], 9),
+    (lambda labs: labs[:8] + [["h0", 4, 1]], 9),
+    (lambda labs: labs[:8] + [[["h0"], 4]], 9),
+]
+
+
+@pytest.mark.parametrize("edit,given", BAD_LABELS)
+def test_code_labels_are_checked(workdir, edit, given):
+    _t3_cover_files()
+    data = serialize.read("c3.json")
+    data["extra"]["labels"] = edit(data["extra"]["labels"])
+    why = (f"'labels' must be 9 distinct ints, strs or pairs of them, one per logical qubit "
+           f"({given} given)")
+    with pytest.raises(ValueError, match=re.escape(why)):
+        serialize.code_from_json(data)
+    serialize.write("bad.json", data)
+    for step in (["gate", "action", "ccz.json", "bad.json"], ["gate", "check", "ccz.json", "bad.json"]):
+        serialize.write("one.manifest.json", {"steps": [step]})
+        assert run_manifest("one.manifest.json") == (
+            1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
+
+
+def test_distance_is_flagged_per_sector(workdir, capsys):
+    # --sector x used to print [undefined (k = 0)] when its budget ran out,
+    # and --sector both [UPPER BOUND] for an exact d_z
+    from conftest import tetrahedron_boundary
+
+    _t3_cover_files()
+    serialize.write("k0.json", serialize.code_to_json(codes.toric_code(tetrahedron_boundary(), 1)))
+    for args, out in [
+        (["c3.json", "--sector", "x", "--budget", "10"], "d_x=None d_z=None [budget exceeded]"),
+        (["c3.json", "--budget", "10"], "d_x=None d_z=3 [d_x budget exceeded, d_z exact]"),
+        (["c3.json", "--sector", "z"], "d_x=None d_z=3 [exact]"),
+        (["k0.json"], "d_x=None d_z=None [undefined (k = 0)]"),
+        (["k0.json", "--sector", "x"], "d_x=None d_z=None [undefined (k = 0)]"),
+    ]:
+        assert main(["code", "distance", *args]) == 0
+        assert capsys.readouterr().out == out + "\n", args
+    main(["complex", "build", "--preset", "sigma:2", "--out", "s2.json"])
+    main(["code", "build", "s2.json", "--out", "s2c.json"])
+    assert main(["code", "distance", "s2c.json"]) == 0
+    assert capsys.readouterr().out == "d_x=2 d_z=1 [exact]\n"
+    for args, obj in [
+        (["--sector", "z"], {"dx": None, "dz": 3, "flag": "exact", "note": ""}),
+        (["--sector", "x", "--budget", "10"], {"dx": None, "dz": None, "flag": "budget exceeded",
+                                               "note": "budget 10 exceeded; partial search only"}),
+    ]:
+        assert main(["code", "distance", "c3.json", *args, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == obj
+
+
 def _form_inputs():
     """A matrix, a cup-product form, a hypergraph and a Sullivan 3-form file."""
     assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0

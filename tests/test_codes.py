@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -493,6 +494,32 @@ def test_code_loader_rejects_bad_shapes(t3):
             with pytest.raises(ValueError, match=message):
                 serialize.code_from_json({**base, **change})
     assert serialize.code_from_json(dense).k == serialize.code_from_json(good).k == 3
+
+
+def test_code_is_checked_at_construction(t3):
+    # hand-made codes and dataclasses.replace copies are checked as loaded
+    # ones are: the checks live in CssCode, not in the loader
+    code = toric_code(t3, 3)
+    n, k = code.n, code.k
+    wide = BitMatrix(code.hx.nrows, n + 1, code.hx.rows)
+    cases = [
+        (dict(hx=wide), f"hx and hz have {n + 1} and {n} columns, not n = {n}"),
+        (dict(n=n - 1), f"hx and hz have {n} and {n} columns, not n = {n - 1}"),
+        (dict(logical_z=code.logical_z[:-1] + [1 << n]), f"a check row or logical has a qubit "
+                                                          f"at or above n = {n}"),
+        (dict(logical_z=code.logical_z[:-1]), "logical_x and logical_z differ in length"),
+        (dict(meta={"labels": code.logical_labels()[1:]}), f"'labels' must be {k} distinct"),
+        (dict(meta={"labels": [("a", 1)] * k}), f"'labels' must be {k} distinct"),
+        (dict(meta={"labels": [[i] for i in range(k)]}), f"'labels' must be {k} distinct"),
+        (dict(meta={"signs": [1] * (n - 1)}), f"'signs' has {n - 1} entries for {n} qubits"),
+        (dict(meta={"signs": [1] * (n - 1) + [0]}), f"'signs' entry {n - 1} is 0, not"),
+    ]
+    for change, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(code, **change)
+    assert dataclasses.replace(code, meta={"labels": list(range(k)), "signs": [-1] * n}).k == k
+    assert CssCode(n, code.hx, code.hz, code.logical_x, code.logical_z).logical_labels() == list(
+        range(k))
 
 
 def test_code_json_sparse_decodes_as_dense(t3):

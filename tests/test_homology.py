@@ -302,6 +302,14 @@ def test_dual_2cycle_labels_ambiguous_and_undefined(t3):
     # duals, so no labels
     K = dataclasses.replace(t3, face=t3.face[:3] + [t3.face[3][1:]])
     assert homology.dual_2cycle_labels(K, homology.logical_basis(K, 1)[1]) == [None, None, None]
+    # named 1-cycles c, a + c and b with only axb and axc named: c and a + c
+    # both meet axb alone, so the toric code keeps the 1-cycle names rather
+    # than label two logical qubits axb
+    (a,), (b,), (c,) = (t3.cycles[nm][1] for nm in "abc")
+    K = dataclasses.replace(t3, cycles={"c": (1, (c,)), "ca": (1, (a, c)), "b": (1, (b,)),
+                                        "axb": t3.cycles["axb"], "axc": t3.cycles["axc"]})
+    assert homology.dual_2cycle_labels(K, homology.logical_basis(K, 1)[1]) == ["axb", "axb", "axc"]
+    assert toric_code(K, 1).logical_labels() == [("c", 1), ("ca", 1), ("b", 1)]
 
 
 def test_named_basis_returns_dual_cocycles(t3):
@@ -438,3 +446,35 @@ def test_one_elimination_per_boundary_matrix(monkeypatch):
     # plus the H^2 representatives (del_2, del_3^T) and the Poincare-dual solve
     assert spent(form_from_cup, sigma4) == (5, 0)
     assert spent(toric_code, sigma4, 3) == (5, 0)
+
+
+def test_a_built_code_is_checked_without_an_elimination(monkeypatch):
+    # building eliminates hx and hz once each (for the toric code, those of
+    # one copy); the check then trusts the builder's facts and runs none.  A
+    # loaded copy has no facts: its check eliminates hz once, in
+    # kernel_completion.
+    from test_local_check import loaded, t3_cover
+    from tricode.codes import color_code, toric_code
+    from tricode.gates import ccz_circuit, check_logical_gate, extract_logical_action, transversal_t
+
+    cover2, cover3 = t3_cover(2), t3_cover(3)
+    counts = _count_eliminations(monkeypatch)
+
+    def spent(fn, *args):
+        counts.update(echelon=0, rank=0)
+        fn(*args)
+        return counts["echelon"], counts["rank"]
+
+    assert spent(toric_code, cover3, 3) == (2, 0)
+    assert spent(color_code, cover2) == (2, 0)
+    toric, color = toric_code(cover3, 3), color_code(cover2)
+    assert (toric.n, color.n) == (567, 1152)
+    for code, circ in ((toric, ccz_circuit(cover3)), (color, transversal_t(color))):
+        chk = check_logical_gate(circ, code)
+        assert chk.passed
+        assert spent(check_logical_gate, circ, code) == (0, 0)
+        assert spent(extract_logical_action, circ, code, chk) == (0, 0)
+        assert spent(extract_logical_action, circ, code) == (0, 0)
+        back = loaded(code)
+        assert spent(check_logical_gate, circ, back) == (1, 0)
+        assert spent(extract_logical_action, circ, back) == (1, 0)

@@ -8,7 +8,9 @@ with a Gray code (any diagonal circuit).  ``logical_phase``, the pullback onto
 the logical X strings alone, is the reference for the logical action.
 """
 
+import dataclasses
 import itertools
+import json
 import random
 import time
 
@@ -456,6 +458,83 @@ def test_non_css_code_raises():
     code = CssCode(n, hx, hz, [], [], {})
     with pytest.raises(ValueError, match="X-stabilizer row 0 has odd overlap"):
         check_logical_gate(DiagonalCircuit(n, [("CZ", (0, 1))]), code)
+
+
+def test_a_passing_check_without_a_pullback_is_refused():
+    # every logical X of the built code lies in ker hz, so no Z-syndrome can
+    # explain the missing pullback; this used to raise a bare StopIteration
+    K = t3_cover(3)
+    code = toric_code(K, 3)
+    with pytest.raises(ValueError, match="the check carries no logical pullback"):
+        extract_logical_action(ccz_circuit(K), code, gates.GateCheck("PASS", "pullback"))
+
+
+# -- built codes skip the check's CSS and spanning passes ---------------------------
+
+
+def loaded(code: CssCode) -> CssCode:
+    """The code's JSON round trip: the same code, without its builder's facts."""
+    from tricode import serialize
+
+    return serialize.code_from_json(json.loads(serialize.dumps(serialize.code_to_json(code))))
+
+
+def seeded_mutant(circ: DiagonalCircuit, rng: random.Random) -> DiagonalCircuit:
+    """circ with one gate dropped (a CCZ) or flipped (a T or Tdg)."""
+    i = rng.randrange(len(circ.gates))
+    kind, qs = circ.gates[i]
+    if kind == "CCZ":
+        return drop(circ, i)
+    return DiagonalCircuit(circ.n, circ.gates[:i] + [("Tdg" if kind == "T" else "T", qs)]
+                           + circ.gates[i + 1:])
+
+
+def test_built_and_loaded_codes_get_the_same_check():
+    # the loaded copy runs the full CSS pass and hz elimination: the oracle
+    # for the builders' facts, on the complexes the color code is tested on
+    # (all but sd(Sigma_2 x S1), which alone would take 3 s)
+    from test_codes import COLOR_CORPUS
+
+    rng = random.Random(24)
+    seen = set()
+    for name, build in COLOR_CORPUS.items():
+        if name == "sd(Sigma_2 x S1)":
+            continue
+        K = build()
+        toric = toric_code(K, 3)
+        color = color_code(K)
+        for code, circ in ((toric, ccz_circuit(K)), (color, transversal_t(color))):
+            back = loaded(code)
+            assert (code._spans_ker_hz, back._spans_ker_hz) == (True, False)
+            assert _kernel_generators(code) == _kernel_generators(back), name
+            for c in (circ, seeded_mutant(circ, rng)):
+                chk = check_logical_gate(c, code)
+                assert chk == check_logical_gate(c, back), name
+                seen.add((len(c.gates[0][1]), chk.status))
+    assert seen == {(3, "PASS"), (3, "FAIL"), (1, "PASS"), (1, "FAIL")}
+
+
+def test_a_replaced_code_inherits_no_facts(t2xs1_2layers):
+    K = t2xs1_2layers
+    code = toric_code(K, 3)
+    lx = list(code.logical_x)
+    lx[0] ^= 1 << 0  # the bent code of test_logical_outside_ker_hz
+    bent = dataclasses.replace(code, logical_x=lx)
+    assert code._spans_ker_hz and not bent._spans_ker_hz
+    circ = ccz_circuit(K)
+    chk = check_logical_gate(circ, bent)
+    assert chk.passed and chk.logical is None
+    with pytest.raises(ValueError, match="logical X 0 has a Z-syndrome"):
+        extract_logical_action(circ, bent, chk)
+    assert check_logical_gate(circ, code).logical is not None
+
+
+def test_codes_are_frozen(t3):
+    code = toric_code(t3, 3)
+    for name, value in (("n", 5), ("logical_x", []), ("meta", {}), ("_spans_ker_hz", False)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(code, name, value)
+    assert code._spans_ker_hz and code.n == 21
 
 
 # -- guards -----------------------------------------------------------------------
