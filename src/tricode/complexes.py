@@ -11,6 +11,12 @@ closed named cycles.  It is frozen, so nothing downstream checks again.
 Builders label distinguished edges and record named cycles (a, b, c,
 products with the circle direction, the fibre surface) so downstream gate
 reports can speak in terms of those cycles.
+
+Every cell index is arithmetic.  Complexes generated from another one
+(mapping tori, cyclic covers, subdivisions) number their cells by closed
+forms in the base's indices; the hand-described ones (T^3, the surfaces)
+number their named cells through a local name -> index dict, in the order
+the names are listed.
 """
 
 from __future__ import annotations
@@ -162,34 +168,6 @@ def validate_automorphism(K: DeltaComplex, phi: SimplicialAutomorphism) -> list[
     return bad
 
 
-class _Builder:
-    """Accumulates simplices keyed by hashable descriptors, then freezes."""
-
-    def __init__(self, dims: int):
-        self.dims = dims
-        self.index: list[dict] = [dict() for _ in range(dims + 1)]
-        self.faces: list[dict] = [dict() for _ in range(dims + 1)]
-
-    def add(self, dim: int, key, face_keys=()) -> None:
-        if key in self.index[dim]:
-            return
-        self.index[dim][key] = len(self.index[dim])
-        self.faces[dim][key] = tuple(face_keys)
-
-    def idx(self, dim: int, key) -> int:
-        return self.index[dim][key]
-
-    def freeze(self, labels: dict | None = None, cycles: dict | None = None) -> DeltaComplex:
-        """The complex, with labels and named cycles keyed by final indices."""
-        face: list[list[tuple[int, ...]]] = [[() for _ in self.index[0]]]
-        for n in range(1, self.dims + 1):
-            table = [()] * len(self.index[n])
-            for key, i in self.index[n].items():
-                table[i] = tuple(self.index[n - 1][f] for f in self.faces[n][key])
-            face.append(table)
-        return DeltaComplex(face, labels or {}, cycles or {})
-
-
 # ---------------------------------------------------------------------------
 # T^3 from the unit cube
 # ---------------------------------------------------------------------------
@@ -200,23 +178,15 @@ def build_torus3() -> DeltaComplex:
 
     An n-simplex is an n-step monotone path through the cube; each step is a
     nonempty set of coordinate directions, steps pairwise disjoint.  Deleting
-    an interior vertex merges the two adjacent steps.
+    an interior vertex merges the two adjacent steps.  The n-simplices are
+    numbered in the order of their paths' step sequences.
     """
     import itertools
 
-    b = _Builder(3)
-    b.add(0, ())
-
     def faces_of_path(path):
-        out = []
-        for i in range(len(path) + 1):
-            if i == 0:
-                out.append(path[1:])
-            elif i == len(path):
-                out.append(path[:-1])
-            else:
-                out.append(path[: i - 1] + (path[i - 1] | path[i],) + path[i + 1:])
-        return out
+        n = len(path)
+        return [path[1:] if i == 0 else path[:-1] if i == n
+                else path[: i - 1] + (path[i - 1] | path[i],) + path[i + 1:] for i in range(n + 1)]
 
     subsets = [frozenset(s) for r in (1, 2, 3) for s in itertools.combinations(range(3), r)]
     paths_by_dim: list[list[tuple]] = [[()], [], [], []]
@@ -224,20 +194,18 @@ def build_torus3() -> DeltaComplex:
         for steps in itertools.product(subsets, repeat=n):
             if sum(map(len, steps)) == len(frozenset().union(*steps)):  # pairwise disjoint
                 paths_by_dim[n].append(steps)
-    for n in (1, 2, 3):
-        for path in paths_by_dim[n]:
-            b.add(n, path, faces_of_path(path) if n > 1 else ((), ()))
-    labels = {(1, b.idx(1, path)): "".join("abc"[i] for i in sorted(path[0]))
-              for path in paths_by_dim[1]}
-    cycles = {name: (1, (b.idx(1, (frozenset({step}),)),))
+    at = [{path: i for i, path in enumerate(paths)} for paths in paths_by_dim]
+    face = [[()], [(0, 0)] * len(paths_by_dim[1])]
+    face += [[tuple(at[n - 1][f] for f in faces_of_path(path)) for path in paths_by_dim[n]]
+             for n in (2, 3)]
+    labels = {(1, e): "".join("abc"[i] for i in sorted(path[0]))
+              for e, path in enumerate(paths_by_dim[1])}
+    cycles = {name: (1, (at[1][(frozenset({step}),)],))
               for name, step in (("a", 0), ("b", 1), ("c", 2))}
     for name, (i, j) in (("axb", (0, 1)), ("axc", (0, 2)), ("bxc", (1, 2))):
-        cells = (
-            b.idx(2, (frozenset({i}), frozenset({j}))),
-            b.idx(2, (frozenset({j}), frozenset({i}))),
-        )
+        cells = (at[2][(frozenset({i}), frozenset({j}))], at[2][(frozenset({j}), frozenset({i}))])
         cycles[name] = (2, tuple(sorted(cells)))
-    return b.freeze(labels, cycles)
+    return DeltaComplex(face, labels, cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -245,99 +213,68 @@ def build_torus3() -> DeltaComplex:
 # ---------------------------------------------------------------------------
 
 
-def _side_info(i: int) -> tuple[str, bool]:
-    """Edge name and direction of polygon side i of the word a1 b1 a1' b1' ..."""
-    j = i // 4 + 1
-    r = i % 4
-    return (f"a{j}" if r in (0, 2) else f"b{j}", r < 2)
+def _surface(g: int, vertices: list[str], edges: dict[str, tuple[str, str]],
+             triangles: list[tuple[int, str, str]]) -> DeltaComplex:
+    """A genus-g surface cut open along the 4g-gon with boundary word
+    a1 b1 a1^-1 b1^-1 ... , whose corners are all the vertex "v".
 
-
-def _handle_edges(b: _Builder, g: int) -> DeltaComplex:
-    """Freeze a genus-g surface builder with its edges a_j and b_j labelled
-    and named as 1-cycles."""
-    edges = [(nm, b.idx(1, nm)) for j in range(1, g + 1) for nm in (f"a{j}", f"b{j}")]
-    return b.freeze({(1, e): nm for nm, e in edges}, {nm: (1, (e,)) for nm, e in edges})
+    Edges a_j and b_j (v -> v) come first, at 2(j-1) and 2(j-1) + 1,
+    labelled and named as 1-cycles; then ``edges`` (name -> (d_0, d_1)
+    vertex names), in order.  Triangle t is ``triangles[t]`` = (i, lo, hi):
+    polygon side i and the edges lo and hi to its two ends, in that order.
+    """
+    handles = [f"{x}{j}" for j in range(1, g + 1) for x in "ab"]
+    edges = dict.fromkeys(handles, ("v", "v")) | edges
+    vertex = {nm: i for i, nm in enumerate(vertices)}
+    edge = {nm: i for i, nm in enumerate(edges)}
+    face2 = [(edge[f"{'abab'[i % 4]}{i // 4 + 1}"],)  # side i runs forward iff i % 4 < 2
+             + ((edge[hi], edge[lo]) if i % 4 < 2 else (edge[lo], edge[hi]))
+             for i, lo, hi in triangles]
+    face = [[()] * len(vertices), [tuple(vertex[v] for v in fs) for fs in edges.values()], face2]
+    return DeltaComplex(face, {(1, e): nm for e, nm in enumerate(handles)},
+                        {nm: (1, (e,)) for e, nm in enumerate(handles)})
 
 
 def build_sigma_g(g: int) -> DeltaComplex:
     """One-vertex 4g-gon surface, fan-triangulated from polygon corner 0.
 
-    Boundary word a1 b1 a1^-1 b1^-1 ... ;  b_1 = 2g.
+    Boundary word a1 b1 a1^-1 b1^-1 ... ;  b_1 = 2g.  The diagonal from
+    corner 0 to corner i is edge D_i; triangle T_i (side i) is 2-cell i - 1.
     """
     if g < 1:
         raise ValueError("genus must be >= 1 (no sphere builder)")
     n_sides = 4 * g
-    b = _Builder(2)
-    b.add(0, "v")
-    for j in range(1, g + 1):
-        b.add(1, f"a{j}", ("v", "v"))
-        b.add(1, f"b{j}", ("v", "v"))
-    for i in range(2, n_sides - 1):
-        b.add(1, f"D{i}", ("v", "v"))
 
     def from_corner(i: int) -> str:
         # edge from polygon corner 0 to corner i, in its canonical direction
-        if i == 1:
-            return "a1"
-        if i == n_sides - 1:
-            return f"b{g}"
-        return f"D{i}"
+        return "a1" if i == 1 else f"b{g}" if i == n_sides - 1 else f"D{i}"
 
-    for i in range(1, n_sides - 1):
-        name, forward = _side_info(i)
-        lo, hi = from_corner(i), from_corner(i + 1)
-        if forward:
-            b.add(2, f"T{i}", (name, hi, lo))
-        else:
-            b.add(2, f"T{i}", (name, lo, hi))
-    return _handle_edges(b, g)
+    return _surface(g, ["v"], {f"D{i}": ("v", "v") for i in range(2, n_sides - 1)},
+                    [(i, from_corner(i), from_corner(i + 1)) for i in range(1, n_sides - 1)])
 
 
 def build_sigma_g_rotsym(g: int) -> DeltaComplex:
     """Genus-g surface triangulated from a centre vertex of the 4g-gon.
 
     Two vertices, invariant under the handle rotation (corner shift by 4),
-    unlike the one-vertex fan.  Use with ``rotation_automorphism``.
+    unlike the one-vertex fan.  Use with ``rotation_automorphism``.  The
+    centre O is vertex 0, the rim v vertex 1; spoke R_i (O -> corner i) is
+    edge 2g + i and triangle U_i (side i) is 2-cell i.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
     n_sides = 4 * g
-    b = _Builder(2)
-    b.add(0, "O")
-    b.add(0, "v")
-    # sides connect rim points (all identified to "v"); spokes run O -> rim
-    for j in range(1, g + 1):
-        b.add(1, f"a{j}", ("v", "v"))
-        b.add(1, f"b{j}", ("v", "v"))
-    for i in range(n_sides):
-        b.add(1, f"R{i}", ("v", "O"))
-    for i in range(n_sides):
-        name, forward = _side_info(i)
-        lo, hi = f"R{i}", f"R{(i + 1) % n_sides}"
-        if forward:
-            b.add(2, f"U{i}", (name, hi, lo))
-        else:
-            b.add(2, f"U{i}", (name, lo, hi))
-    return _handle_edges(b, g)
+    return _surface(g, ["O", "v"], {f"R{i}": ("v", "O") for i in range(n_sides)},
+                    [(i, f"R{i}", f"R{(i + 1) % n_sides}") for i in range(n_sides)])
 
 
 def rotation_automorphism(K: DeltaComplex, g: int, handles: int = 1) -> SimplicialAutomorphism:
     """Handle rotation a_j -> a_{j+handles}, b_j -> b_{j+handles} of the
-    rotation-symmetric genus-g builder (corner shift by 4*handles)."""
-    n_sides = 4 * g
-    shift = 4 * handles
-
-    def edge_map(nm: str) -> str:
-        if nm.startswith("R"):
-            return f"R{(int(nm[1:]) + shift) % n_sides}"
-        j = int(nm[1:])
-        return f"{nm[0]}{(j - 1 + handles) % g + 1}"
-
-    # reconstruct descriptor names for unlabelled edges (spokes) by position:
-    # builder added a/b edges first (2g of them), then spokes R0..R{4g-1}
-    rev = [K.labels.get((1, s)) or f"R{s - 2 * g}" for s in range(K.n_cells(1))]
-    by_label = {nm: s for s, nm in enumerate(rev)}
-    perm1 = [by_label[edge_map(rev[s])] for s in range(K.n_cells(1))]
+    rotation-symmetric genus-g builder (corner shift by 4*handles), read off
+    its numbering: a_j, b_j, R_i at 2(j-1), 2(j-1) + 1, 2g + i; U_i at i."""
+    n_sides, shift = 4 * g, 4 * handles
+    perm1 = [2 * ((e // 2 + handles) % g) + e % 2 for e in range(2 * g)]
+    perm1 += [2 * g + (i + shift) % n_sides for i in range(n_sides)]
     perm2 = [(s + shift) % n_sides for s in range(K.n_cells(2))]
     phi = SimplicialAutomorphism([list(range(K.n_cells(0))), perm1, perm2])
     bad = validate_automorphism(K, phi)
@@ -359,6 +296,10 @@ def mapping_torus(K: DeltaComplex, phi: SimplicialAutomorphism, layers: int = 1)
       D(t,s,j)  diagonal: vertices 0..j at t, j+1..p at t+1    (dim p)
       S(t,s,j)  prism simplex: vertex j repeated at t and t+1  (dim p+1)
     The level-``layers`` horizontal copies are identified with H(0, phi(s)).
+
+    Layer t holds, in dimension d, the S cells over the (d-1)-simplices
+    (s-major, j = 0..d-1), then, for each d-simplex, its H and D_0..D_{d-1}:
+    a block of d N_{d-1} + (d+1) N_d cells, N_p = ``K.n_cells(p)``.
     """
     if layers < 1:
         raise ValueError("layers must be >= 1")
@@ -366,80 +307,70 @@ def mapping_torus(K: DeltaComplex, phi: SimplicialAutomorphism, layers: int = 1)
     if bad:
         raise ValueError(f"twist incompatible with complex: {bad[:3]}")
     n = K.dims
-    b = _Builder(n + 1)
+    block = [d * K.n_cells(d - 1) + (d + 1) * K.n_cells(d) for d in range(n + 2)]
 
-    def wrap_h(t: int, p: int, s: int):
+    def H(t: int, p: int, s: int) -> int:
         if t == layers:
-            return ("H", 0, p, phi.perm[p][s])
-        return ("H", t, p, s)
+            t, s = 0, phi.perm[p][s]
+        return t * block[p] + p * K.n_cells(p - 1) + (p + 1) * s
 
-    def h_faces(t, p, s):
-        return tuple(wrap_h(t, p - 1, f) for f in K.face[p][s])
+    def D(t: int, p: int, s: int, j: int) -> int:
+        return H(t, p, s) + 1 + j
+
+    def S(t: int, p: int, s: int, j: int) -> int:
+        return t * block[p + 1] + (p + 1) * s + j
 
     def d_faces(t, p, s, j):
         out = []
         for i in range(p + 1):
             f = K.face[p][s][i]
             if i <= j:
-                out.append(wrap_h(t + 1, p - 1, f) if j == 0 else ("D", t, p - 1, f, j - 1))
+                out.append(H(t + 1, p - 1, f) if j == 0 else D(t, p - 1, f, j - 1))
             else:
-                out.append(wrap_h(t, p - 1, f) if j + 1 == p else ("D", t, p - 1, f, j))
+                out.append(H(t, p - 1, f) if j + 1 == p else D(t, p - 1, f, j))
         return tuple(out)
 
     def s_faces(t, p, s, j):
         out = []
         for i in range(p + 2):
             if i < j:
-                out.append(("S", t, p - 1, K.face[p][s][i], j - 1))
+                out.append(S(t, p - 1, K.face[p][s][i], j - 1))
             elif i == j:
-                out.append(wrap_h(t + 1, p, s) if j == 0 else ("D", t, p, s, j - 1))
+                out.append(H(t + 1, p, s) if j == 0 else D(t, p, s, j - 1))
             elif i == j + 1:
-                out.append(wrap_h(t, p, s) if j == p else ("D", t, p, s, j))
+                out.append(H(t, p, s) if j == p else D(t, p, s, j))
             else:
-                out.append(("S", t, p - 1, K.face[p][s][i - 1], j))
+                out.append(S(t, p - 1, K.face[p][s][i - 1], j))
         return tuple(out)
 
+    # cells are appended in index order: within layer t, dimension p + 1
+    # gets the S cells over p-simplices before the H and D cells of p + 1
+    face: list[list[tuple[int, ...]]] = [[] for _ in range(n + 2)]
     for t in range(layers):
         for p in range(n + 1):
             for s in range(K.n_cells(p)):
-                if p == 0:
-                    b.add(0, ("H", t, 0, s))
-                else:
-                    b.add(p, ("H", t, p, s), h_faces(t, p, s))
-                    for j in range(p):
-                        b.add(p, ("D", t, p, s, j), d_faces(t, p, s, j))
-                for j in range(p + 1):
-                    b.add(p + 1, ("S", t, p, s, j), s_faces(t, p, s, j))
-    identity = all(phi.perm[p][s] == s for p in range(n + 1) for s in range(K.n_cells(p)))
-    labels = {(d, b.idx(d, ("H", 0, d, s))): lab for (d, s), lab in K.labels.items()}
+                face[p].append(tuple(H(t, p - 1, f) for f in K.face[p][s]))
+                face[p].extend(d_faces(t, p, s, j) for j in range(p))
+                face[p + 1].extend(s_faces(t, p, s, j) for j in range(p + 1))
+    labels = {(d, H(0, d, s)): lab for (d, s), lab in K.labels.items()}
     cycles = {}
     # horizontal copies of named cycles survive at layer 0
     for name, (d, cells) in K.cycles.items():
-        cycles[name] = (d, tuple(sorted(b.idx(d, ("H", 0, d, c)) for c in cells)))
+        cycles[name] = (d, tuple(sorted(H(0, d, c) for c in cells)))
         # the swept cycle (name x c) closes up iff phi fixes the chain
         if all(phi.perm[d][c] in cells for c in cells):
-            swept = [
-                b.idx(d + 1, ("S", t, d, c, j))
-                for t in range(layers)
-                for c in cells
-                for j in range(d + 1)
-            ]
+            swept = [S(t, d, c, j) for t in range(layers) for c in cells for j in range(d + 1)]
             cycles[f"{name}xc"] = (d + 1, tuple(sorted(swept)))
     # the vertical cycle c: follow the phi-orbit of vertex 0
-    vert: list[int] = []
-    v = 0
-    while True:
-        vert.extend(b.idx(1, ("S", t, 0, v, 0)) for t in range(layers))
-        v = phi.perm[0][v]
-        if v == 0:
-            break
-    cycles["c"] = (1, tuple(sorted(vert)))
+    orbit = [0]
+    while (v := phi.perm[0][orbit[-1]]) != 0:
+        orbit.append(v)
+    cycles["c"] = (1, tuple(sorted(S(t, 0, v, 0) for v in orbit for t in range(layers))))
     if n >= 1:
-        fibre = tuple(sorted(b.idx(n, ("H", 0, n, s)) for s in range(K.n_cells(n))))
-        cycles["fiber"] = (n, fibre)
-    if identity and n >= 1:
-        labels[(1, b.idx(1, ("S", 0, 0, 0, 0)))] = "c"
-    return b.freeze(labels, cycles)
+        cycles["fiber"] = (n, tuple(sorted(H(0, n, s) for s in range(K.n_cells(n)))))
+    if n >= 1 and all(phi.perm[p][s] == s for p in range(n + 1) for s in range(K.n_cells(p))):
+        labels[(1, S(0, 0, 0, 0))] = "c"
+    return DeltaComplex(face, labels, cycles)
 
 
 def product_with_circle(K: DeltaComplex, layers: int = 1) -> DeltaComplex:
@@ -555,38 +486,32 @@ def cyclic_cover(K: DeltaComplex, cochain: dict[int, int], m: int) -> tuple[Delt
     sheet by the cocycle value on the front edge.  Fails validation iff the
     cochain is not a signed cocycle mod m.  Returns the cover and its deck
     rotation (sheet + 1), a free automorphism of order m.
+
+    The p-simplex s on sheet t is cell t N_p + s, N_p = ``K.n_cells(p)``.
+    Face i of that cell is face i of s on sheet t + c(front edge of s) mod m
+    for i = 0, and on sheet t otherwise; the deck rotation is
+    i -> (i + N_p) mod m N_p.  The labels of K go to sheet 0, with "~0".
     """
-    b = _Builder(K.dims)
-
-    def key(p, s, sheet):
-        return (p, s, sheet % m)
-
-    for sheet in range(m):
-        for p in range(K.dims + 1):
-            for s in range(K.n_cells(p)):
-                if p == 0:
-                    b.add(0, key(0, s, sheet))
-                    continue
-                shift = cochain.get(K.front(p, s, 1), 0)
-                b.add(p, key(p, s, sheet), tuple(key(p - 1, f, sheet + shift if i == 0 else sheet)
-                                                 for i, f in enumerate(K.face[p][s])))
-    labels = {(d, b.idx(d, key(d, s, 0))): f"{lab}~0" for (d, s), lab in K.labels.items()}
+    if m < 1:
+        raise ValueError(f"a cyclic cover needs m >= 1 sheets, not {m}")
+    face = [[()] * (m * K.n_cells(0))]
+    for p in range(1, K.dims + 1):
+        below = K.n_cells(p - 1)
+        shifts = [cochain.get(K.front(p, s, 1), 0) for s in range(K.n_cells(p))]
+        face.append([(((t + c) % m) * below + fs[0],) + tuple(t * below + f for f in fs[1:])
+                     for t in range(m) for fs, c in zip(K.face[p], shifts)])
+    labels = {(d, s): f"{lab}~0" for (d, s), lab in K.labels.items()}
     try:
-        cover = b.freeze(labels)
+        cover = DeltaComplex(face, labels)
     except ValueError as exc:
         raise ValueError(f"cochain is not a cocycle mod {m}: {exc}") from None
-    perm = [
-        [b.idx(p, key(p, s, sheet + 1)) for (p_, s, sheet) in b.index[p]]
-        for p in range(K.dims + 1)
-    ]
-    return cover, SimplicialAutomorphism(perm)
+    deck = [[(i + N) % (m * N) for i in range(m * N)] for N in K.counts]
+    return cover, SimplicialAutomorphism(deck)
 
 
 def sheet_projection(K: DeltaComplex, cover: DeltaComplex, m: int) -> list[list[int]]:
-    """Per-dimension map cover-cell -> base-cell for a cyclic_cover output.
-
-    Relies on the cover builder's deterministic ordering (base cells cycle
-    fastest within each sheet block).
+    """Per-dimension map cover-cell -> base-cell for a cyclic_cover output:
+    cell t N_p + s lies over s, so the base cell is i mod N_p.
     """
     return [[i % K.n_cells(p) for i in range(cover.n_cells(p))] for p in range(K.dims + 1)]
 

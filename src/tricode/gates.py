@@ -55,14 +55,6 @@ class DiagonalCircuit:
     def canonical(self) -> "DiagonalCircuit":
         return DiagonalCircuit(self.n, sorted((k, tuple(sorted(q))) for k, q in self.gates))
 
-    def compose(self, other: "DiagonalCircuit") -> "DiagonalCircuit":
-        if self.n != other.n:
-            raise ValueError(f"cannot compose circuits on {self.n} and {other.n} qubits")
-        return DiagonalCircuit(self.n, self.gates + other.gates)
-
-    def count(self, kind: str) -> int:
-        return sum(1 for k, _ in self.gates if k == kind)
-
     def depth_bound(self) -> int:
         """Greedy colouring of the gate-overlap graph: parallel layers needed."""
         layers: list[set[int]] = []
@@ -141,14 +133,13 @@ def ccz_circuit(K: DeltaComplex) -> DiagonalCircuit:
     return DiagonalCircuit(3 * E, gates).canonical()
 
 
-def cz_membrane_circuit(K: DeltaComplex, z2: int, copies: tuple[int, int],
-                        check: bool = True) -> DiagonalCircuit:
+def cz_membrane_circuit(K: DeltaComplex, z2: int, copies: tuple[int, int]) -> DiagonalCircuit:
     """One CZ per 2-simplex of the membrane, coupling copy-i edge [v0 v1] and
     copy-j edge [v1 v2].  The membrane must be a 2-cycle (checked)."""
     i, j = copies
     if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError("copies must be two distinct labels in 1..3")
-    if check and homology.boundary_matrix(K, 2).matvec(z2) != 0:
+    if homology.boundary_matrix(K, 2).matvec(z2) != 0:
         raise ValueError("membrane support is not a 2-cycle")
     E = K.n_cells(1)
     spine = spine_edges(K, 2)

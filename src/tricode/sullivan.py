@@ -42,14 +42,6 @@ class ThreeForm:
                 form.coefficients[frozenset({i - 1, j - 1, k - 1})] = 1
         return form
 
-    def plus(self, other: "ThreeForm") -> "ThreeForm":
-        if self.m != other.m:
-            raise ValueError(f"cannot add 3-forms on {self.m} and {other.m} generators")
-        out = dict(self.coeffs)
-        for t, v in other.coeffs.items():
-            out[t] = out.get(t, 0) + v
-        return ThreeForm(self.m, out)
-
 
 def sigma_block(i: int, j: int, k: int, m: int) -> IntMatrix:
     """The gluing generator on handles (i, j, k), extended by identity.

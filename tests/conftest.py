@@ -7,8 +7,8 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from tricode import complexes, homology
-from tricode.cup import Cochain, cup
-from tricode.gates import PhasePolynomial
+from tricode.cup import Cochain, cup, spine_edges
+from tricode.gates import DiagonalCircuit, PhasePolynomial
 from tricode.gf2 import echelon, support
 from tricode.mcg import ThickenedTwistAction
 
@@ -155,6 +155,16 @@ def check_logicals(code) -> list[str]:
     return bad
 
 
+def unchecked_membrane_circuit(K, z2: int, copies: tuple[int, int]) -> DiagonalCircuit:
+    """``gates.cz_membrane_circuit`` without its 2-cycle check, so that a
+    membrane that is not a cycle still gives its CZ circuit."""
+    i, j = copies
+    E = K.n_cells(1)
+    spine = spine_edges(K, 2)
+    gates = [("CZ", ((i - 1) * E + spine[s][0], (j - 1) * E + spine[s][1])) for s in support(z2)]
+    return DiagonalCircuit(3 * E, gates).canonical()
+
+
 def coboundary(K, c):
     """(dc)(sigma) = sum of c over the faces of sigma, mod 2: the transpose
     of the boundary map."""
@@ -200,3 +210,256 @@ def minus(f, g):
     for S, c in g.coeffs.items():
         out._add(S, -c)
     return out
+
+
+# The keyed builders the package's arithmetic numbering replaced: every cell
+# is keyed by a hashable descriptor and numbered in the order it is added,
+# and faces are resolved by key when the builder freezes.  They are the
+# reference for the closed-form numbering of ``complexes``.
+
+
+class _Builder:
+    """Accumulates simplices keyed by hashable descriptors, then freezes."""
+
+    def __init__(self, dims: int):
+        self.dims = dims
+        self.index: list[dict] = [dict() for _ in range(dims + 1)]
+        self.faces: list[dict] = [dict() for _ in range(dims + 1)]
+
+    def add(self, dim: int, key, face_keys=()) -> None:
+        if key in self.index[dim]:
+            return
+        self.index[dim][key] = len(self.index[dim])
+        self.faces[dim][key] = tuple(face_keys)
+
+    def idx(self, dim: int, key) -> int:
+        return self.index[dim][key]
+
+    def freeze(self, labels: dict | None = None, cycles: dict | None = None):
+        """The complex, with labels and named cycles keyed by final indices."""
+        face: list[list[tuple[int, ...]]] = [[() for _ in self.index[0]]]
+        for n in range(1, self.dims + 1):
+            table = [()] * len(self.index[n])
+            for key, i in self.index[n].items():
+                table[i] = tuple(self.index[n - 1][f] for f in self.faces[n][key])
+            face.append(table)
+        return complexes.DeltaComplex(face, labels or {}, cycles or {})
+
+
+def keyed_torus3():
+    b = _Builder(3)
+    b.add(0, ())
+
+    def faces_of_path(path):
+        out = []
+        for i in range(len(path) + 1):
+            if i == 0:
+                out.append(path[1:])
+            elif i == len(path):
+                out.append(path[:-1])
+            else:
+                out.append(path[: i - 1] + (path[i - 1] | path[i],) + path[i + 1:])
+        return out
+
+    subsets = [frozenset(s) for r in (1, 2, 3) for s in itertools.combinations(range(3), r)]
+    paths_by_dim: list[list[tuple]] = [[()], [], [], []]
+    for n in (1, 2, 3):
+        for steps in itertools.product(subsets, repeat=n):
+            if sum(map(len, steps)) == len(frozenset().union(*steps)):  # pairwise disjoint
+                paths_by_dim[n].append(steps)
+    for n in (1, 2, 3):
+        for path in paths_by_dim[n]:
+            b.add(n, path, faces_of_path(path) if n > 1 else ((), ()))
+    labels = {(1, b.idx(1, path)): "".join("abc"[i] for i in sorted(path[0]))
+              for path in paths_by_dim[1]}
+    cycles = {name: (1, (b.idx(1, (frozenset({step}),)),))
+              for name, step in (("a", 0), ("b", 1), ("c", 2))}
+    for name, (i, j) in (("axb", (0, 1)), ("axc", (0, 2)), ("bxc", (1, 2))):
+        cells = (
+            b.idx(2, (frozenset({i}), frozenset({j}))),
+            b.idx(2, (frozenset({j}), frozenset({i}))),
+        )
+        cycles[name] = (2, tuple(sorted(cells)))
+    return b.freeze(labels, cycles)
+
+
+def side_info(i: int) -> tuple[str, bool]:
+    """Edge name and direction of polygon side i of the word a1 b1 a1' b1' ..."""
+    j = i // 4 + 1
+    r = i % 4
+    return (f"a{j}" if r in (0, 2) else f"b{j}", r < 2)
+
+
+def freeze_handles(b: _Builder, g: int):
+    """Freeze a genus-g surface builder with its edges a_j and b_j labelled
+    and named as 1-cycles."""
+    edges = [(nm, b.idx(1, nm)) for j in range(1, g + 1) for nm in (f"a{j}", f"b{j}")]
+    return b.freeze({(1, e): nm for nm, e in edges}, {nm: (1, (e,)) for nm, e in edges})
+
+
+def keyed_sigma_g(g: int):
+    n_sides = 4 * g
+    b = _Builder(2)
+    b.add(0, "v")
+    for j in range(1, g + 1):
+        b.add(1, f"a{j}", ("v", "v"))
+        b.add(1, f"b{j}", ("v", "v"))
+    for i in range(2, n_sides - 1):
+        b.add(1, f"D{i}", ("v", "v"))
+
+    def from_corner(i: int) -> str:
+        if i == 1:
+            return "a1"
+        if i == n_sides - 1:
+            return f"b{g}"
+        return f"D{i}"
+
+    for i in range(1, n_sides - 1):
+        name, forward = side_info(i)
+        lo, hi = from_corner(i), from_corner(i + 1)
+        if forward:
+            b.add(2, f"T{i}", (name, hi, lo))
+        else:
+            b.add(2, f"T{i}", (name, lo, hi))
+    return freeze_handles(b, g)
+
+
+def keyed_sigma_g_rotsym(g: int):
+    n_sides = 4 * g
+    b = _Builder(2)
+    b.add(0, "O")
+    b.add(0, "v")
+    for j in range(1, g + 1):
+        b.add(1, f"a{j}", ("v", "v"))
+        b.add(1, f"b{j}", ("v", "v"))
+    for i in range(n_sides):
+        b.add(1, f"R{i}", ("v", "O"))
+    for i in range(n_sides):
+        name, forward = side_info(i)
+        lo, hi = f"R{i}", f"R{(i + 1) % n_sides}"
+        if forward:
+            b.add(2, f"U{i}", (name, hi, lo))
+        else:
+            b.add(2, f"U{i}", (name, lo, hi))
+    return freeze_handles(b, g)
+
+
+def keyed_rotation_automorphism(K, g: int, handles: int = 1):
+    """The rotation's edge permutation found by parsing the edge labels back
+    into builder names."""
+    n_sides = 4 * g
+    shift = 4 * handles
+
+    def edge_map(nm: str) -> str:
+        if nm.startswith("R"):
+            return f"R{(int(nm[1:]) + shift) % n_sides}"
+        j = int(nm[1:])
+        return f"{nm[0]}{(j - 1 + handles) % g + 1}"
+
+    rev = [K.labels.get((1, s)) or f"R{s - 2 * g}" for s in range(K.n_cells(1))]
+    by_label = {nm: s for s, nm in enumerate(rev)}
+    perm1 = [by_label[edge_map(rev[s])] for s in range(K.n_cells(1))]
+    perm2 = [(s + shift) % n_sides for s in range(K.n_cells(2))]
+    return complexes.SimplicialAutomorphism([list(range(K.n_cells(0))), perm1, perm2])
+
+
+def keyed_mapping_torus(K, phi, layers: int = 1):
+    n = K.dims
+    b = _Builder(n + 1)
+
+    def wrap_h(t: int, p: int, s: int):
+        if t == layers:
+            return ("H", 0, p, phi.perm[p][s])
+        return ("H", t, p, s)
+
+    def h_faces(t, p, s):
+        return tuple(wrap_h(t, p - 1, f) for f in K.face[p][s])
+
+    def d_faces(t, p, s, j):
+        out = []
+        for i in range(p + 1):
+            f = K.face[p][s][i]
+            if i <= j:
+                out.append(wrap_h(t + 1, p - 1, f) if j == 0 else ("D", t, p - 1, f, j - 1))
+            else:
+                out.append(wrap_h(t, p - 1, f) if j + 1 == p else ("D", t, p - 1, f, j))
+        return tuple(out)
+
+    def s_faces(t, p, s, j):
+        out = []
+        for i in range(p + 2):
+            if i < j:
+                out.append(("S", t, p - 1, K.face[p][s][i], j - 1))
+            elif i == j:
+                out.append(wrap_h(t + 1, p, s) if j == 0 else ("D", t, p, s, j - 1))
+            elif i == j + 1:
+                out.append(wrap_h(t, p, s) if j == p else ("D", t, p, s, j))
+            else:
+                out.append(("S", t, p - 1, K.face[p][s][i - 1], j))
+        return tuple(out)
+
+    for t in range(layers):
+        for p in range(n + 1):
+            for s in range(K.n_cells(p)):
+                if p == 0:
+                    b.add(0, ("H", t, 0, s))
+                else:
+                    b.add(p, ("H", t, p, s), h_faces(t, p, s))
+                    for j in range(p):
+                        b.add(p, ("D", t, p, s, j), d_faces(t, p, s, j))
+                for j in range(p + 1):
+                    b.add(p + 1, ("S", t, p, s, j), s_faces(t, p, s, j))
+    identity = all(phi.perm[p][s] == s for p in range(n + 1) for s in range(K.n_cells(p)))
+    labels = {(d, b.idx(d, ("H", 0, d, s))): lab for (d, s), lab in K.labels.items()}
+    cycles = {}
+    for name, (d, cells) in K.cycles.items():
+        cycles[name] = (d, tuple(sorted(b.idx(d, ("H", 0, d, c)) for c in cells)))
+        if all(phi.perm[d][c] in cells for c in cells):
+            swept = [
+                b.idx(d + 1, ("S", t, d, c, j))
+                for t in range(layers)
+                for c in cells
+                for j in range(d + 1)
+            ]
+            cycles[f"{name}xc"] = (d + 1, tuple(sorted(swept)))
+    vert: list[int] = []
+    v = 0
+    while True:
+        vert.extend(b.idx(1, ("S", t, 0, v, 0)) for t in range(layers))
+        v = phi.perm[0][v]
+        if v == 0:
+            break
+    cycles["c"] = (1, tuple(sorted(vert)))
+    if n >= 1:
+        fibre = tuple(sorted(b.idx(n, ("H", 0, n, s)) for s in range(K.n_cells(n))))
+        cycles["fiber"] = (n, fibre)
+    if identity and n >= 1:
+        labels[(1, b.idx(1, ("S", 0, 0, 0, 0)))] = "c"
+    return b.freeze(labels, cycles)
+
+
+def keyed_cyclic_cover(K, cochain: dict[int, int], m: int):
+    b = _Builder(K.dims)
+
+    def key(p, s, sheet):
+        return (p, s, sheet % m)
+
+    for sheet in range(m):
+        for p in range(K.dims + 1):
+            for s in range(K.n_cells(p)):
+                if p == 0:
+                    b.add(0, key(0, s, sheet))
+                    continue
+                shift = cochain.get(K.front(p, s, 1), 0)
+                b.add(p, key(p, s, sheet), tuple(key(p - 1, f, sheet + shift if i == 0 else sheet)
+                                                 for i, f in enumerate(K.face[p][s])))
+    labels = {(d, b.idx(d, key(d, s, 0))): f"{lab}~0" for (d, s), lab in K.labels.items()}
+    try:
+        cover = b.freeze(labels)
+    except ValueError as exc:
+        raise ValueError(f"cochain is not a cocycle mod {m}: {exc}") from None
+    perm = [
+        [b.idx(p, key(p, s, sheet + 1)) for (p_, s, sheet) in b.index[p]]
+        for p in range(K.dims + 1)
+    ]
+    return cover, complexes.SimplicialAutomorphism(perm)

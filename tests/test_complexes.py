@@ -285,6 +285,9 @@ def test_cyclic_cover_rejects_non_cocycle():
     S2 = build_sigma_g(2)
     with pytest.raises(ValueError, match=r"^cochain is not a cocycle mod 3: 2-simplex \d+: d_"):
         cyclic_cover(S2, {0: 1}, 3)  # a single edge (a1) is not a mod-3 cocycle here
+    for m in (0, -2):  # no sheets: the labels would point at no cell
+        with pytest.raises(ValueError, match="needs m >= 1 sheets"):
+            cyclic_cover(S2, {}, m)
 
 
 def test_named_cycles_are_cycles(t3, s2xs1):

@@ -33,7 +33,7 @@ from tricode.gates import (
 )
 from tricode.gf2 import BitMatrix, support, vec_from_support
 
-from conftest import chain_spaces, check_logicals, degree, minus, shifted
+from conftest import chain_spaces, check_logicals, degree, minus, shifted, unchecked_membrane_circuit
 from test_local_check import exact_coset_verdict, logical_phase
 
 
@@ -106,7 +106,7 @@ def test_conjugate_rejects_t_circuits():
 def test_t_squared_is_s_layer(t3):
     code = color_code(t3)
     t = transversal_t(code)
-    poly = PhasePolynomial.from_circuit(t.compose(t))
+    poly = PhasePolynomial.from_circuit(DiagonalCircuit(t.n, t.gates + t.gates))
     gates = poly.to_circuit().gates
     assert {k for k, _ in gates} == {"S", "Sdg"}
     assert len(gates) == code.n
@@ -182,7 +182,7 @@ def test_non_cycle_membrane_fails_check(t2xs1_2layers):
     K = t2xs1_2layers
     code = toric_code(K, 3)
     bad = chain_spaces(K, 2)[1][0] ^ (1 << 0)
-    circ = cz_membrane_circuit(K, bad, (1, 2), check=False)
+    circ = unchecked_membrane_circuit(K, bad, (1, 2))
     chk = check_logical_gate(circ, code)
     assert chk.status == "FAIL"
     assert chk.witness_stabilizer is not None

@@ -25,7 +25,7 @@ import pytest
 
 from tricode import complexes, gates
 from tricode.codes import CssCode, color_code
-from tricode.complexes import _Builder, barycentric_subdivide, orientation_signs
+from tricode.complexes import barycentric_subdivide, orientation_signs
 from tricode.gates import (DiagonalCircuit, PhasePolynomial, _kernel_generators,
                            _pull_back_linear, check_logical_gate, extract_logical_action,
                            pull_back, transversal_t)
@@ -33,7 +33,7 @@ from tricode.gf2 import (BitMatrix, dual_basis, echelon, extend_basis, invert,
                          kernel_completion, null_vectors, quotient_bases, remainder, top_pivots,
                          vec_from_support)
 
-from conftest import gf2_product, kernel_from_rref, row_reduce
+from conftest import _Builder, gf2_product, kernel_from_rref, row_reduce
 from test_local_check import random_circuit, random_code, t3_cover
 
 

@@ -105,7 +105,7 @@ def test_large_entries_exact():
 
 
 SELF_CHECKS_UNDER_O = """
-from tricode import mcg, snf, sullivan
+from tricode import mcg, snf
 M = [[2, 4], [6, 8]]
 good = snf.smith_normal_form(M)
 for bad in (snf.SnfResult([2, 5], good.P, good.Q),
@@ -124,12 +124,6 @@ except RuntimeError:
     pass
 else:
     raise SystemExit("non-symplectic twist passed its self-check")
-try:
-    sullivan.ThreeForm(3, {}).plus(sullivan.ThreeForm(4, {}))
-except ValueError:
-    pass
-else:
-    raise SystemExit("3-forms on 3 and 4 generators were added")
 """
 
 

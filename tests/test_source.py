@@ -73,6 +73,7 @@ def test_every_public_definition_is_referenced():
     # is not package code: test references do not count, so a definition only
     # tests use is deleted or moved into the tests.  A module-level name counts
     # as a bare name or as module.name; a method counts as any attribute .name
+    # (so a method escapes the guard when another attribute shares its name)
     root = SRC.parent.parent
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for folder in ("src", "scripts", "benchmark")

@@ -139,7 +139,8 @@ def test_multilinearity_mod2():
     for _ in range(30):
         m = rng.randint(3, 7)
         f1, f2 = rand_form(rng, m), rand_form(rng, m)
-        combined = synthesize(f1.plus(f2)).predicted_form
+        total = {t: f1.coeffs.get(t, 0) + f2.coeffs.get(t, 0) for t in {**f1.coeffs, **f2.coeffs}}
+        combined = synthesize(ThreeForm(m, total)).predicted_form
         u1 = set(synthesize(f1).predicted_form.known_unit_triples())
         u2 = set(synthesize(f2).predicted_form.known_unit_triples())
         assert set(combined.known_unit_triples()) == u1 ^ u2
