@@ -118,14 +118,14 @@ def cmd_homology(args) -> int:
         return 0
     if args.dim is None:  # basis
         raise SystemExit("homology basis needs --dim N")
-    hb = homology.homology_basis(K, args.dim)
+    cycles, cocycles = homology.canonical_basis(K, args.dim)
     obj = {
         "dim": args.dim,
-        "cycles": [support(z) for z in hb.cycles],
-        "cocycles": [support(c) for c in hb.cocycles],
+        "cycles": [support(z) for z in cycles],
+        "cocycles": [support(c) for c in cocycles],
         "pairing": "identity",
     }
-    _emit(args, obj, f"rank {hb.rank} basis with identity pairing")
+    _emit(args, obj, f"rank {len(cycles)} basis with identity pairing")
     return 0
 
 
@@ -142,7 +142,7 @@ def cmd_cup(args) -> int:
     if args.action == "triple":
         if args.cocycles is None:
             raise SystemExit("cup triple needs --cocycles i,j,k")
-        basis = cup.canonical_cocycle_basis(K, 1)
+        basis = [cup.Cochain(1, c) for c in homology.canonical_basis(K, 1)[1]]
         i, j, k = (int(t) for t in args.cocycles.split(","))
         if not all(0 <= t < len(basis) for t in (i, j, k)):
             raise SystemExit(f"--cocycles {args.cocycles}: indices must lie in 0..{len(basis) - 1} "

@@ -89,9 +89,9 @@ class DeltaComplex:
 
 def validate(K: DeltaComplex) -> list[str]:
     """All invariant violations (empty list == well-formed), in three passes:
-    face arities and face and cycle indices out of range (the later passes
-    need them in range); the simplicial identities; named cycles z with
-    del z != 0.
+    face arities, face, cycle and label indices out of range (the later
+    passes need them in range); the simplicial identities; named cycles z
+    with del z != 0.
 
     The identities imply del del = 0 over GF(2): in del del s the term
     d_i d_j s with i < j cancels d_{j-1} d_i s, and (i, j) -> (j-1, i) is a
@@ -110,6 +110,10 @@ def validate(K: DeltaComplex) -> list[str]:
         ok = type(dim) is int and 0 <= dim <= K.dims
         if not ok or any(type(c) is not int or not 0 <= c < K.n_cells(dim) for c in cells):
             bad.append(f"cycle {name!r}: cell index out of range")
+    for key in K.labels:
+        if not (type(key) is tuple and len(key) == 2 and all(type(t) is int for t in key)
+                and 0 <= key[1] < K.n_cells(key[0])):
+            bad.append(f"label key {key!r}: not a (dim, index) pair of a cell")
     if bad:
         return bad
     for n in range(2, K.dims + 1):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import DeltaComplex, is_closed
-from .gf2 import popcount, vec_from_support
+from .gf2 import invert, popcount, vec_from_support
 from . import homology
 
 
@@ -67,23 +67,16 @@ def triple_cup_integral(K: DeltaComplex, a: Cochain, b: Cochain, c: Cochain) -> 
     return total
 
 
-def canonical_cocycle_basis(K: DeltaComplex, n: int) -> list[Cochain]:
-    return [Cochain(n, v) for v in homology.homology_basis(K, n).cocycles]
-
-
-def surface_intersection_form(K: DeltaComplex, cocycles: list[Cochain] | None = None) -> list[list[int]]:
-    """M_ij = integral of c_i cup c_j over a closed surface; must be
-    nondegenerate (raises otherwise)."""
+def surface_intersection_form(K: DeltaComplex) -> list[list[int]]:
+    """M_ij = integral of c_i cup c_j over a closed surface, on the H^1 basis
+    of ``homology.canonical_basis``; must be nondegenerate (raises otherwise)."""
     if K.dims != 2:
         raise ValueError("intersection form needs a 2-complex")
     if not is_closed(K):
         raise ValueError("intersection form needs a closed surface")
-    if cocycles is None:
-        cocycles = canonical_cocycle_basis(K, 1)
+    cocycles = [Cochain(1, c) for c in homology.canonical_basis(K, 1)[1]]
     k = len(cocycles)
     M = [[integrate(K, cup(K, cocycles[i], cocycles[j])) for j in range(k)] for i in range(k)]
-    from .gf2 import invert
-
     if k and invert([vec_from_support(j for j in range(k) if M[i][j]) for i in range(k)], k) is None:
         raise ValueError("degenerate intersection form (non-closed or non-surface input)")
     return M

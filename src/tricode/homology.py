@@ -4,13 +4,11 @@ Boundary matrices act on bit-packed chain vectors (bit s = simplex s).
 Bases are canonical: in degree n, ``gf2.quotient_bases`` on the rows of
 del_n and of del_{n+1}^T picks the cocycles completing the coboundaries
 and the cycles completing the boundaries, from one forward elimination per
-boundary matrix.  Homology/cohomology bases are returned with an identity
-pairing so downstream reports are stable across runs.
+boundary matrix.  ``canonical_basis`` returns them with an identity pairing
+so downstream reports are stable across runs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .complexes import DeltaComplex
 from .gf2 import BitMatrix, dot, dual_basis, quotient_bases, solve_augmented, vec_from_support
@@ -51,42 +49,23 @@ def betti_all(K: DeltaComplex) -> tuple[int, ...]:
     return tuple(K.n_cells(n) - ranks[n] - ranks[n + 1] for n in range(K.dims + 1))
 
 
-@dataclass
-class HomologyBasis:
-    dim: int
-    cycles: list[int]
-    cocycles: list[int]
-    pairing: list[int]  # row i = evaluations of all cocycles on cycle i
-
-    @property
-    def rank(self) -> int:
-        return len(self.cycles)
-
-
-def homology_basis(K: DeltaComplex, n: int) -> HomologyBasis:
-    """Cycle and cocycle representatives with identity pairing.
-
-    Cycles complete im del_{n+1} inside ker del_n; cocycles complete
-    im delta_{n-1} inside ker delta_n (``representatives``), then are
-    recombined so that cocycle_j(cycle_i) = delta_ij.
-    """
+def canonical_basis(K: DeltaComplex, n: int) -> tuple[list[int], list[int]]:
+    """(cycles, cocycles) of degree n with identity pairing: the
+    ``representatives``, with the cocycles recombined so that
+    cocycle_j(cycle_i) = delta_ij."""
     cocycles, cycles = representatives(K, n)
-    return _canonical_basis(n, cocycles, cycles)
+    return cycles, _dual_cocycles(cocycles, cycles)
 
 
-def _canonical_basis(n: int, cocycles: list[int], cycles: list[int]) -> HomologyBasis:
-    """homology_basis from the representatives already picked."""
+def _dual_cocycles(cocycles: list[int], cycles: list[int]) -> list[int]:
+    """``cocycles`` recombined to pair to the identity with ``cycles``."""
     # invertible since both bases are complete
-    new_cocycles = dual_basis(cocycles, cycles)
-    if new_cocycles is None:
+    duals = dual_basis(cocycles, cycles)
+    if duals is None:
         raise RuntimeError("homology/cohomology pairing is degenerate")
-    pairing = [
-        vec_from_support(j for j, c in enumerate(new_cocycles) if dot(c, z))
-        for z in cycles
-    ]
-    if pairing != [1 << i for i in range(len(cycles))]:
+    if any(dot(c, z) != (i == j) for i, z in enumerate(cycles) for j, c in enumerate(duals)):
         raise RuntimeError("recombined cocycles do not pair to the identity")
-    return HomologyBasis(n, cycles, new_cocycles, pairing)
+    return duals
 
 
 def named_cycle_vector(K: DeltaComplex, name: str) -> tuple[int, int]:
@@ -99,7 +78,7 @@ def logical_basis(K: DeltaComplex, n: int) -> tuple[list[str] | None, list[int],
 
     The builder's named n-cycles are the basis when there are b_n of them and
     their pairing with the H^n class representatives is invertible; otherwise
-    names is None and the basis is homology_basis's canonical one.
+    names is None and the basis is ``canonical_basis``'s.
     """
     cocycles, cycles = representatives(K, n)
     names = [nm for nm, (d, _) in K.cycles.items() if d == n]
@@ -108,12 +87,10 @@ def logical_basis(K: DeltaComplex, n: int) -> tuple[list[str] | None, list[int],
         duals = dual_basis(cocycles, named)
         if duals is not None:
             return names, named, duals
-    hb = _canonical_basis(n, cocycles, cycles)
-    return None, hb.cycles, hb.cocycles
+    return None, cycles, _dual_cocycles(cocycles, cycles)
 
 
-def poincare_duals(K: DeltaComplex, zs: list[int],
-                   beta_basis: list[int] | None = None) -> list[int]:
+def poincare_duals(K: DeltaComplex, zs: list[int]) -> list[int]:
     """For each q-cycle z in zs on a closed d-complex, q = d - 1, a 1-cocycle
     c with integral(c cup beta) = beta(z) for every q-cocycle basis element
     beta (d = 3: membrane -> 1-cocycle; d = 2: curve -> 1-cocycle).
@@ -133,12 +110,11 @@ def poincare_duals(K: DeltaComplex, zs: list[int],
     if not zs:
         return []
     ncells = K.n_cells(p)
-    if beta_basis is None:  # H^q class representatives: only the span mod coboundaries matters
-        beta_basis, _ = representatives(K, q)
+    betas, _ = representatives(K, q)  # only the span mod coboundaries matters
     # integral(c cup beta) = sum over top simplices of c(front) beta(back)
     faces = [(K.front(d, s, p), K.back(d, s, q)) for s in range(K.n_cells(d))]
     rows = boundary_matrix(K, p + 1).transpose().rows
-    for beta in beta_basis:
+    for beta in betas:
         row = 0
         for front, back in faces:
             if (beta >> back) & 1:

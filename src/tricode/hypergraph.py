@@ -5,13 +5,13 @@ The base hypergraph has one vertex per 2-cycle basis class and one
 hyperedge per unit triple intersection; lifting to the full hypergraph
 triples the vertices (copy labels) and expands each hyperedge into the
 3! = 6 copy permutations.  UNKNOWN-ALGEBRAIC coefficients are never
-silently treated as zero.
+silently treated as zero: the builders and the file loader refuse them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import homology
 from .cup import spine_edges
@@ -24,13 +24,6 @@ class Hypergraph:
     kind: str  # base | full
     vertices: list
     hyperedges: list[tuple]
-    unknown_triples: list[tuple] = field(default_factory=list)
-
-    def degree(self, v) -> int:
-        return sum(1 for e in self.hyperedges if v in e)
-
-    def degrees(self) -> dict:
-        return {v: self.degree(v) for v in self.vertices}
 
 
 def form_from_cup(K) -> TripleForm:
@@ -72,27 +65,13 @@ def form_from_cup(K) -> TripleForm:
 def base_hypergraph(form: TripleForm) -> Hypergraph:
     """One hyperedge per unit triple-intersection coefficient.
 
-    Raises if any requested triple is UNKNOWN-ALGEBRAIC (never guessed)."""
-    h = base_hypergraph_partial(form)
-    if h.unknown_triples:
-        raise ValueError(f"{len(h.unknown_triples)} UNKNOWN-ALGEBRAIC coefficients; "
+    Raises if any triple is UNKNOWN-ALGEBRAIC (never guessed)."""
+    unknown = sum(v == UNKNOWN for v in form.coefficients.values())
+    if unknown:
+        raise ValueError(f"{unknown} UNKNOWN-ALGEBRAIC coefficients; "
                          "cannot build the base hypergraph")
-    return h
-
-
-def base_hypergraph_partial(form: TripleForm) -> Hypergraph:
-    """Like base_hypergraph but UNKNOWN triples are carried on the side."""
-    edges = [
-        tuple(form.labels[i] for i in sorted(t))
-        for t, v in sorted(form.coefficients.items(), key=lambda kv: sorted(kv[0]))
-        if v == 1
-    ]
-    unknown = [
-        tuple(form.labels[i] for i in sorted(t))
-        for t, v in sorted(form.coefficients.items(), key=lambda kv: sorted(kv[0]))
-        if v == UNKNOWN
-    ]
-    return Hypergraph("base", list(form.labels), edges, unknown)
+    edges = [tuple(form.labels[i] for i in t) for t in form.known_unit_triples()]
+    return Hypergraph("base", list(form.labels), edges)
 
 
 def lift_full(base: Hypergraph) -> Hypergraph:
@@ -105,11 +84,7 @@ def lift_full(base: Hypergraph) -> Hypergraph:
     for (u, v, w) in base.hyperedges:
         for perm in itertools.permutations((1, 2, 3)):
             edges.append(((u, perm[0]), (v, perm[1]), (w, perm[2])))
-    unknown = []
-    for (u, v, w) in base.unknown_triples:
-        for perm in itertools.permutations((1, 2, 3)):
-            unknown.append(((u, perm[0]), (v, perm[1]), (w, perm[2])))
-    return Hypergraph("full", vertices, edges, unknown)
+    return Hypergraph("full", vertices, edges)
 
 
 def magic_state_complexity(full: Hypergraph) -> int:
@@ -117,8 +92,6 @@ def magic_state_complexity(full: Hypergraph) -> int:
     hypergraph = 6 x (number of triple intersection points)."""
     if full.kind != "full":
         raise ValueError("complexity is defined on the full hypergraph")
-    if full.unknown_triples:
-        raise ValueError("complexity undefined with UNKNOWN-ALGEBRAIC triples present")
     return len(full.hyperedges)
 
 
@@ -167,9 +140,12 @@ class DegreeReport:
 
 
 def degree_report(h: Hypergraph) -> DegreeReport:
-    """Per-vertex degrees with a star-structure verdict (max degree at least
-    half the hyperedges)."""
-    degs = h.degrees()
+    """Per-vertex hyperedge counts, from one pass over the hyperedges, with a
+    star-structure verdict (max degree at least half the hyperedges)."""
+    degs = dict.fromkeys(h.vertices, 0)
+    for e in h.hyperedges:
+        for v in degs.keys() & set(e):  # each listed vertex of e, once
+            degs[v] += 1
     hist: dict[int, int] = {}
     for d in degs.values():
         hist[d] = hist.get(d, 0) + 1
@@ -189,10 +165,6 @@ def to_dot(h: Hypergraph) -> str:
         lines.append(f'  e{i} [label="", shape=square, width=0.12, style=filled];')
         for v in e:
             lines.append(f"  e{i} -- {names[v]};")
-    for i, e in enumerate(h.unknown_triples):
-        lines.append(f'  u{i} [label="?", shape=square, style=dashed];')
-        for v in e:
-            lines.append(f"  u{i} -- {names[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -73,9 +73,10 @@ def humphries_curve(name: str) -> list[int]:
 def _parse_curve(spec: str, g: int) -> tuple[str, int]:
     """a:i | b:i | f:i as (kind, i), with a and b in 1..g and f in 1..g-1."""
     kind, _, idx = spec.partition(":")
-    i, top = int(idx), {"a": g, "b": g, "f": g - 1}.get(kind)
+    top = {"a": g, "b": g, "f": g - 1}.get(kind)
     if top is None:
         raise ValueError(f"unknown curve {spec!r}")
+    i = int(idx)
     if not 1 <= i <= top:
         raise ValueError(f"curve {spec!r}: index must lie in 1..{top} (genus {g})")
     return kind, i
@@ -169,9 +170,6 @@ class TripleForm:
 
     labels: list[str]
     coefficients: dict[frozenset, object] = field(default_factory=dict)
-
-    def get(self, i, j, k):
-        return self.coefficients.get(frozenset({i, j, k}), 0)
 
     def known_unit_triples(self) -> list[tuple]:
         return sorted(
@@ -360,8 +358,10 @@ def thickened_dehn_twist_action(curve: str, g: int) -> ThickenedTwistAction:
 
 def twist_sequence_action(specs: list[str], g: int) -> ThickenedTwistAction:
     """Operator product of thickened twists, rightmost applied first."""
+    if g < 1:
+        raise ValueError(f"genus must be at least 1, not {g}")
     actions = [thickened_dehn_twist_action(s, g) for s in specs]
-    total = actions[-1]
-    for act in reversed(actions[:-1]):
+    total = ThickenedTwistAction(g, [1 << t for t in range(2 * g + 1)], [])  # the empty product
+    for act in reversed(actions):
         total = act.compose(total)
     return total

@@ -13,6 +13,7 @@ Formats (documented in the README):
              dense layout (format 1: hx/hz rows of n 0/1 entries), still read.
   circuit    {"n": .., "gates": [["CCZ", [a, b, c]], ..]}
   hypergraph {"kind": "base"|"full", "vertices": [..], "hyperedges": [[..]]}
+             (a file with an "unknown" key, of UNKNOWN triples, is refused)
   form       {"m": m, "coeffs": {"1,2,3": 1, ..}}
 
 All dumps are sorted-key and newline-terminated for diff stability.
@@ -243,10 +244,7 @@ def circuit_from_json(data: dict) -> DiagonalCircuit:
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:
-    out = {"kind": h.kind, "vertices": h.vertices, "hyperedges": h.hyperedges}
-    if h.unknown_triples:
-        out["unknown"] = h.unknown_triples
-    return out
+    return {"kind": h.kind, "vertices": h.vertices, "hyperedges": h.hyperedges}
 
 
 def hypergraph_from_json(data: dict) -> Hypergraph:
@@ -257,20 +255,20 @@ def hypergraph_from_json(data: dict) -> Hypergraph:
             return tuple(v)
         raise ValueError(f"hypergraph vertex {v!r} is not a str or int, or a list of them")
 
-    def edges(key: str, default=None) -> list[tuple]:
-        out = []
-        for e in _field(data, key, list, default):
-            if type(e) is not list:
-                raise ValueError(f"{key!r} entry {e!r} is not a list of vertices")
-            out.append(tuple(devert(v) for v in e))
-        return out
-
     _check_object(data, "hypergraph")
+    if "unknown" in data:  # UNKNOWN-ALGEBRAIC triples are never silently dropped
+        raise ValueError("hypergraph has UNKNOWN-ALGEBRAIC triples ('unknown'); "
+                         "no hypergraph result is defined")
     kind = _field(data, "kind", str)
     if kind not in ("base", "full"):
         raise ValueError(f"hypergraph kind {kind!r} is not 'base' or 'full'")
-    return Hypergraph(kind, [devert(v) for v in _field(data, "vertices", list)],
-                      edges("hyperedges"), edges("unknown", []))
+    vertices = [devert(v) for v in _field(data, "vertices", list)]
+    edges = []
+    for e in _field(data, "hyperedges", list):
+        if type(e) is not list:
+            raise ValueError(f"'hyperedges' entry {e!r} is not a list of vertices")
+        edges.append(tuple(devert(v) for v in e))
+    return Hypergraph(kind, vertices, edges)
 
 
 def form_entries(data: dict) -> list[tuple[tuple[int, int, int], object]]:

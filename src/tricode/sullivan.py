@@ -6,10 +6,11 @@ by gluing two genus-m handlebodies through tau = prod sigma_{ijk}^{a_ijk}.
 Each sigma block acts on the six (a_i, a_j, a_k, b_i, b_j, b_k) coordinates
 as the unit upper-triangular symplectic matrix whose off-diagonal block
 couples complementary pairs; it fixes the kernel lattice K(m) = span(a_*)
-pointwise.  The triple-intersection form of the glued manifold on the m
-handle classes is mu itself; the consistency checks below recover what the
-matrix alone determines (the pair sums) and verify the symplectic and
-kernel-fixing properties.
+pointwise.  Their off-diagonal blocks multiply to zero, so ``synthesize``
+builds tau in closed form.  The triple-intersection form of the glued
+manifold on the m handle classes is mu itself; the consistency checks below
+recover what the matrix alone determines (the pair sums) and verify the
+symplectic and kernel-fixing properties.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .mcg import TripleForm, is_symplectic
-from .snf import IntMatrix, identity, matmul
+from .snf import IntMatrix, identity
 
 
 @dataclass
@@ -43,43 +44,6 @@ class ThreeForm:
         return form
 
 
-def sigma_block(i: int, j: int, k: int, m: int) -> IntMatrix:
-    """The gluing generator on handles (i, j, k), extended by identity.
-
-    Block structure [[I, B], [C, I]] in the (a, b) coordinates with
-    B = [[0,1,1],[1,0,1],[1,1,0]] on rows/columns (i, j, k).  The starred
-    lower-left block C is forced to zero: acting trivially on the kernel
-    lattice requires C = 0, and the symplectic equations admit no other
-    completion (B is invertible, so C^T B = 0 has only the zero solution);
-    zero is also the minimal-norm choice.
-    """
-    if not (1 <= i < j < k <= m):
-        raise ValueError("need 1 <= i < j < k <= m")
-    M = identity(2 * m)
-    trio = (i - 1, j - 1, k - 1)
-    for r in trio:
-        for c in trio:
-            if r != c:
-                M[r][m + c] = 1
-    if not is_symplectic(M, m):
-        raise ValueError("no symplectic completion")
-    return M
-
-
-def matrix_power(M: IntMatrix, a: int, m: int) -> IntMatrix:
-    if a < 0:
-        # unit upper-triangular: inverse negates the off-diagonal block
-        inv = [row[:] for row in M]
-        for r in range(m):
-            for c in range(m, 2 * m):
-                inv[r][c] = -inv[r][c]
-        return matrix_power(inv, -a, m)
-    out = identity(2 * m)
-    for _ in range(a):
-        out = matmul(out, M)
-    return out
-
-
 @dataclass
 class SynthesisResult:
     tau: IntMatrix
@@ -95,11 +59,22 @@ class SynthesisResult:
 
 def synthesize(mu: ThreeForm) -> SynthesisResult:
     """tau = product over i<j<k of sigma_{ijk}^{a_ijk}; the predicted triple
-    form on the handle classes is mu mod 2."""
+    form on the handle classes is mu mod 2.
+
+    sigma_{ijk} is [[I, B], [C, I]] in the (a, b) coordinates, B = [[0,1,1],
+    [1,0,1],[1,1,0]] on (i, j, k).  C = 0: fixing the kernel lattice forces
+    it, and since B is invertible C^T B = 0 has no other symplectic solution.
+    So sigma_{ijk} = I + E_ijk with E_ijk upper-right, E_s E_t = 0, and
+    (I + E)^a = I + a E for every integer a: tau = I + sum a_ijk E_ijk.
+    """
     m = mu.m
     tau = identity(2 * m)
-    for (i, j, k), a in sorted(mu.coeffs.items()):
-        tau = matmul(tau, matrix_power(sigma_block(i, j, k, m), a, m))
+    for (i, j, k), a in mu.coeffs.items():
+        trio = (i - 1, j - 1, k - 1)
+        for r in trio:
+            for c in trio:
+                if r != c:
+                    tau[r][m + c] += a
     return SynthesisResult(tau, mu.mod2(), m)
 
 

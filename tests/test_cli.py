@@ -460,10 +460,28 @@ def test_manifest_reports_curve_index_out_of_range(workdir):
             serialize.write("one.manifest.json", {"steps": [step]})
             assert run_manifest("one.manifest.json") == (
                 1, [f"step 0 failed ({why}): {' '.join(step)}"]), step
-    step = ["mcg", "thickened", "--sequence", "q:1"]
+    for curve in ("q:1", "zz"):  # zz used to read invalid literal for int()
+        step = ["mcg", "thickened", "--sequence", curve]
+        serialize.write("one.manifest.json", {"steps": [step]})
+        assert run_manifest("one.manifest.json") == (
+            1, [f"step 0 failed (ValueError: unknown curve '{curve}'): {' '.join(step)}"])
+
+
+def test_empty_thickened_sequence_is_the_identity(workdir, capsys):
+    # the empty sequence used to raise IndexError, which aborted run-manifest
+    step = ["mcg", "thickened", "--genus", "2", "--sequence", ""]
+    serialize.write("one.manifest.json", {"steps": [step]})
+    assert run_manifest("one.manifest.json") == (0, ["step 0 ok: mcg thickened --genus 2 --sequence "])
+    assert capsys.readouterr().out == "identity on the membrane basis\n"
+    assert main([*step, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "labels": ["a1xc", "a2xc", "b1xc", "b2xc", "Sigma"],
+        "matrix_columns": [[0], [1], [2], [3], [4]], "cnots": []}
+    step = ["mcg", "thickened", "--genus", "0", "--sequence", ""]
     serialize.write("one.manifest.json", {"steps": [step]})
     assert run_manifest("one.manifest.json") == (
-        1, [f"step 0 failed (ValueError: unknown curve 'q:1'): {' '.join(step)}"])
+        1, ["step 0 failed (ValueError: genus must be at least 1, not 0): "
+            "mcg thickened --genus 0 --sequence "])
 
 
 def test_simulate_checks_logical_qubits_against_k(workdir):
@@ -655,7 +673,7 @@ BAD_LOADS = [
     ("h.json", ["hypergraph", "degrees", "h.json"], lambda d: d["hyperedges"].__setitem__(0, 5),
      "'hyperedges' entry 5 is not a list of vertices"),
     ("h.json", ["hypergraph", "degrees", "h.json"], lambda d: d.__setitem__("unknown", [7]),
-     "'unknown' entry 7 is not a list of vertices"),
+     "hypergraph has UNKNOWN-ALGEBRAIC triples ('unknown'); no hypergraph result is defined"),
     ("h.json", ["hypergraph", "degrees", "h.json"], lambda d: d.__setitem__("kind", "x"),
      "hypergraph kind 'x' is not 'base' or 'full'"),
     ("h.json", ["report", "h.json"], lambda d: d.__setitem__("hyperedges", {}),
@@ -700,6 +718,21 @@ def test_matrix_hypergraph_and_form_files_are_shape_checked(workdir, name, step,
     serialize.write("one.manifest.json", {"steps": [step]})
     assert run_manifest("one.manifest.json") == (
         1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
+
+
+def test_hypergraph_file_with_unknown_triples_is_refused(workdir, capsys):
+    # degrees used to read the "unknown" triples and then ignore them, and
+    # printed max degree 0 for a file whose only hyperedge was unknown
+    _form_inputs()
+    data = serialize.read("h.json")
+    serialize.write("u.json", {**data, "hyperedges": [], "unknown": data["hyperedges"]})
+    why = "hypergraph has UNKNOWN-ALGEBRAIC triples ('unknown'); no hypergraph result is defined"
+    for step in (["hypergraph", "degrees", "u.json"], ["report", "u.json"]):
+        serialize.write("one.manifest.json", {"steps": [step]})
+        assert run_manifest("one.manifest.json") == (
+            1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
+        assert console_main(step) == 1
+        assert capsys.readouterr() == ("", f"error: {why}\n")
 
 
 def _corrupt(data, edit):

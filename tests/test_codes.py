@@ -88,7 +88,7 @@ from tricode import codes, complexes, gf2, homology
 K = complexes.build_torus3()
 gf2.invert = lambda rows, n: None  # every pairing now reads as singular
 with pytest.raises(RuntimeError, match="homology/cohomology pairing is degenerate"):
-    homology.homology_basis(K, 1)
+    homology.canonical_basis(K, 1)
 with pytest.raises(RuntimeError, match="logical pairing is degenerate"):
     codes.color_code(K)
 print("ok")
@@ -266,7 +266,7 @@ def class_tracked_systole(K):
     them; the class of an edge is its evaluation against the H^1 basis."""
     from collections import deque
 
-    cocycles = homology.homology_basis(K, 1).cocycles
+    cocycles = homology.canonical_basis(K, 1)[1]
     k = len(cocycles)
     V = K.n_cells(0)
     adj = [[] for _ in range(V)]

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -166,6 +167,16 @@ def test_named_cycles_must_be_closed(t3):
     K = DeltaComplex(t3.face, t3.labels, {**t3.cycles, "axb+axc": (2, (0, 1, 3, 6))})
     with pytest.raises(dataclasses.FrozenInstanceError):
         K.cycles = {}
+
+
+def test_label_keys_must_name_cells(t3):
+    # a label on no cell used to construct, and serialize dropped it on write
+    for key in [(1, 5), (0, 1), (-1, 0), (4, 0), (0, 0, 0), "a", (0, "0")]:
+        with pytest.raises(ValueError, match=rf"^label key {re.escape(repr(key))}: "
+                                             r"not a \(dim, index\) pair of a cell$"):
+            DeltaComplex([[()]], {key: "x"})
+    assert DeltaComplex([[()]], {(0, 0): "v"}).label(0, 0) == "v"
+    assert DeltaComplex(t3.face, t3.labels, t3.cycles) == t3
 
 
 RANDOM_EDIT_COMPLEXES = {

@@ -43,33 +43,32 @@ def test_poincare_duality_closed_presets(t3, s2xs1, t2xs1_2layers):
 
 
 def test_homology_basis_t3(t3):
-    hb = homology.homology_basis(t3, 1)
-    assert hb.rank == 3
-    assert hb.pairing == [1, 2, 4]
+    cycles, cocycles = homology.canonical_basis(t3, 1)
+    assert len(cycles) == 3
+    pairing = [vec_from_support(j for j, c in enumerate(cocycles) if dot(c, z)) for z in cycles]
+    assert pairing == [1, 2, 4]
     d1 = homology.boundary_matrix(t3, 1)
     delta1 = homology.boundary_matrix(t3, 2).transpose()
-    for z in hb.cycles:
+    for z in cycles:
         assert d1.matvec(z) == 0
-    for c in hb.cocycles:
+    for c in cocycles:
         assert delta1.matvec(c) == 0
 
 
 def test_homology_basis_sphere_empty():
     S = tetrahedron_boundary()
-    hb = homology.homology_basis(S, 1)
-    assert hb.rank == 0
-    assert hb.cycles == [] and hb.cocycles == []
+    assert homology.canonical_basis(S, 1) == ([], [])
 
 
 def test_named_cycles_span_h1(t3):
-    hb = homology.homology_basis(t3, 1)
+    cycles, cocycles = homology.canonical_basis(t3, 1)
     _, boundaries, _, _ = chain_spaces(t3, 1)
-    span = hb.cycles + boundaries
+    span = cycles + boundaries
     classes = []
     for nm in ("a", "b", "c"):
         _, z = homology.named_cycle_vector(t3, nm)
         assert not extend_basis(span, [z]), nm
-        classes.append(vec_from_support(j for j, c in enumerate(hb.cocycles) if dot(c, z)))
+        classes.append(vec_from_support(j for j, c in enumerate(cocycles) if dot(c, z)))
     assert len(row_reduce(classes)[0]) == 3  # the named classes span H_1
 
 
@@ -83,8 +82,7 @@ def test_poincare_dual_t3(t3):
 def test_poincare_dual_boundary_is_trivial(t3):
     b = chain_spaces(t3, 2)[1][0]
     pd = homology.poincare_duals(t3, [b])[0]
-    hb = homology.homology_basis(t3, 1)
-    assert all(dot(pd, z) == 0 for z in hb.cycles)
+    assert all(dot(pd, z) == 0 for z in homology.canonical_basis(t3, 1)[0])
 
 
 def test_poincare_dual_rejects_non_cycle(t3):
@@ -93,23 +91,32 @@ def test_poincare_dual_rejects_non_cycle(t3):
 
 
 def test_poincare_dual_round_trip(t3):
-    hb2 = homology.homology_basis(t3, 2)
-    hb1 = homology.homology_basis(t3, 1)
+    cycles1 = homology.canonical_basis(t3, 1)[0]
     rows = []
-    for z2 in hb2.cycles:
+    for z2 in homology.canonical_basis(t3, 2)[0]:
         pd = homology.poincare_duals(t3, [z2])[0]
-        rows.append(vec_from_support(j for j, z1 in enumerate(hb1.cycles) if dot(pd, z1)))
+        rows.append(vec_from_support(j for j, z1 in enumerate(cycles1) if dot(pd, z1)))
     from tricode.gf2 import invert
 
     assert invert(rows, len(rows)) is not None
 
 
-def test_poincare_dual_class_independent_of_basis(t3):
+def _duals_against(monkeypatch, K, zs, betas):
+    """poincare_duals(K, zs) with the q-cocycles ``betas`` standing in for the
+    H^q class representatives, q = dims - 1."""
+    reps = homology.representatives
+    with monkeypatch.context() as mp:
+        mp.setattr(homology, "representatives",
+                   lambda K_, n: (betas, reps(K_, n)[1]) if n == K.dims - 1 else reps(K_, n))
+        return homology.poincare_duals(K, zs)
+
+
+def test_poincare_dual_class_independent_of_basis(t3, monkeypatch):
     # recombining the 2-cocycle basis changes the linear system but not the class
     _, zab = homology.named_cycle_vector(t3, "axb")
     pd1 = homology.poincare_duals(t3, [zab])[0]
-    hb1 = homology.homology_basis(t3, 1)
-    base = homology.homology_basis(t3, 2).cocycles
+    cycles1 = homology.canonical_basis(t3, 1)[0]
+    base = homology.canonical_basis(t3, 2)[1]
     rng = random.Random(5)
     for _ in range(10):
         mixed = list(base)
@@ -119,8 +126,8 @@ def test_poincare_dual_class_independent_of_basis(t3):
                     mixed[i] ^= mixed[j]
         if len(row_reduce(mixed)[0]) != len(base):
             continue
-        pd2 = homology.poincare_duals(t3, [zab], beta_basis=mixed)[0]
-        assert all(dot(pd1, z) == dot(pd2, z) for z in hb1.cycles)
+        pd2 = _duals_against(monkeypatch, t3, [zab], mixed)[0]
+        assert all(dot(pd1, z) == dot(pd2, z) for z in cycles1)
 
 
 def test_row_reduce_idempotent():
@@ -250,13 +257,13 @@ def _closed_3_complexes():
 def test_poincare_duals_batch_equals_single_solves():
     rng = random.Random(23)
     for K in _closed_3_complexes():
-        hb2 = homology.homology_basis(K, 2)
+        cycles2 = homology.canonical_basis(K, 2)[0]
         _, boundaries, _, _ = chain_spaces(K, 2)
         named = [vec_from_support(cells) for d, cells in K.cycles.values() if d == 2]
-        zs = named + hb2.cycles + [0]
+        zs = named + cycles2 + [0]
         for _ in range(4):  # random homologous representatives
             z = 0
-            for v in hb2.cycles + boundaries:
+            for v in cycles2 + boundaries:
                 if rng.random() < 0.5:
                     z ^= v
             zs.append(z)
@@ -319,10 +326,10 @@ def test_named_basis_returns_dual_cocycles(t3):
     assert [[dot(c, z) for c in cocycles] for z in cycles] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     # too few named cycles, or named cycles that are not a basis: the canonical basis
     K = dataclasses.replace(t3, cycles={nm: z for nm, z in t3.cycles.items() if nm != "c"})
-    hb = homology.homology_basis(K, 1)
-    assert homology.logical_basis(K, 1) == (None, hb.cycles, hb.cocycles)
+    canonical = (None, *homology.canonical_basis(K, 1))
+    assert homology.logical_basis(K, 1) == canonical
     K = dataclasses.replace(t3, cycles={**t3.cycles, "c": t3.cycles["b"]})
-    assert homology.logical_basis(K, 1) == (None, hb.cycles, hb.cocycles)
+    assert homology.logical_basis(K, 1) == canonical
 
 
 # -- one elimination per boundary matrix ------------------------------------------
@@ -377,17 +384,16 @@ def test_chain_spaces_match_the_four_reference_helpers():
                 extend_basis(coboundaries, cocycles), extend_basis(boundaries, cycles)), (K.counts, n)
 
 
-def test_betti_all_and_default_duals_match_per_call_forms():
+def test_betti_all_and_default_duals_match_per_call_forms(monkeypatch):
     for K in _spaces_complexes():
         assert homology.betti_all(K) == tuple(homology.betti(K, n) for n in range(K.dims + 1))
         if K.dims < 2 or not homology.betti(K, K.dims):
             continue  # no fundamental class: no Poincare duals
         q = K.dims - 1
-        hb = homology.homology_basis(K, q)
+        cycles, cocycles = homology.canonical_basis(K, q)
         _, boundaries, _, _ = chain_spaces(K, q)
-        zs = hb.cycles + boundaries[:3] + [0]
-        assert homology.poincare_duals(K, zs) == homology.poincare_duals(
-            K, zs, beta_basis=hb.cocycles)
+        zs = cycles + boundaries[:3] + [0]
+        assert homology.poincare_duals(K, zs) == _duals_against(monkeypatch, K, zs, cocycles)
 
 
 def test_named_basis_of_a_sphere_is_empty():

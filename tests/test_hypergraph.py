@@ -10,8 +10,8 @@ from tricode.complexes import (barycentric_subdivide, build_sigma_g, build_sigma
                                rotation_automorphism)
 from tricode.cup import Cochain, triple_cup_integral
 from tricode.hypergraph import (
+    Hypergraph,
     base_hypergraph,
-    base_hypergraph_partial,
     cz_interaction_graph,
     degree_report,
     form_from_cup,
@@ -66,16 +66,12 @@ def test_magic_state_complexity(g, kappa):
     assert magic_state_complexity(full) == kappa
 
 
-def test_unknown_propagates():
-    form = TripleForm(["p", "q", "r"])
+def test_base_hypergraph_refuses_unknown():
+    form = TripleForm(["p", "q", "r", "s"])
+    form.coefficients[frozenset({0, 1, 3})] = 1
     form.coefficients[frozenset({0, 1, 2})] = UNKNOWN
-    with pytest.raises(ValueError, match="UNKNOWN"):
+    with pytest.raises(ValueError, match="^1 UNKNOWN-ALGEBRAIC coefficients; cannot build"):
         base_hypergraph(form)
-    h = base_hypergraph_partial(form)
-    assert h.unknown_triples == [("p", "q", "r")]
-    full = lift_full(h)
-    with pytest.raises(ValueError):
-        magic_state_complexity(full)
 
 
 def test_cz_interaction_graph(s2xs1):
@@ -115,6 +111,23 @@ def test_degree_report_star_flag(s2xs1):
     assert rep.star_like  # quasi-hyperbolic hypergraphs are star-like
     assert rep.max_degree == 2
     assert rep.histogram == {0: 0, 1: 4, 2: 1} or rep.histogram == {1: 4, 2: 1}
+
+
+def test_degree_report_equals_per_vertex_count():
+    built = 0
+    for K in cup_ladder():
+        try:
+            base = base_hypergraph(form_from_cup(K))
+        except ValueError:  # a nonzero repeated-class integral: no hypergraph
+            continue
+        for h in (base, lift_full(base)):
+            want = {v: sum(v in e for e in h.hyperedges) for v in h.vertices}
+            assert degree_report(h).degrees == want, K.counts
+        built += bool(base.hyperedges)
+    assert built >= 8
+    # as read from a file: a repeated vertex counts once, an unlisted one not at all
+    rep = degree_report(Hypergraph("base", ["p", "q"], [("p", "p", "x"), ("p", "q", "r")]))
+    assert rep.degrees == {"p": 2, "q": 1} and rep.histogram == {2: 1, 1: 1}
 
 
 def test_degree_report_empty():

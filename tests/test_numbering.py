@@ -92,7 +92,7 @@ def integer_cocycles(K, m: int) -> list[dict[int, int]]:
     for letter in "abc":
         out.append({e: 1 for (d, e), lab in K.labels.items() if d == 1 and letter in lab})
     if m % 2 == 0:
-        for z in homology.homology_basis(K, 1).cocycles:
+        for z in homology.canonical_basis(K, 1)[1]:
             out.append({e: m // 2 for e in range(K.n_cells(1)) if z >> e & 1})
     return [c for c in out if c]
 

@@ -7,15 +7,50 @@ from hypothesis import given, settings, strategies as st
 
 from tricode.hypergraph import base_hypergraph, degree_report
 from tricode.mcg import is_symplectic
-from tricode.snf import identity, matmul
-from tricode.sullivan import (
-    ThreeForm,
-    genus13_tree_form,
-    matrix_power,
-    roundtrip_check,
-    sigma_block,
-    synthesize,
-)
+from tricode.snf import IntMatrix, identity, matmul
+from tricode.sullivan import ThreeForm, genus13_tree_form, roundtrip_check, synthesize
+
+
+# -- the product route: reference oracle for synthesize's closed form -----------
+
+
+def sigma_block(i: int, j: int, k: int, m: int) -> IntMatrix:
+    """The gluing generator on handles (i, j, k), extended by identity:
+    [[I, B], [0, I]] with B = [[0,1,1],[1,0,1],[1,1,0]] on (i, j, k)."""
+    if not (1 <= i < j < k <= m):
+        raise ValueError("need 1 <= i < j < k <= m")
+    M = identity(2 * m)
+    trio = (i - 1, j - 1, k - 1)
+    for r in trio:
+        for c in trio:
+            if r != c:
+                M[r][m + c] = 1
+    if not is_symplectic(M, m):
+        raise ValueError("no symplectic completion")
+    return M
+
+
+def matrix_power(M: IntMatrix, a: int, m: int) -> IntMatrix:
+    if a < 0:
+        # unit upper-triangular: inverse negates the off-diagonal block
+        inv = [row[:] for row in M]
+        for r in range(m):
+            for c in range(m, 2 * m):
+                inv[r][c] = -inv[r][c]
+        return matrix_power(inv, -a, m)
+    out = identity(2 * m)
+    for _ in range(a):
+        out = matmul(out, M)
+    return out
+
+
+def product_tau(mu: ThreeForm) -> IntMatrix:
+    """tau as the ordered product of sigma_{ijk}^{a_ijk}, one matrix product
+    per unit of each |a_ijk|."""
+    tau = identity(2 * mu.m)
+    for (i, j, k), a in sorted(mu.coeffs.items()):
+        tau = matmul(tau, matrix_power(sigma_block(i, j, k, mu.m), a, mu.m))
+    return tau
 
 
 def test_sigma_block_matches_stated_rows():
@@ -48,6 +83,19 @@ def test_matrix_power_inverse():
     s = sigma_block(1, 2, 3, 4)
     p = matmul(matrix_power(s, 3, 4), matrix_power(s, -3, 4))
     assert p == identity(8)
+
+
+def test_closed_form_tau_matches_product_route():
+    rng = random.Random(26)
+    forms = [genus13_tree_form(), ThreeForm(4, {(1, 2, 3): -1, (2, 3, 4): 1})]
+    for _ in range(40):
+        m = rng.randint(3, 7)
+        triples = list(itertools.combinations(range(1, m + 1), 3))
+        forms.append(ThreeForm(m, {t: rng.randint(-5, 5)
+                                   for t in rng.sample(triples, rng.randint(1, len(triples)))}))
+    assert sum(v < 0 for mu in forms for v in mu.coeffs.values()) >= 20
+    for mu in forms:
+        assert synthesize(mu).tau == product_tau(mu), mu
 
 
 def test_synthesize_t3():
