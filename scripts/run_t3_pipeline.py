@@ -29,7 +29,7 @@ def main():
     print(f"T^3 complex: counts {K.counts}, violations {validate(K)}")
     print(f"Betti numbers: {homology.betti_all(K)}")
 
-    duals = named_dual_cocycles(K, 1)
+    duals = named_dual_cocycles(K)
     print("\ntriple cup integrals over the coordinate duals:")
     for p in itertools.permutations("abc"):
         v = triple_cup_integral(K, duals[p[0]], duals[p[1]], duals[p[2]])

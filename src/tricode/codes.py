@@ -1,8 +1,8 @@
 """CSS codes from complexes: toric-code copies and the fattened color code.
 
 Logical X operators are stored as 1-cocycles (the membrane picture is their
-Poincare dual); each logical qubit carries the label of the dual 2-cycle when
-the builder named one, so gate reports speak in those cycle names.
+Poincare dual); each logical qubit carries its class's name from
+``homology.logical_labels``, so gate reports and hypergraphs share names.
 """
 
 from __future__ import annotations
@@ -71,10 +71,10 @@ def toric_code(K: DeltaComplex, copies: int = 1) -> CssCode:
 
     Logical Z operators sit on a 1-cycle basis and logical X on the dual
     1-cocycles.  The builder's named cycles are used as the basis whenever
-    they span H_1, in which case each logical qubit is labelled by the named
-    2-cycle dual to its Z-string (recovered via poincare_duals).  The CSS
-    condition is del_1 del_2 = 0, which every complex meets from its
-    construction on.
+    they span H_1, and each logical qubit carries the name
+    ``homology.logical_labels`` gives its class, as the triple form's labels
+    do.  The CSS condition is del_1 del_2 = 0, which every complex meets from
+    its construction on.
     """
     if not 1 <= copies <= 3:
         raise ValueError("copies must be 1..3")
@@ -82,13 +82,8 @@ def toric_code(K: DeltaComplex, copies: int = 1) -> CssCode:
     hx1 = homology.boundary_matrix(K, 1)  # rows: vertex stars
     hz1 = homology.boundary_matrix(K, 2).transpose()  # rows: face boundaries
 
-    names, cycles, cocycles = homology.logical_basis(K, 1)
-    if names is None:
-        labels1 = [f"h{i}" for i in range(len(cycles))]
-    else:
-        labels1 = homology.dual_2cycle_labels(K, cycles)
-        if None in labels1 or len(set(labels1)) < len(labels1):
-            labels1 = names
+    names, cycles, cocycles = homology.logical_basis(K)
+    labels1 = homology.logical_labels(K, names, cycles)
 
     n = copies * E
     hx_rows = [r << (cpy * E) for cpy in range(copies) for r in hx1.rows]

@@ -82,9 +82,9 @@ def surface_intersection_form(K: DeltaComplex) -> list[list[int]]:
     return M
 
 
-def named_dual_cocycles(K: DeltaComplex, n: int = 1) -> dict[str, Cochain]:
-    """Cocycles dual to the builder's named n-cycles (pairing = identity)."""
-    names, _, duals = homology.logical_basis(K, n)
+def named_dual_cocycles(K: DeltaComplex) -> dict[str, Cochain]:
+    """1-cocycles dual to the builder's named 1-cycles (pairing = identity)."""
+    names, _, duals = homology.logical_basis(K)
     if names is None:
-        raise ValueError(f"builder cycles do not form a basis of H_{n}")
-    return {nm: Cochain(n, d) for nm, d in zip(names, duals)}
+        raise ValueError("builder cycles do not form a basis of H_1")
+    return {nm: Cochain(1, d) for nm, d in zip(names, duals)}

@@ -241,14 +241,11 @@ def dual_basis(vecs: list[int], against: list[int]) -> list[int] | None:
 def invert(rows: list[int], n: int) -> list[int] | None:
     """Inverse of an n x n GF(2) matrix given as packed rows, or None.
 
-    Row i of A^-1 is the x with A^T x = e_i: the bits below n of the null
-    vector of [A^T | I] at free column n + i.  A is singular exactly when
-    the echelon of [A^T | I] has a pivot at or above n."""
+    Row i of A^-1 is the x with A^T x = e_i, so the n systems share A^T
+    and ``solve_augmented`` solves them at once; A is singular exactly when
+    one of them is inconsistent."""
     if any(r >> n for r in rows):
         raise ValueError(f"row has a bit at or above column {n}")
     cols = BitMatrix(n, n, list(rows)).transpose().rows
-    by_pivot = echelon([c | 1 << (n + i) for i, c in enumerate(cols)])
-    if any(p >= n for p in by_pivot):
-        return None
-    low = (1 << n) - 1
-    return [v & low for v in null_vectors(by_pivot, range(n, 2 * n))]
+    inv = solve_augmented([c | 1 << (n + i) for i, c in enumerate(cols)], n, n)
+    return None if None in inv else inv

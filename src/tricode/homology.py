@@ -5,7 +5,8 @@ Bases are canonical: in degree n, ``gf2.quotient_bases`` on the rows of
 del_n and of del_{n+1}^T picks the cocycles completing the coboundaries
 and the cycles completing the boundaries, from one forward elimination per
 boundary matrix.  ``canonical_basis`` returns them with an identity pairing
-so downstream reports are stable across runs.
+so downstream reports are stable across runs, and ``logical_labels`` names
+the H_1 classes alike for the toric code, the triple form and the hypergraph.
 """
 
 from __future__ import annotations
@@ -68,22 +69,21 @@ def _dual_cocycles(cocycles: list[int], cycles: list[int]) -> list[int]:
     return duals
 
 
-def named_cycle_vector(K: DeltaComplex, name: str) -> tuple[int, int]:
-    dim, cells = K.cycles[name]
-    return dim, vec_from_support(cells)
+def named_cycle_vector(K: DeltaComplex, name: str) -> int:
+    return vec_from_support(K.cycles[name][1])
 
 
-def logical_basis(K: DeltaComplex, n: int) -> tuple[list[str] | None, list[int], list[int]]:
-    """(names, cycles, dual cocycles) of H_n from one ``representatives`` call.
+def logical_basis(K: DeltaComplex) -> tuple[list[str] | None, list[int], list[int]]:
+    """(names, cycles, dual cocycles) of H_1 from one ``representatives`` call.
 
-    The builder's named n-cycles are the basis when there are b_n of them and
-    their pairing with the H^n class representatives is invertible; otherwise
+    The builder's named 1-cycles are the basis when there are b_1 of them and
+    their pairing with the H^1 class representatives is invertible; otherwise
     names is None and the basis is ``canonical_basis``'s.
     """
-    cocycles, cycles = representatives(K, n)
-    names = [nm for nm, (d, _) in K.cycles.items() if d == n]
+    cocycles, cycles = representatives(K, 1)
+    names = [nm for nm, (d, _) in K.cycles.items() if d == 1]
     if len(names) == len(cocycles):
-        named = [named_cycle_vector(K, nm)[1] for nm in names]
+        named = [named_cycle_vector(K, nm) for nm in names]
         duals = dual_basis(cocycles, named)
         if duals is not None:
             return names, named, duals
@@ -127,19 +127,24 @@ def poincare_duals(K: DeltaComplex, zs: list[int]) -> list[int]:
     return duals
 
 
-def dual_2cycle_labels(K: DeltaComplex, cycles: list[int]) -> list[str | None]:
-    """For each 1-cycle of a closed 3-complex, the name of the unique named
-    2-cycle whose Poincare dual pairs 1 with it; None when no named 2-cycle or
-    several do, and for every cycle when a named 2-cycle has no dual."""
+def logical_labels(K: DeltaComplex, names: list[str] | None, cycles: list[int]) -> list[str]:
+    """One name per class of ``logical_basis``'s (names, cycles): on a closed
+    3-complex, the named 2-cycles whose Poincare duals pair 1 with them, when
+    each class has exactly one and no two share it; else the named 1-cycles,
+    or h0, h1, ... when names is None."""
+    if names is None:
+        return [f"h{i}" for i in range(len(cycles))]
     if K.dims != 3:
-        return [None] * len(cycles)
-    names = [nm for nm, (d, _) in K.cycles.items() if d == 2]
+        return names
+    named2 = [nm for nm, (d, _) in K.cycles.items() if d == 2]
     try:
-        duals = poincare_duals(K, [named_cycle_vector(K, nm)[1] for nm in names])
-    except ValueError:
-        return [None] * len(cycles)
-    out = []
+        duals = poincare_duals(K, [named_cycle_vector(K, nm) for nm in named2])
+    except ValueError:  # a named 2-cycle without a Poincare dual
+        return names
+    labels = []
     for z in cycles:
-        hits = [nm for nm, pd in zip(names, duals) if dot(pd, z)]
-        out.append(hits[0] if len(hits) == 1 else None)
-    return out
+        hits = [nm for nm, pd in zip(named2, duals) if dot(pd, z)]
+        if len(hits) != 1 or hits[0] in labels:
+            return names
+        labels.append(hits[0])
+    return labels

@@ -19,17 +19,28 @@ from .gf2 import BitMatrix, support
 from .mcg import TripleForm, UNKNOWN
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hypergraph:
     kind: str  # base | full
     vertices: list
     hyperedges: list[tuple]
 
+    def __post_init__(self):
+        if self.kind not in ("base", "full"):
+            raise ValueError(f"hypergraph kind {self.kind!r} is not 'base' or 'full'")
+        listed = set(self.vertices)
+        if len(listed) < len(self.vertices):
+            raise ValueError("hypergraph vertices are not distinct")
+        bad = next((e for e in self.hyperedges
+                    if len(e) != 3 or len(set(e)) < 3 or not listed.issuperset(e)), None)
+        if bad is not None:
+            raise ValueError(f"hyperedge {list(bad)} is not three distinct listed vertices")
+
 
 def form_from_cup(K) -> TripleForm:
     """Triple form of a closed 3-complex: the integrals of a_i cup a_j cup a_l
-    over one H^1 basis (``homology.logical_basis``), labelled by the dual
-    2-cycle classes.
+    over one H^1 basis (``homology.logical_basis``), each class labelled by
+    ``homology.logical_labels`` as the toric code labels its logical qubit.
 
     One pass over the 3-simplices: with mask(e) the classes whose cocycle is 1
     on edge e, a simplex with spine (e1, e2, e3) toggles every i <= j <= l with
@@ -38,13 +49,8 @@ def form_from_cup(K) -> TripleForm:
     """
     if K.dims != 3:
         raise ValueError("triple cup integral needs a 3-complex")
-    names, cycles, cocycles = homology.logical_basis(K, 1)
+    names, cycles, cocycles = homology.logical_basis(K)
     k = len(cocycles)
-    if names is None:
-        labels = [f"h{i}" for i in range(k)]
-    else:
-        labels = [f"dual({nm})" if lab is None else lab
-                  for nm, lab in zip(names, homology.dual_2cycle_labels(K, cycles))]
     mask = BitMatrix(k, K.n_cells(1), cocycles).transpose().rows
     parity = [0] * (k * k)  # bit l of parity[i * k + j]: integral (i, j, l)
     for e1, e2, e3 in spine_edges(K, 3):
@@ -52,7 +58,7 @@ def form_from_cup(K) -> TripleForm:
         for i in support(mask[e1]):
             for j in support(m2 >> i << i):
                 parity[i * k + j] ^= m3 >> j << j
-    form = TripleForm(labels)
+    form = TripleForm(homology.logical_labels(K, names, cycles))
     for i, j, l in itertools.combinations_with_replacement(range(k), 3):
         if (parity[i * k + j] >> l) & 1:
             if len({i, j, l}) < 3:
@@ -80,10 +86,8 @@ def lift_full(base: Hypergraph) -> Hypergraph:
     if base.kind != "base":
         raise ValueError("lift_full expects a base hypergraph")
     vertices = [(v, c) for v in base.vertices for c in (1, 2, 3)]
-    edges = []
-    for (u, v, w) in base.hyperedges:
-        for perm in itertools.permutations((1, 2, 3)):
-            edges.append(((u, perm[0]), (v, perm[1]), (w, perm[2])))
+    edges = [((u, p), (v, q), (w, r)) for u, v, w in base.hyperedges
+             for p, q, r in itertools.permutations((1, 2, 3))]
     return Hypergraph("full", vertices, edges)
 
 
@@ -143,9 +147,8 @@ def degree_report(h: Hypergraph) -> DegreeReport:
     """Per-vertex hyperedge counts, from one pass over the hyperedges, with a
     star-structure verdict (max degree at least half the hyperedges)."""
     degs = dict.fromkeys(h.vertices, 0)
-    for e in h.hyperedges:
-        for v in degs.keys() & set(e):  # each listed vertex of e, once
-            degs[v] += 1
+    for v in itertools.chain.from_iterable(h.hyperedges):
+        degs[v] += 1
     hist: dict[int, int] = {}
     for d in degs.values():
         hist[d] = hist.get(d, 0) + 1

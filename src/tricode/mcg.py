@@ -163,7 +163,7 @@ def gf2_pairing(u: int, v: int, g: int) -> int:
 UNKNOWN = "UNKNOWN-ALGEBRAIC"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TripleForm:
     """Triple intersection coefficients on a labelled H_2 basis; values in
     {0, 1} or UNKNOWN-ALGEBRAIC for triples the algebra cannot see."""
@@ -171,10 +171,12 @@ class TripleForm:
     labels: list[str]
     coefficients: dict[frozenset, object] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if any(type(v) not in (str, int) for v in self.labels) or len(set(self.labels)) < len(self.labels):
+            raise ValueError(f"form labels {self.labels} are not distinct strs or ints")
+
     def known_unit_triples(self) -> list[tuple]:
-        return sorted(
-            tuple(sorted(t)) for t, v in self.coefficients.items() if v == 1
-        )
+        return sorted(tuple(sorted(t)) for t, v in self.coefficients.items() if v == 1)
 
 def torelli_triple_form(fhat: IntMatrix, g: int) -> TripleForm:
     """Triple form of the mapping torus of fhat, on the basis [Gamma] +

@@ -259,16 +259,13 @@ def hypergraph_from_json(data: dict) -> Hypergraph:
     if "unknown" in data:  # UNKNOWN-ALGEBRAIC triples are never silently dropped
         raise ValueError("hypergraph has UNKNOWN-ALGEBRAIC triples ('unknown'); "
                          "no hypergraph result is defined")
-    kind = _field(data, "kind", str)
-    if kind not in ("base", "full"):
-        raise ValueError(f"hypergraph kind {kind!r} is not 'base' or 'full'")
     vertices = [devert(v) for v in _field(data, "vertices", list)]
     edges = []
     for e in _field(data, "hyperedges", list):
         if type(e) is not list:
             raise ValueError(f"'hyperedges' entry {e!r} is not a list of vertices")
         edges.append(tuple(devert(v) for v in e))
-    return Hypergraph(kind, vertices, edges)
+    return Hypergraph(_field(data, "kind", str), vertices, edges)
 
 
 def form_entries(data: dict) -> list[tuple[tuple[int, int, int], object]]:

@@ -80,13 +80,13 @@ def test_criterion_2_triple_intersections():
     with Budget("2 triple intersections", 1.0 * 4):
         t0 = time.perf_counter()
         T3 = build_torus3()
-        d = named_dual_cocycles(T3, 1)
+        d = named_dual_cocycles(T3)
         assert triple_cup_integral(T3, d["a"], d["b"], d["c"]) == 1
         assert time.perf_counter() - t0 < 1.0
         for g in (1, 2, 3):
             t0 = time.perf_counter()
             P = product_with_circle(build_sigma_g(g), 1)
-            dp = named_dual_cocycles(P, 1)
+            dp = named_dual_cocycles(P)
             names = list(dp)
             units = [
                 {names[i], names[j], names[k]}
@@ -167,7 +167,7 @@ def test_criterion_5_property_suites():
             c1 = Cochain(1, rng.getrandbits(E))
             assert coboundary(T3, coboundary(T3, c1)).values == 0
 
-        duals = named_dual_cocycles(T3, 1)
+        duals = named_dual_cocycles(T3)
         cocycles = list(duals.values())
         for _ in range(200):  # coboundary invariance of the triple integral
             a = Cochain(1, rng.getrandbits(E))

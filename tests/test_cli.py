@@ -705,6 +705,22 @@ BAD_LOADS = [
      lambda d: d["hyperedges"][0].__setitem__(0, [["bxc"], 1]),
      "hypergraph vertex [['bxc'], 1] is not a str or int, or a list of them"),
     ("h.json", ["report", "h.json"], lambda d: d.__setitem__("kind", 5), "'kind' must be a string, not int"),
+    # repeated labels used to build 9 vertices over 6 distinct ones, list
+    # labels to escape to_dot as TypeError: unhashable type: 'list', and a
+    # hyperedge off the vertex list or with a repeated vertex to print
+    # max degree 1
+    ("form.json", ["hypergraph", "build", "form.json", "--lift"],
+     lambda d: d.__setitem__("labels", ["x", "x", "y"]),
+     "form labels ['x', 'x', 'y'] are not distinct strs or ints"),
+    ("form.json", ["hypergraph", "build", "form.json", "--export", "dot"],
+     lambda d: d.__setitem__("labels", [[1], {"a": 1}, 3]),
+     "form labels [[1], {'a': 1}, 3] are not distinct strs or ints"),
+    ("h.json", ["hypergraph", "degrees", "h.json"],
+     lambda d: {"kind": "base", "vertices": ["p", "q", "r"],
+                "hyperedges": [["p", "q", "x"], ["y", "y", "y"]]},
+     "hyperedge ['p', 'q', 'x'] is not three distinct listed vertices"),
+    ("h.json", ["hypergraph", "degrees", "h.json"], lambda d: d["hyperedges"][0].__delitem__(2),
+     "hyperedge ['bxc', 'axc'] is not three distinct listed vertices"),
 ]
 
 

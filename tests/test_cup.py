@@ -76,7 +76,7 @@ def test_leibniz_hypothesis(av, bv):
 
 
 def test_triple_cup_t3_coordinates(t3):
-    d = named_dual_cocycles(t3, 1)
+    d = named_dual_cocycles(t3)
     for perm in itertools.permutations("abc"):
         assert triple_cup_integral(t3, d[perm[0]], d[perm[1]], d[perm[2]]) == 1
 
@@ -104,7 +104,7 @@ def test_triple_cup_matches_nested(t3):
 
 def test_triple_cup_repeated_argument(t3):
     # no symmetry is assumed: a = b evaluates the literal integral
-    d = named_dual_cocycles(t3, 1)
+    d = named_dual_cocycles(t3)
     a, c = d["a"], d["c"]
     nested = integrate(t3, cup(t3, cup(t3, a, a), c))
     assert triple_cup_integral(t3, a, a, c) == nested
@@ -113,7 +113,7 @@ def test_triple_cup_repeated_argument(t3):
 def test_gauge_invariance(t3):
     # adding a coboundary to the first argument never changes the integral
     # when the others are cocycles and the complex is closed
-    d = named_dual_cocycles(t3, 1)
+    d = named_dual_cocycles(t3)
     rng = random.Random(5)
     base = triple_cup_integral(t3, d["a"], d["b"], d["c"])
     for _ in range(100):
@@ -132,7 +132,7 @@ def test_stokes(t3):
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_surface_intersection_form(g):
     S = build_sigma_g(g)
-    duals = named_dual_cocycles(S, 1)
+    duals = named_dual_cocycles(S)
     names = [f"a{i}" for i in range(1, g + 1)] + [f"b{i}" for i in range(1, g + 1)]
     M = [[integrate(S, cup(S, duals[x], duals[y])) for y in names] for x in names]
     for i in range(2 * g):
@@ -146,7 +146,7 @@ def test_surface_intersection_form(g):
 
 def test_torus_form_is_standard_symplectic():
     S = build_sigma_g(1)
-    duals = named_dual_cocycles(S, 1)
+    duals = named_dual_cocycles(S)
     a1, b1 = duals["a1"], duals["b1"]
     M = [[integrate(S, cup(S, x, y)) for y in (a1, b1)] for x in (a1, b1)]
     assert M == [[0, 1], [1, 0]]
@@ -159,7 +159,7 @@ def test_surface_form_rejects_open_complex():
 
 def test_invariant_three_cycles_of_t5_twist(sigma2):
     # the three twist-invariant classes a1, b1, a2: exactly one pair meets once
-    duals = named_dual_cocycles(sigma2, 1)
+    duals = named_dual_cocycles(sigma2)
     trio = [duals["a1"], duals["b1"], duals["a2"]]
     vals = {
         (i, j): integrate(sigma2, cup(sigma2, trio[i], trio[j]))
@@ -173,7 +173,7 @@ def test_invariant_three_cycles_of_t5_twist(sigma2):
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_product_triples(g):
     P = product_with_circle(build_sigma_g(g), 1)
-    d = named_dual_cocycles(P, 1)
+    d = named_dual_cocycles(P)
     names = list(d)
     units = []
     for i, j, k in itertools.combinations(range(len(names)), 3):
@@ -185,7 +185,7 @@ def test_product_triples(g):
 def test_class_invariance_on_cohomology_classes(t3):
     # the triple integral only depends on classes: shifting any slot by a
     # coboundary of a random 0-cochain is invisible
-    d = named_dual_cocycles(t3, 1)
+    d = named_dual_cocycles(t3)
     rng = random.Random(9)
     args = [d["a"], d["b"], d["c"]]
     base = triple_cup_integral(t3, *args)

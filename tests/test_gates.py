@@ -228,7 +228,7 @@ def test_action_coefficients_equal_triple_cup(t2xs1_2layers):
     K = t2xs1_2layers
     code = toric_code(K, 3)
     act = extract_logical_action(ccz_circuit(K), code)
-    duals = named_dual_cocycles(K, 1)
+    duals = named_dual_cocycles(K)
     labels = code.logical_labels()
     cyc_of_label = {"b1xc": "a1", "a1xc": "b1", "fiber": "c"}
     k1 = 3
@@ -515,7 +515,7 @@ def test_cz_route_matches_triple_cup_route(s2xs1):
 
     K = s2xs1
     code = toric_code(K, 3)
-    duals = named_dual_cocycles(K, 1)
+    duals = named_dual_cocycles(K)
     cyc_of_label = {"b1xc": "a1", "a1xc": "b1", "b2xc": "a2", "a2xc": "b2", "fiber": "c"}
     for membrane in ("a1xc", "b2xc", "fiber"):
         _, cells = K.cycles[membrane]
@@ -541,7 +541,7 @@ def test_logical_x_conjugation_gives_membrane_cz(t3):
 
     code = toric_code(t3, 3)
     circ = ccz_circuit(t3)
-    alpha = named_dual_cocycles(t3, 1)["a"].values
+    alpha = named_dual_cocycles(t3)["a"].values
     residual = conjugate_x(circ, alpha)  # copy-1 qubits occupy bits 0..6
     E = t3.n_cells(1)
     want = []

@@ -66,16 +66,16 @@ def test_named_cycles_span_h1(t3):
     span = cycles + boundaries
     classes = []
     for nm in ("a", "b", "c"):
-        _, z = homology.named_cycle_vector(t3, nm)
+        z = homology.named_cycle_vector(t3, nm)
         assert not extend_basis(span, [z]), nm
         classes.append(vec_from_support(j for j, c in enumerate(cocycles) if dot(c, z)))
     assert len(row_reduce(classes)[0]) == 3  # the named classes span H_1
 
 
 def test_poincare_dual_t3(t3):
-    _, zab = homology.named_cycle_vector(t3, "axb")
+    zab = homology.named_cycle_vector(t3, "axb")
     pd = homology.poincare_duals(t3, [zab])[0]
-    pairings = {nm: dot(pd, homology.named_cycle_vector(t3, nm)[1]) for nm in ("a", "b", "c")}
+    pairings = {nm: dot(pd, homology.named_cycle_vector(t3, nm)) for nm in ("a", "b", "c")}
     assert pairings == {"a": 0, "b": 0, "c": 1}
 
 
@@ -113,7 +113,7 @@ def _duals_against(monkeypatch, K, zs, betas):
 
 def test_poincare_dual_class_independent_of_basis(t3, monkeypatch):
     # recombining the 2-cocycle basis changes the linear system but not the class
-    _, zab = homology.named_cycle_vector(t3, "axb")
+    zab = homology.named_cycle_vector(t3, "axb")
     pd1 = homology.poincare_duals(t3, [zab])[0]
     cycles1 = homology.canonical_basis(t3, 1)[0]
     base = homology.canonical_basis(t3, 2)[1]
@@ -272,64 +272,60 @@ def test_poincare_duals_batch_equals_single_solves():
 
 
 def test_poincare_duals_reject_a_non_cycle_anywhere(t3):
-    zs = [homology.named_cycle_vector(t3, nm)[1] for nm in ("axb", "axc", "bxc")]
+    zs = [homology.named_cycle_vector(t3, nm) for nm in ("axb", "axc", "bxc")]
     for pos in range(len(zs) + 1):
         with pytest.raises(ValueError, match="not a 2-cycle"):
             homology.poincare_duals(t3, zs[:pos] + [1 << 0] + zs[pos:])
 
 
-def test_dual_2cycle_labels_match_per_name_reference(t3, s2xs1, t2xs1_2layers):
+def test_logical_labels_match_per_name_reference(t3, s2xs1, t2xs1_2layers):
     for K in (t3, s2xs1, t2xs1_2layers):
-        names, cycles, _ = homology.logical_basis(K, 1)
+        names, cycles, _ = homology.logical_basis(K)
         named2 = [nm for nm, (d, _) in K.cycles.items() if d == 2]
         expect = []
         for z in cycles:
             hits = [nm for nm in named2
-                    if dot(homology.poincare_duals(K, [homology.named_cycle_vector(K, nm)[1]])[0], z)]
+                    if dot(homology.poincare_duals(K, [homology.named_cycle_vector(K, nm)])[0], z)]
             expect.append(hits[0] if len(hits) == 1 else None)
-        assert homology.dual_2cycle_labels(K, cycles) == expect
-        assert None not in expect
-    assert homology.dual_2cycle_labels(build_sigma_g(2), [1]) == [None]  # not a 3-complex
+        assert None not in expect and len(set(expect)) == len(expect)
+        assert homology.logical_labels(K, names, cycles) == expect
+    S = build_sigma_g(2)  # not a 3-complex: the named 1-cycles
+    names, cycles, _ = homology.logical_basis(S)
+    assert names and homology.logical_labels(S, names, cycles) == names
+    K = dataclasses.replace(t3, cycles={})  # no named cycles: h0, h1, ...
+    assert homology.logical_labels(K, *homology.logical_basis(K)[:2]) == ["h0", "h1", "h2"]
 
 
-def test_dual_2cycle_labels_ambiguous_and_undefined(t3):
+def test_logical_labels_ambiguous_and_undefined(t3):
+    from test_hypergraph import ambiguous_t3s
     from tricode.codes import toric_code
     from tricode.hypergraph import form_from_cup
 
-    axb, axc = (set(t3.cycles[nm][1]) for nm in ("axb", "axc"))
-    # pairs with both b and c
-    K = dataclasses.replace(t3, cycles={**t3.cycles, "axb+axc": (2, tuple(sorted(axb ^ axc)))})
-    _, cycles, _ = homology.logical_basis(K, 1)
-    assert homology.dual_2cycle_labels(K, cycles) == ["bxc", None, None]
-    assert toric_code(K, 1).logical_labels() == [("a", 1), ("b", 1), ("c", 1)]
-    assert form_from_cup(K).labels == ["bxc", "dual(b)", "dual(c)"]
+    # an extra named 2-cycle axb + axc pairs with both b and c, and the
+    # named 1-cycles c and a + c both meet axb alone: the 1-cycle names
+    for K, want in zip(ambiguous_t3s(t3), (["a", "b", "c"], ["c", "ca", "b"])):
+        assert homology.logical_labels(K, *homology.logical_basis(K)[:2]) == want
+        assert toric_code(K, 1).logical_labels() == [(lab, 1) for lab in want]
+        assert form_from_cup(K).labels == want
     with pytest.raises(ValueError, match="not closed"):  # a named cycle must be a cycle
         dataclasses.replace(t3, cycles={**t3.cycles, "axb+axc": (2, (0,))})
     # T^3 without its first tetrahedron: the named 2-cycles have no Poincare
-    # duals, so no labels
+    # duals, so the 1-cycle names
     K = dataclasses.replace(t3, face=t3.face[:3] + [t3.face[3][1:]])
-    assert homology.dual_2cycle_labels(K, homology.logical_basis(K, 1)[1]) == [None, None, None]
-    # named 1-cycles c, a + c and b with only axb and axc named: c and a + c
-    # both meet axb alone, so the toric code keeps the 1-cycle names rather
-    # than label two logical qubits axb
-    (a,), (b,), (c,) = (t3.cycles[nm][1] for nm in "abc")
-    K = dataclasses.replace(t3, cycles={"c": (1, (c,)), "ca": (1, (a, c)), "b": (1, (b,)),
-                                        "axb": t3.cycles["axb"], "axc": t3.cycles["axc"]})
-    assert homology.dual_2cycle_labels(K, homology.logical_basis(K, 1)[1]) == ["axb", "axb", "axc"]
-    assert toric_code(K, 1).logical_labels() == [("c", 1), ("ca", 1), ("b", 1)]
+    assert homology.logical_labels(K, *homology.logical_basis(K)[:2]) == ["a", "b", "c"]
 
 
 def test_named_basis_returns_dual_cocycles(t3):
-    names, cycles, cocycles = homology.logical_basis(t3, 1)
+    names, cycles, cocycles = homology.logical_basis(t3)
     assert names == ["a", "b", "c"]
     assert not any(homology.boundary_matrix(t3, 2).transpose().matvec(c) for c in cocycles)
     assert [[dot(c, z) for c in cocycles] for z in cycles] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     # too few named cycles, or named cycles that are not a basis: the canonical basis
     K = dataclasses.replace(t3, cycles={nm: z for nm, z in t3.cycles.items() if nm != "c"})
     canonical = (None, *homology.canonical_basis(K, 1))
-    assert homology.logical_basis(K, 1) == canonical
+    assert homology.logical_basis(K) == canonical
     K = dataclasses.replace(t3, cycles={**t3.cycles, "c": t3.cycles["b"]})
-    assert homology.logical_basis(K, 1) == canonical
+    assert homology.logical_basis(K) == canonical
 
 
 # -- one elimination per boundary matrix ------------------------------------------
@@ -399,21 +395,28 @@ def test_betti_all_and_default_duals_match_per_call_forms(monkeypatch):
 def test_named_basis_of_a_sphere_is_empty():
     # b_1 = 0 and no named 1-cycle: the empty basis, not None
     S = tetrahedron_boundary()
-    assert homology.logical_basis(S, 1) == ([], [], [])
-    assert named_dual_cocycles(S, 1) == {}
+    assert homology.logical_basis(S) == ([], [], [])
+    assert named_dual_cocycles(S) == {}
 
 
 def _count_eliminations(monkeypatch):
     """Count gf2.echelon calls (under every name a tricode module bound it
     to) and BitMatrix.rank calls.  Left out are echelons of no rows (the
-    empty start of extend_basis) and those of invert, which only ever sees
-    the k x k pairing of dual_basis: neither eliminates a boundary matrix."""
+    empty start of extend_basis) and those reached from invert, at any
+    depth, which only ever sees the k x k pairing of dual_basis: neither
+    eliminates a boundary matrix."""
     counts = {"echelon": 0, "rank": 0}
     original, original_rank = gf2.echelon, gf2.BitMatrix.rank
 
+    def from_invert():
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code.co_name != "invert":
+            frame = frame.f_back
+        return frame is not None
+
     def counted(rows):
         rows = list(rows)
-        if rows and sys._getframe(1).f_code.co_name != "invert":
+        if rows and not from_invert():
             counts["echelon"] += 1
         return original(rows)
 

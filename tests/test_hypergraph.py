@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -125,9 +126,24 @@ def test_degree_report_equals_per_vertex_count():
             assert degree_report(h).degrees == want, K.counts
         built += bool(base.hyperedges)
     assert built >= 8
-    # as read from a file: a repeated vertex counts once, an unlisted one not at all
-    rep = degree_report(Hypergraph("base", ["p", "q"], [("p", "p", "x"), ("p", "q", "r")]))
-    assert rep.degrees == {"p": 2, "q": 1} and rep.histogram == {2: 1, 1: 1}
+
+
+@pytest.mark.parametrize("kind,vertices,edges,match", [
+    ("part", ["p", "q", "r"], [], "kind 'part'"),
+    ("base", ["p", "q", "p"], [], "not distinct"),
+    ("base", ["p", "q", "r"], [("p", "q", "x")], r"\['p', 'q', 'x'\]"),
+    ("base", ["p", "q", "r"], [("p", "q", "r"), ("p", "p", "q")], "not three distinct"),
+    ("full", [("p", 1), ("q", 1)], [(("p", 1), ("q", 1))], "not three distinct"),
+])
+def test_hypergraph_refuses_bad_vertices_or_hyperedges(kind, vertices, edges, match):
+    with pytest.raises(ValueError, match=match):
+        Hypergraph(kind, vertices, edges)
+
+
+@pytest.mark.parametrize("labels", [["x", "x", "y"], [[1], {"a": 1}, 3], ["x", 1.5], ["1", 1, True]])
+def test_triple_form_refuses_bad_labels(labels):
+    with pytest.raises(ValueError, match=r"^form labels .* are not distinct strs or ints$"):
+        TripleForm(labels)
 
 
 def test_degree_report_empty():
@@ -165,18 +181,38 @@ def cup_ladder():
                      for g in (1, 2, 4) for layers in (1, 2)]
 
 
+def ambiguous_t3s(t3):
+    """T^3 with an extra named 2-cycle axb + axc, which pairs with both b and
+    c; and T^3 with the named 1-cycles c, a + c and b and only axb and axc
+    named, so that c and a + c both meet axb alone."""
+    axb, axc = (set(t3.cycles[nm][1]) for nm in ("axb", "axc"))
+    (a,), (b,), (c,) = (t3.cycles[nm][1] for nm in "abc")
+    return [dataclasses.replace(t3, cycles={**t3.cycles,
+                                            "axb+axc": (2, tuple(sorted(axb ^ axc)))}),
+            dataclasses.replace(t3, cycles={"c": (1, (c,)), "ca": (1, (a, c)), "b": (1, (b,)),
+                                            "axb": t3.cycles["axb"], "axc": t3.cycles["axc"]})]
+
+
+def test_toric_code_and_triple_form_name_classes_alike(t3):
+    from tricode import serialize
+    from tricode.codes import toric_code
+
+    corpus = cup_ladder() + ambiguous_t3s(t3)
+    for K in corpus + [serialize.complex_from_json(json.loads(serialize.dumps(
+            serialize.complex_to_json(K)))) for K in corpus]:
+        form = form_from_cup(K)
+        assert [lab for lab, _ in toric_code(K, 1).logical_labels()] == form.labels, K.counts
+        full = lift_full(base_hypergraph(form))
+        assert len(set(full.vertices)) == 3 * len(form.labels)  # 9 on each T^3
+
+
 def ref_form_from_cup(K) -> TripleForm:
     """Reference: one triple_cup_integral per i <= j <= l, over the basis and
     with the labels form_from_cup uses."""
-    names, cycles, cocycles = homology.logical_basis(K, 1)
+    names, cycles, cocycles = homology.logical_basis(K)
     k = len(cocycles)
-    if names is None:
-        labels = [f"h{i}" for i in range(k)]
-    else:
-        labels = [f"dual({nm})" if lab is None else lab
-                  for nm, lab in zip(names, homology.dual_2cycle_labels(K, cycles))]
     basis = [Cochain(1, c) for c in cocycles]
-    form = TripleForm(labels)
+    form = TripleForm(homology.logical_labels(K, names, cycles))
     for i, j, l in itertools.combinations_with_replacement(range(k), 3):
         v = triple_cup_integral(K, basis[i], basis[j], basis[l])
         if len({i, j, l}) < 3:
@@ -213,7 +249,7 @@ def test_form_from_cup_matches_reference_on_arbitrary_cochains(monkeypatch):
     for _ in range(40):
         cochains = [rng.getrandbits(E) & rng.getrandbits(E) & rng.getrandbits(E)
                     for _ in range(rng.randint(0, 6))]
-        monkeypatch.setattr(homology, "logical_basis", lambda K, n: (None, cochains, cochains))
+        monkeypatch.setattr(homology, "logical_basis", lambda K: (None, cochains, cochains))
         got = _form_or_error(form_from_cup, K)
         assert got == _form_or_error(ref_form_from_cup, K)
         outcomes.add(type(got))
