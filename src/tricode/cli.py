@@ -2,7 +2,9 @@
 mapping-class-group tools, hypergraphs, back-engineering, and a manifest
 runner for reproducible pipelines.
 
-All JSON outputs are sorted-key and newline-terminated, so identical
+Each action is an argparse leaf that declares exactly the files and options
+it reads, so a missing, unknown or foreign argument is a usage error that
+exits 2.  All JSON outputs are sorted-key and newline-terminated, so identical
 manifests produce byte-identical artifacts.
 """
 
@@ -18,11 +20,10 @@ from .gf2 import support
 
 
 def _emit(args, obj, text: str | None = None) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        serialize.write(out, obj)
+    if args.out:
+        serialize.write(args.out, obj)
         return
-    if getattr(args, "format", "text") == "json" or text is None:
+    if args.format == "json" or text is None:
         sys.stdout.write(serialize.dumps(obj))
     else:
         print(text)
@@ -116,9 +117,7 @@ def cmd_homology(args) -> int:
             bs = homology.betti_all(K)
             _emit(args, {"betti": bs}, "betti: " + " ".join(map(str, bs)))
         return 0
-    if args.dim is None:  # basis
-        raise SystemExit("homology basis needs --dim N")
-    cycles, cocycles = homology.canonical_basis(K, args.dim)
+    cycles, cocycles = homology.canonical_basis(K, args.dim)  # basis
     obj = {
         "dim": args.dim,
         "cycles": [support(z) for z in cycles],
@@ -140,8 +139,6 @@ def cmd_snf(args) -> int:
 def cmd_cup(args) -> int:
     K = _load_complex(args.file)
     if args.action == "triple":
-        if args.cocycles is None:
-            raise SystemExit("cup triple needs --cocycles i,j,k")
         basis = [cup.Cochain(1, c) for c in homology.canonical_basis(K, 1)[1]]
         i, j, k = (int(t) for t in args.cocycles.split(","))
         if not all(0 <= t < len(basis) for t in (i, j, k)):
@@ -182,7 +179,7 @@ def cmd_code(args) -> int:
         _emit(args, serialize.code_to_json(code), f"n={code.n} k={code.k}")
         return 0
     code = serialize.code_from_json(serialize.read(args.file))  # distance
-    res = codes.distance(code, args.method, budget=args.budget, sector=args.sector)
+    res = codes.distance(code, None if args.method == "bfs" else args.budget, args.sector)
     obj = {"dx": res.dx, "dz": res.dz, "flag": res.flagged(), "note": res.note}
     _emit(args, obj, f"d_x={res.dx} d_z={res.dz} [{res.flagged()}]")
     return 0
@@ -196,8 +193,6 @@ def cmd_gate(args) -> int:
               f"{len(circ.gates)} CCZ gates on {circ.n} qubits")
         return 0
     if args.action == "cz":
-        if args.membrane is None:
-            raise SystemExit("gate cz needs --membrane FILE")
         K = _load_complex(args.file)
         dim, z = serialize.cochain_from_json(serialize.read(args.membrane), K)
         if dim != 2:
@@ -244,10 +239,6 @@ def cmd_gate(args) -> int:
 
 
 def cmd_mcg(args) -> int:
-    flag = {"twist": "curve", "torus-homology": "matrix", "thurston": "n",
-            "thickened": "sequence"}.get(args.action)
-    if flag and getattr(args, flag) is None:
-        raise SystemExit(f"mcg {args.action} needs --{flag}")
     if args.action == "twist":
         g = args.genus
         if ":" in args.curve:
@@ -377,7 +368,7 @@ def cmd_report(args) -> int:
     serialize._check_object(data, "report")
     if "hx" in data:
         code = serialize.code_from_json(data)
-        res = codes.distance(code, "exact", budget=args.budget, sector="z")
+        res = codes.distance(code, args.budget, "z")
         flag = "exact" if res.exact else "bound"
         text = f"n={code.n} k={code.k} d_z={res.dz}({flag})"
         obj = {"n": code.n, "k": code.k, "dz": res.dz, "flag": flag}
@@ -411,12 +402,16 @@ def _dig(obj, path: str):
 
 
 def _read_manifest(path: str) -> tuple[list[list[str]], list[dict]]:
-    """(steps, expects) of a manifest file: an object whose "steps" is a list
-    of commands, each a list of str or int tokens, and whose "expect" is a
-    list of objects with a str "file", a str "path", a "value", an optional
-    number "tol" and an optional str "provenance"."""
+    """(steps, expects) of a manifest file: an object with no keys but
+    "steps", a list of commands, each a list of str or int tokens, and
+    "expect", a list of objects with a str "file", a str "path", a "value",
+    an optional number "tol" and an optional str "provenance"."""
     manifest = serialize.read(path)
     serialize._check_object(manifest, "manifest")
+    extra = sorted(set(manifest) - {"steps", "expect"})
+    if extra:
+        raise ValueError("a manifest holds only 'steps' and 'expect', not "
+                         + ", ".join(map(repr, extra)))
     steps = serialize._field(manifest, "steps", list, [])
     for step in steps:
         if type(step) is not list or any(type(t) not in (str, int) for t in step):
@@ -488,109 +483,90 @@ def cmd_manifest(args) -> int:
 @functools.cache  # one parser per process: a manifest runs every step through main
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tricode", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+    top = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", help="write JSON result to this file")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+    def group(name):
+        return top.add_parser(name).add_subparsers(dest="action", required=True)
 
-    c = sub.add_parser("complex")
-    c.add_argument("action", choices=("build", "validate", "subdivide"))
-    c.add_argument("file", nargs="?", help="complex JSON (for validate/subdivide)")
-    c.add_argument("--preset", help="t3 | sigma:g | sigma-rot:g | product:g,layers | circle:n | mapping-torus")
-    c.add_argument("--twist", help="twist spec JSON for mapping-torus")
-    common(c)
-    c.set_defaults(func=cmd_complex)
+    def leaf(parent, name, func, *files, emits=True):
+        sp = parent.add_parser(name)
+        for f in files:
+            sp.add_argument(f)
+        if emits:
+            sp.add_argument("--out", help="write the result to this file")
+            sp.add_argument("--format", choices=("text", "json"), default="text")
+        sp.set_defaults(func=func)
+        return sp
 
-    h = sub.add_parser("homology")
-    h.add_argument("action", choices=("betti", "basis"))
-    h.add_argument("file")
-    h.add_argument("--dim", type=int, default=None)
-    common(h)
-    h.set_defaults(func=cmd_homology)
+    c = group("complex")
+    b = leaf(c, "build", cmd_complex)
+    b.add_argument("--preset", required=True,
+                   help="t3 | sigma:g | sigma-rot:g | product:g,layers | circle:n | mapping-torus")
+    b.add_argument("--twist", help="twist spec JSON for mapping-torus")
+    leaf(c, "validate", cmd_complex, "file")
+    leaf(c, "subdivide", cmd_complex, "file")
 
-    s = sub.add_parser("snf")
-    s.add_argument("file", help="matrix JSON")
-    common(s)
-    s.set_defaults(func=cmd_snf)
+    h = group("homology")
+    for action in ("betti", "basis"):
+        leaf(h, action, cmd_homology, "file").add_argument("--dim", type=int,
+                                                           required=action == "basis")
 
-    cu = sub.add_parser("cup")
-    cu.add_argument("action", choices=("triple", "form"))
-    cu.add_argument("file")
-    cu.add_argument("--cocycles", help="i,j,k indices into the canonical H^1 basis")
-    common(cu)
-    cu.set_defaults(func=cmd_cup)
+    leaf(top, "snf", cmd_snf, "file")
 
-    cd = sub.add_parser("code")
-    cd.add_argument("action", choices=("build", "distance"))
-    cd.add_argument("file")
-    cd.add_argument("--type", default="toric:1", help="toric:copies | color")
-    cd.add_argument("--method", default="exact", choices=("exact", "bfs"))
-    cd.add_argument("--sector", default="both", choices=("both", "x", "z"))
-    cd.add_argument("--budget", type=int, default=1 << 22)
-    cd.add_argument("--complex", help="not read: the distance comes from the code file alone")
-    common(cd)
-    cd.set_defaults(func=cmd_code)
+    cu = group("cup")
+    leaf(cu, "triple", cmd_cup, "file").add_argument(
+        "--cocycles", required=True, help="i,j,k indices into the canonical H^1 basis")
+    leaf(cu, "form", cmd_cup, "file")
 
-    g = sub.add_parser("gate")
-    g.add_argument("action", choices=("ccz", "cz", "t", "check", "action", "simulate"))
-    g.add_argument("file", nargs="?", help="complex (ccz/cz) or code (t)")
-    g.add_argument("circuit", nargs="?")
-    g.add_argument("code", nargs="?")
-    g.add_argument("--membrane", help="2-cycle JSON for gate cz")
-    g.add_argument("--copies", default="1,2")
-    g.add_argument("--plus", default="all", help="logical qubits initialised |+>: 'all' or csv")
-    g.add_argument("--fixed", default="", help="binary string of fixed logical values")
-    common(g)
-    g.set_defaults(func=_gate_dispatch)
+    cd = group("code")
+    leaf(cd, "build", cmd_code, "file").add_argument("--type", default="toric:1",
+                                                     help="toric:copies | color")
+    d = leaf(cd, "distance", cmd_code, "file")
+    d.add_argument("--method", default="exact", choices=("exact", "bfs"),
+                   help="bfs: the check graph only")
+    d.add_argument("--sector", default="both", choices=("both", "x", "z"))
+    d.add_argument("--budget", type=int, default=1 << 22)
+    d.add_argument("--complex", help="not read: the distance comes from the code file alone")
 
-    m = sub.add_parser("mcg")
-    m.add_argument("action", choices=("twist", "torus-homology", "thurston", "thickened"))
-    m.add_argument("--genus", type=int, default=2)
-    m.add_argument("--curve", help="a:i | b:i | f:i | comma vector")
-    m.add_argument("--matrix", help="matrix JSON for torus-homology")
-    m.add_argument("--coeff", default="z", help="z | z2")
-    m.add_argument("--n", help="intersection matrix JSON for thurston")
-    m.add_argument("--word", default="A B", help="word over A B A- B-")
-    m.add_argument("--sequence", help="thickened twist sequence, e.g. 'b:2 b:1 f:1'")
-    common(m)
-    m.set_defaults(func=cmd_mcg)
+    g = group("gate")
+    leaf(g, "ccz", cmd_gate, "file")
+    cz = leaf(g, "cz", cmd_gate, "file")
+    cz.add_argument("--membrane", required=True, help="2-cycle JSON")
+    cz.add_argument("--copies", default="1,2")
+    leaf(g, "t", cmd_gate, "file")
+    leaf(g, "check", cmd_gate, "circuit", "code")
+    leaf(g, "action", cmd_gate, "circuit", "code")
+    sim = leaf(g, "simulate", cmd_gate, "circuit", "code")
+    sim.add_argument("--plus", default="all", help="logical qubits initialised |+>: 'all' or csv")
+    sim.add_argument("--fixed", default="", help="binary string of fixed logical values")
 
-    hg = sub.add_parser("hypergraph")
-    hg.add_argument("action", choices=("build", "degrees"))
-    hg.add_argument("file")
-    hg.add_argument("--lift", action="store_true")
-    hg.add_argument("--export", choices=("json", "dot"), default="json")
-    common(hg)
-    hg.set_defaults(func=cmd_hypergraph)
+    m = group("mcg")
+    tw = leaf(m, "twist", cmd_mcg)
+    tw.add_argument("--curve", required=True, help="a:i | b:i | f:i | comma vector")
+    th = leaf(m, "torus-homology", cmd_mcg)
+    th.add_argument("--matrix", required=True, help="mapping class matrix JSON")
+    th.add_argument("--coeff", default="z", help="z | z2")
+    tu = leaf(m, "thurston", cmd_mcg)
+    tu.add_argument("--n", required=True, help="intersection matrix JSON")
+    tu.add_argument("--word", default="A B", help="word over A B A- B-")
+    tk = leaf(m, "thickened", cmd_mcg)
+    tk.add_argument("--sequence", required=True, help="twist sequence, e.g. 'b:2 b:1 f:1'")
+    for sp in (tw, tu, tk):
+        sp.add_argument("--genus", type=int, default=2)
 
-    sv = sub.add_parser("sullivan")
-    sv.add_argument("action", choices=("synth", "roundtrip"))
-    sv.add_argument("file", help="form JSON")
-    common(sv)
-    sv.set_defaults(func=cmd_sullivan)
+    hg = group("hypergraph")
+    hb = leaf(hg, "build", cmd_hypergraph, "file")
+    hb.add_argument("--lift", action="store_true")
+    hb.add_argument("--export", choices=("json", "dot"), default="json")
+    leaf(hg, "degrees", cmd_hypergraph, "file")
 
-    r = sub.add_parser("report")
-    r.add_argument("file")
-    r.add_argument("--budget", type=int, default=1 << 22)
-    common(r)
-    r.set_defaults(func=cmd_report)
+    sv = group("sullivan")
+    for action in ("synth", "roundtrip"):
+        leaf(sv, action, cmd_sullivan, "file")
 
-    mf = sub.add_parser("run-manifest")
-    mf.add_argument("file")
-    common(mf)
-    mf.set_defaults(func=cmd_manifest)
+    leaf(top, "report", cmd_report, "file").add_argument("--budget", type=int, default=1 << 22)
+    leaf(top, "run-manifest", cmd_manifest, "file", emits=False)
     return p
-
-
-def _gate_dispatch(args) -> int:
-    # `gate check/action/simulate CIRCUIT CODE` reuse the positional slots
-    if args.action in ("check", "action", "simulate"):
-        if args.code is None:
-            args.circuit, args.code = args.file, args.circuit
-        if args.circuit is None or args.code is None:
-            raise SystemExit(f"gate {args.action} needs CIRCUIT and CODE files")
-    return cmd_gate(args)
 
 
 def main(argv: list[str] | None = None) -> int:

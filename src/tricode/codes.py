@@ -254,20 +254,17 @@ def _min_weight_logical(commute_rows: list[int], pair_ops: list[int], n: int,
     return None, None, True
 
 
-def distance(code: CssCode, method: str = "exact", budget: int = 1 << 26,
-             sector: str = "both") -> DistanceResult:
+def distance(code: CssCode, budget: int | None = 1 << 26, sector: str = "both") -> DistanceResult:
     """(d_x, d_z) with minimum-weight certificates, from the code alone.
 
-    exact: the check graph's shortest nonzero-class cycle where every qubit
-    lies in at most two of the sector's checks (d_z of toric codes, d_x of
-    surface ones), else enumeration of ``budget`` supports.  bfs: the check
+    The check graph's shortest nonzero-class cycle where every qubit lies in
+    at most two of the sector's checks (d_z of toric codes, d_x of surface
+    ones), else enumeration of ``budget`` supports.  budget=None: the check
     graph only, ValueError for a sector that is not a graph.
     """
-    if method not in ("exact", "bfs"):
-        raise ValueError(f"unknown method {method!r}")
     if code.k == 0:
         return DistanceResult(None, None, None, None, note="k = 0: distance undefined")
-    found = {s: _min_weight_logical(checks, pairs, code.n, budget if method == "exact" else None, s)
+    found = {s: _min_weight_logical(checks, pairs, code.n, budget, s)
              for s, checks, pairs in (("z", code.hx.rows, code.logical_x),
                                       ("x", code.hz.rows, code.logical_z)) if sector in ("both", s)}
     (dz, cz, ez), (dx, cx, ex) = (found.get(s, (None, None, None)) for s in "zx")

@@ -400,19 +400,32 @@ def test_manifest_reports_bad_mcg_matrix_shapes(workdir):
             1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
 
 
-def test_manifest_reports_missing_or_bad_arguments(workdir):
-    # each of these used to escape run_manifest as a traceback; bfs refuses a
-    # sector whose checks do not make a graph (--sector x of a 3D toric code,
-    # the color code)
+def test_manifest_reports_missing_or_bad_arguments(workdir, capsys):
+    # a missing option is a usage error: the action's parser requires it.
+    # bfs refuses a sector whose checks do not make a graph (--sector x of a
+    # 3D toric code, the color code)
     assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
     assert main(["code", "build", "t3.json", "--type", "toric:3", "--out", "c.json"]) == 0
     assert main(["code", "build", "t3.json", "--type", "color", "--out", "cc.json"]) == 0
     K = serialize.complex_from_json(serialize.read("t3.json"))
     serialize.write("memb.json", {"dim": 2, "support": sorted(K.cycles["axb"][1])})
     serialize.write("n.json", serialize.matrix_to_json([[4, 8], [0, 4]]))
+    for step, missing in [
+        (["homology", "basis", "t3.json"], "--dim"),
+        (["cup", "triple", "t3.json"], "--cocycles"),
+        (["mcg", "twist", "--genus", "2"], "--curve"),
+        (["mcg", "torus-homology"], "--matrix"),
+        (["mcg", "thurston"], "--n"),
+        (["mcg", "thickened"], "--sequence"),
+        (["gate", "cz", "t3.json"], "--membrane"),
+    ]:
+        serialize.write("one.manifest.json", {"steps": [step]})
+        capsys.readouterr()
+        assert run_manifest("one.manifest.json") == (
+            2, [f"step 0 failed (exit 2): {' '.join(step)}"]), step
+        assert capsys.readouterr().err.endswith(
+            f"error: the following arguments are required: {missing}\n"), step
     for step, why in [
-        (["homology", "basis", "t3.json"], "homology basis needs --dim N"),
-        (["cup", "triple", "t3.json"], "cup triple needs --cocycles i,j,k"),
         (["cup", "triple", "t3.json", "--cocycles", "0,1,3"],
          "--cocycles 0,1,3: indices must lie in 0..2 (b_1 = 3)"),
         (["cup", "triple", "t3.json", "--cocycles=-1,1,2"],
@@ -423,11 +436,6 @@ def test_manifest_reports_missing_or_bad_arguments(workdir):
         (["code", "distance", "cc.json", "--method", "bfs", "--sector", "z", "--complex", "t3.json"],
          "ValueError: bfs finds d_z only when every qubit lies in at most two X checks; "
          "qubit 0 lies in 4 of them"),
-        (["mcg", "twist", "--genus", "2"], "mcg twist needs --curve"),
-        (["mcg", "torus-homology"], "mcg torus-homology needs --matrix"),
-        (["mcg", "thurston"], "mcg thurston needs --n"),
-        (["mcg", "thickened"], "mcg thickened needs --sequence"),
-        (["gate", "cz", "t3.json"], "gate cz needs --membrane FILE"),
     ]:
         serialize.write("one.manifest.json", {"steps": [step]})
         assert run_manifest("one.manifest.json") == (
@@ -449,6 +457,43 @@ def test_manifest_reports_missing_or_bad_arguments(workdir):
     assert serialize.read("dz.json") == serialize.read("dz2.json") == {
         "dx": None, "dz": 1, "flag": "exact", "note": ""}
     assert len(serialize.read("cz.json")["gates"]) == 2
+
+
+USAGE_ERRORS = [
+    # each action's parser declares the arguments it reads.  The first five
+    # used to escape run_manifest as an AttributeError or as a TypeError from
+    # open(None); gate check with three files ran and never read the first;
+    # every option below was accepted and ignored by the action given
+    (["complex", "build"], "the following arguments are required: --preset"),
+    (["complex", "validate"], "the following arguments are required: file"),
+    (["complex", "subdivide"], "the following arguments are required: file"),
+    (["gate", "ccz"], "the following arguments are required: file"),
+    (["gate", "t"], "the following arguments are required: file"),
+    (["gate", "check", "t3.json", "ccz.json", "c.json"], "unrecognized arguments: c.json"),
+    (["complex", "validate", "t3.json", "--preset", "t3"], "unrecognized arguments: --preset t3"),
+    (["homology", "betti", "t3.json", "--budget", "5"], "unrecognized arguments: --budget 5"),
+    (["snf", "m.json", "--dim", "1"], "unrecognized arguments: --dim 1"),
+    (["cup", "form", "t3.json", "--cocycles", "0,1,2"], "unrecognized arguments: --cocycles 0,1,2"),
+    (["code", "build", "t3.json", "--sector", "z"], "unrecognized arguments: --sector z"),
+    (["gate", "ccz", "t3.json", "--plus", "0"], "unrecognized arguments: --plus 0"),
+    (["mcg", "torus-homology", "--matrix", "m.json", "--genus", "3"],
+     "unrecognized arguments: --genus 3"),
+    (["hypergraph", "degrees", "h.json", "--lift"], "unrecognized arguments: --lift"),
+    (["sullivan", "synth", "mu.json", "--export", "dot"], "unrecognized arguments: --export dot"),
+    (["report", "c.json", "--sector", "z"], "unrecognized arguments: --sector z"),
+    (["run-manifest", "m.json", "--out", "x"], "unrecognized arguments: --out x"),
+]
+
+
+@pytest.mark.parametrize("step,why", USAGE_ERRORS)
+def test_missing_and_foreign_arguments_are_usage_errors(workdir, capsys, step, why):
+    serialize.write("one.manifest.json", {"steps": [step]})
+    assert run_manifest("one.manifest.json") == (2, [f"step 0 failed (exit 2): {' '.join(step)}"])
+    assert capsys.readouterr().err.endswith(f"error: {why}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(step)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {why}\n")
 
 
 def test_manifest_reports_curve_index_out_of_range(workdir):
@@ -947,6 +992,9 @@ BAD_MANIFESTS = [
     ({"expect": [{"file": "b.json", "path": ["betti"], "value": 1}]}, "'path' must be a string, not list"),
     ({"expect": [{"file": "b.json", "path": "betti", "value": 1, "provenance": 7}]},
      "'provenance' must be a string, not int"),
+    # a misspelt key used to pass as an empty manifest
+    ({"step": [["complex", "build", "--preset", "t3"]]},
+     "a manifest holds only 'steps' and 'expect', not 'step'"),
 ]
 
 
@@ -954,6 +1002,16 @@ BAD_MANIFESTS = [
 def test_malformed_manifests_print_one_error_line(workdir, capsys, manifest, why):
     serialize.write("m.json", manifest)
     assert console_main(["run-manifest", "m.json"]) == 1
+    assert capsys.readouterr() == ("", f"error: {why}\n")
+
+
+def test_a_complex_file_is_not_a_manifest(workdir, capsys):
+    # it used to pass as an empty manifest with a warning and exit 0
+    assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
+    why = "a manifest holds only 'steps' and 'expect', not 'cycles', 'dims', 'simplices'"
+    with pytest.raises(ValueError, match=why):
+        run_manifest("t3.json")
+    assert console_main(["run-manifest", "t3.json"]) == 1
     assert capsys.readouterr() == ("", f"error: {why}\n")
 
 

@@ -182,7 +182,7 @@ def test_color_stabilizer_weights_bounded(t3):
 
 def test_distance_t3_exact(t3):
     code = toric_code(t3, 1)
-    res = distance(code, "exact")
+    res = distance(code)
     assert res.exact
     assert res.dz == 1 == brute_force_min_logical(code, "z")
     assert res.dx == brute_force_min_logical(code, "x")
@@ -315,7 +315,7 @@ def test_systole_bfs_through_code_api(t3):
     # the code's own check graph gives the edge systole of the complex as an
     # exact d_z, with no complex passed
     for K in (t3, barycentric_subdivide(t3).complex, product_with_circle(build_sigma_g(2), 1)):
-        res = distance(toric_code(K, 1), "bfs", sector="z")
+        res = distance(toric_code(K, 1), budget=None, sector="z")
         assert (res.dz, res.flagged()) == (systole_bfs(K)[0], "exact")
 
 
@@ -323,15 +323,15 @@ def test_systole_bfs_rejects_codes_it_does_not_bound(t3):
     # the color code's X checks put each flag in four vertices; d_z = 2 comes
     # from enumeration, and the graph-only method refuses
     cc = color_code(t3)
-    assert distance(cc, "exact", sector="z").dz == 2
+    assert distance(cc, sector="z").dz == 2
     with pytest.raises(ValueError, match="bfs finds d_z only when every qubit lies in at most "
                                          "two X checks; qubit 0 lies in 4 of them"):
-        distance(cc, "bfs", sector="z")
+        distance(cc, budget=None, sector="z")
     # a 3D toric code's d_x is a membrane: an edge lies in several faces
     code = toric_code(t3, 3)
     with pytest.raises(ValueError, match="bfs finds d_x only .* two Z checks"):
-        distance(code, "bfs")
-    assert distance(code, "bfs", sector="z").dz == 1
+        distance(code, budget=None)
+    assert distance(code, budget=None, sector="z").dz == 1
 
 
 def _random_checks(rng, n, weights):
@@ -382,7 +382,7 @@ def test_graph_route_equals_enumeration_on_random_graph_like_codes(monkeypatch):
         res = distance(code, sector="z")
         want = _min_weight_by_enumeration(rows, pairs, n)
         assert res.exact and res.dz == want, (n, rows, pairs)
-        assert distance(code, "bfs", sector="z").dz == want
+        assert distance(code, budget=None, sector="z").dz == want
         if want is not None:
             cert = res.certificate_z
             assert popcount(cert) == want
@@ -404,7 +404,7 @@ def test_codes_that_are_not_graphs_go_to_enumeration(t3, monkeypatch):
         res = distance(code, sector="z")
         assert res.exact and res.dz == _min_weight_by_enumeration(rows, pairs, n)
         with pytest.raises(ValueError, match="bfs finds d_z only"):
-            distance(code, "bfs", sector="z")
+            distance(code, budget=None, sector="z")
     assert distance(color_code(t3), sector="z").dz == 2
     assert calls == []
 
@@ -424,8 +424,8 @@ def test_distance_exact_on_t3_covers(t3):
 def test_surface_toric_code_distances_are_exact(sigma2):
     # d_x comes from the face graph: each edge of a surface bounds two faces
     code = toric_code(sigma2, 1)
-    for method in ("exact", "bfs"):
-        res = distance(code, method)
+    for budget in (1 << 26, None):  # None: the check graph only
+        res = distance(code, budget)
         assert (res.dx, res.dz, res.exact) == (2, 1, True)
         assert popcount(res.certificate_x) == 2 and code.hz.matvec(res.certificate_x) == 0
         assert any(dot(res.certificate_x, lz) for lz in code.logical_z)
