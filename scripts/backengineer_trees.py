@@ -7,12 +7,12 @@ import os
 import sys
 
 from tricode.hypergraph import base_hypergraph, degree_report, to_dot
-from tricode.sullivan import ThreeForm, genus13_tree_form, roundtrip_check, synthesize
+from tricode.sullivan import genus13_tree_form, handle_form, roundtrip_check, synthesize
 
 EXAMPLES = [
-    ("point", ThreeForm(3, {(1, 2, 3): 1})),
-    ("shared-pair", ThreeForm(4, {(1, 2, 3): 1, (2, 3, 4): 1})),
-    ("two-prong", ThreeForm(5, {(1, 2, 3): 1, (1, 4, 5): 1})),
+    ("point", handle_form(3, {(1, 2, 3): 1})),
+    ("shared-pair", handle_form(4, {(1, 2, 3): 1, (2, 3, 4): 1})),
+    ("two-prong", handle_form(5, {(1, 2, 3): 1, (1, 4, 5): 1})),
     ("genus13-tree", genus13_tree_form()),
 ]
 
@@ -25,8 +25,8 @@ def main(outdir=None):
         rep = roundtrip_check(mu)
         h = base_hypergraph(res.predicted_form)
         dr = degree_report(h)
-        print(f"== {name}: rank {mu.m}, {len(mu.coeffs)} prescribed triples ==")
-        print(f"  tau is {2 * mu.m}x{2 * mu.m}, symplectic and kernel-fixing: "
+        print(f"== {name}: rank {res.m}, {len(mu.coefficients)} prescribed triples ==")
+        print(f"  tau is {2 * res.m}x{2 * res.m}, symplectic and kernel-fixing: "
               f"{res.fixes_kernel_lattice()}, roundtrip {'PASS' if rep.passed else rep.failures}")
         print(f"  hyperedges: {h.hyperedges}")
         print(f"  max degree {dr.max_degree}, star-like: {dr.star_like}")

@@ -38,20 +38,21 @@ def _load_complex(path: str) -> complexes.DeltaComplex:
 # ---------------------------------------------------------------------------
 
 
+_PRESETS = {  # name, with the ":" when ints follow it: (how many ints, builder)
+    "t3": (0, complexes.build_torus3),
+    "point": (0, complexes.build_point),
+    "circle:": (1, lambda n: complexes.product_with_circle(complexes.build_point(), n)),
+    "sigma:": (1, complexes.build_sigma_g),
+    "sigma-rot:": (1, complexes.build_sigma_g_rotsym),
+    "product:": (2, lambda g, layers: complexes.product_with_circle(complexes.build_sigma_g(g), layers)),
+}
+
+
 def _build_preset(preset: str, twist_file: str | None):
-    if preset == "t3":
-        return complexes.build_torus3()
-    if preset == "point":
-        return complexes.build_point()
-    if preset.startswith("circle:"):
-        return complexes.product_with_circle(complexes.build_point(), int(preset.split(":")[1]))
-    if preset.startswith("sigma-rot:"):
-        return complexes.build_sigma_g_rotsym(int(preset.split(":")[1]))
-    if preset.startswith("sigma:"):
-        return complexes.build_sigma_g(int(preset.split(":")[1]))
-    if preset.startswith("product:"):
-        g, layers = (int(t) for t in preset.split(":")[1].split(","))
-        return complexes.product_with_circle(complexes.build_sigma_g(g), layers)
+    name, colon, arg = preset.partition(":")
+    if name + colon in _PRESETS:
+        count, build = _PRESETS[name + colon]
+        return build(*_ints(arg, count))
     if preset == "mapping-torus":
         if not twist_file:
             raise SystemExit("--twist FILE is required for the mapping-torus preset")
@@ -140,9 +141,9 @@ def cmd_cup(args) -> int:
     K = _load_complex(args.file)
     if args.action == "triple":
         basis = [cup.Cochain(1, c) for c in homology.canonical_basis(K, 1)[1]]
-        i, j, k = (int(t) for t in args.cocycles.split(","))
+        i, j, k = args.cocycles
         if not all(0 <= t < len(basis) for t in (i, j, k)):
-            raise SystemExit(f"--cocycles {args.cocycles}: indices must lie in 0..{len(basis) - 1} "
+            raise SystemExit(f"--cocycles {i},{j},{k}: indices must lie in 0..{len(basis) - 1} "
                              f"(b_1 = {len(basis)})")
         v = cup.triple_cup_integral(K, basis[i], basis[j], basis[k])
         _emit(args, {"cocycles": [i, j, k], "integral": v}, f"integral = {v}")
@@ -152,12 +153,8 @@ def cmd_cup(args) -> int:
         _emit(args, {"intersection_form": M}, "\n".join(" ".join(map(str, row)) for row in M))
         return 0
     form = hypergraph.form_from_cup(K)
-    obj = {
-        "labels": form.labels,
-        "coeffs": {",".join(map(str, sorted(t))): v for t, v in form.coefficients.items()},
-        "unit_triples": form.known_unit_triples(),
-    }
-    _emit(args, obj, f"labels {form.labels}; unit triples {form.known_unit_triples()}")
+    _emit(args, serialize.form_to_json(form),
+          f"labels {form.labels}; unit triples {form.known_unit_triples()}")
     return 0
 
 
@@ -169,13 +166,7 @@ def cmd_cup(args) -> int:
 def cmd_code(args) -> int:
     if args.action == "build":
         K = _load_complex(args.file)
-        if args.type.startswith("toric"):
-            copies = int(args.type.split(":")[1]) if ":" in args.type else 1
-            code = codes.toric_code(K, copies)
-        elif args.type == "color":
-            code = codes.color_code(K)
-        else:
-            raise SystemExit(f"unknown code type {args.type!r}")
+        code = codes.color_code(K) if args.type == "color" else codes.toric_code(K, args.type)
         _emit(args, serialize.code_to_json(code), f"n={code.n} k={code.k}")
         return 0
     code = serialize.code_from_json(serialize.read(args.file))  # distance
@@ -197,8 +188,7 @@ def cmd_gate(args) -> int:
         dim, z = serialize.cochain_from_json(serialize.read(args.membrane), K)
         if dim != 2:
             raise SystemExit("membrane file must hold a 2-cycle")
-        i, j = (int(t) for t in args.copies.split(","))
-        circ = gates.cz_membrane_circuit(K, z, (i, j))
+        circ = gates.cz_membrane_circuit(K, z, args.copies)
         _emit(args, serialize.circuit_to_json(circ),
               f"{len(circ.gates)} CZ gates on {circ.n} qubits")
         return 0
@@ -221,13 +211,13 @@ def cmd_gate(args) -> int:
         _emit(args, {"k": code.k, "gates": gl}, "\n".join(f"{k} {qs}" for k, qs in gl) or "identity")
         return 0
     # simulate
-    plus = list(range(code.k)) if args.plus == "all" else [int(t) for t in args.plus.split(",") if t]
-    fixed = int(args.fixed, 2) if args.fixed else 0
+    plus = list(range(code.k)) if args.plus == "all" else list(args.plus)
     if any(not 0 <= j < code.k for j in plus):
-        raise SystemExit(f"--plus {args.plus}: logical qubits must lie in 0..{code.k - 1} (k = {code.k})")
-    if fixed >> code.k:  # also catches a sign
-        raise SystemExit(f"--fixed {args.fixed}: needs a binary string of at most k = {code.k} digits")
-    state = gates.coset_simulate(circ, code, plus, fixed).normalized()
+        raise SystemExit(f"--plus {','.join(map(str, plus))}: logical qubits must lie in "
+                         f"0..{code.k - 1} (k = {code.k})")
+    if args.fixed >> code.k:  # also catches a sign
+        raise SystemExit(f"--fixed {args.fixed:b}: needs a binary string of at most k = {code.k} digits")
+    state = gates.coset_simulate(circ, code, plus, args.fixed).normalized()
     obj = {"phases": {str(v): p for v, p in sorted(state.phases.items())}}
     _emit(args, obj, f"{len(state.phases)} basis strings")
     return 0
@@ -241,10 +231,7 @@ def cmd_gate(args) -> int:
 def cmd_mcg(args) -> int:
     if args.action == "twist":
         g = args.genus
-        if ":" in args.curve:
-            vec = mcg.curve_class(args.curve, g)
-        else:
-            vec = [int(t) for t in args.curve.split(",")]
+        vec = mcg.curve_class(args.curve, g) if type(args.curve) is str else list(args.curve)
         M = mcg.dehn_twist_matrix(vec, g)
         _emit(args, serialize.matrix_to_json(M), "\n".join(" ".join(map(str, r)) for r in M))
         return 0
@@ -287,27 +274,9 @@ def cmd_mcg(args) -> int:
     return 0
 
 
-def _load_form(path: str) -> mcg.TripleForm:
-    data = serialize.read(path)
-    serialize._check_object(data, "form")
-    if "m" in data:
-        return serialize.form_from_json(data).mod2()
-    form = mcg.TripleForm(serialize._field(data, "labels", list))
-    if "coeffs" not in data:
-        return form
-    for key, v in serialize.form_entries(data):
-        idx = frozenset(key)
-        if len(idx) != 3 or not idx <= set(range(len(form.labels))):
-            raise ValueError(f"form coefficient key {key} needs three distinct indices in "
-                             f"0..{len(form.labels) - 1}")
-        form.coefficients[idx] = v if v in (0, 1) else mcg.UNKNOWN
-    return form
-
-
 def cmd_hypergraph(args) -> int:
     if args.action == "build":
-        form = _load_form(args.file)
-        h = hypergraph.base_hypergraph(form)
+        h = hypergraph.base_hypergraph(serialize.form_from_json(serialize.read(args.file)))
         if args.lift:
             h = hypergraph.lift_full(h)
         if args.export == "dot":
@@ -478,6 +447,44 @@ def cmd_manifest(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# option types: a value that does not parse is a usage error naming the option
+# ---------------------------------------------------------------------------
+
+
+def _option(parse, what: str):
+    """An argparse type: parse(text), with a ValueError as a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
+    return convert
+
+
+def _ints(text: str, count: int | None = None) -> tuple[int, ...]:
+    vals = tuple(int(t) for t in text.split(",")) if text else ()
+    if count is not None and len(vals) != count:
+        raise ValueError(f"{text!r} is not {count} comma-separated ints")
+    return vals
+
+
+def _preset(text: str) -> str:
+    """A preset, with the ints that its builder takes checked."""
+    name, colon, arg = text.partition(":")
+    if name + colon in _PRESETS:
+        _ints(arg, _PRESETS[name + colon][0])
+    return text
+
+
+def _code_type(text: str) -> str | int:
+    """Either "color" or the number of toric copies."""
+    name, colon, copies = text.partition(":")
+    if text != "color" and name != "toric":
+        raise ValueError(f"unknown code type {text!r}")
+    return text if text == "color" else int(copies) if colon else 1
+
+
+# ---------------------------------------------------------------------------
 
 
 @functools.cache  # one parser per process: a manifest runs every step through main
@@ -500,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = group("complex")
     b = leaf(c, "build", cmd_complex)
-    b.add_argument("--preset", required=True,
+    b.add_argument("--preset", required=True, type=_option(_preset, "a preset with the ints it takes"),
                    help="t3 | sigma:g | sigma-rot:g | product:g,layers | circle:n | mapping-torus")
     b.add_argument("--twist", help="twist spec JSON for mapping-torus")
     leaf(c, "validate", cmd_complex, "file")
@@ -515,12 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     cu = group("cup")
     leaf(cu, "triple", cmd_cup, "file").add_argument(
-        "--cocycles", required=True, help="i,j,k indices into the canonical H^1 basis")
+        "--cocycles", required=True, type=_option(lambda s: _ints(s, 3), "3 comma-separated ints"),
+        help="i,j,k indices into the canonical H^1 basis")
     leaf(cu, "form", cmd_cup, "file")
 
     cd = group("code")
-    leaf(cd, "build", cmd_code, "file").add_argument("--type", default="toric:1",
-                                                     help="toric:copies | color")
+    leaf(cd, "build", cmd_code, "file").add_argument(
+        "--type", default="toric:1", type=_option(_code_type, "toric, toric:copies or color"),
+        help="toric:copies | color")
     d = leaf(cd, "distance", cmd_code, "file")
     d.add_argument("--method", default="exact", choices=("exact", "bfs"),
                    help="bfs: the check graph only")
@@ -532,17 +541,20 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(g, "ccz", cmd_gate, "file")
     cz = leaf(g, "cz", cmd_gate, "file")
     cz.add_argument("--membrane", required=True, help="2-cycle JSON")
-    cz.add_argument("--copies", default="1,2")
+    cz.add_argument("--copies", default="1,2", type=_option(lambda s: _ints(s, 2), "2 comma-separated ints"))
     leaf(g, "t", cmd_gate, "file")
     leaf(g, "check", cmd_gate, "circuit", "code")
     leaf(g, "action", cmd_gate, "circuit", "code")
     sim = leaf(g, "simulate", cmd_gate, "circuit", "code")
-    sim.add_argument("--plus", default="all", help="logical qubits initialised |+>: 'all' or csv")
-    sim.add_argument("--fixed", default="", help="binary string of fixed logical values")
+    sim.add_argument("--plus", default="all", help="logical qubits initialised |+>: 'all' or csv",
+                     type=_option(lambda s: s if s == "all" else _ints(s), "'all' or comma-separated ints"))
+    sim.add_argument("--fixed", default=0, type=_option(lambda s: int(s, 2), "a binary string"),
+                     help="binary string of fixed logical values")
 
     m = group("mcg")
     tw = leaf(m, "twist", cmd_mcg)
-    tw.add_argument("--curve", required=True, help="a:i | b:i | f:i | comma vector")
+    tw.add_argument("--curve", required=True, help="a:i | b:i | f:i | comma vector",
+                    type=_option(lambda s: s if ":" in s else _ints(s), "a:i, b:i, f:i or comma-separated ints"))
     th = leaf(m, "torus-homology", cmd_mcg)
     th.add_argument("--matrix", required=True, help="mapping class matrix JSON")
     th.add_argument("--coeff", default="z", help="z | z2")

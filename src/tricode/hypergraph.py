@@ -4,8 +4,8 @@ resource accounting.
 The base hypergraph has one vertex per 2-cycle basis class and one
 hyperedge per unit triple intersection; lifting to the full hypergraph
 triples the vertices (copy labels) and expands each hyperedge into the
-3! = 6 copy permutations.  UNKNOWN-ALGEBRAIC coefficients are never
-silently treated as zero: the builders and the file loader refuse them.
+3! = 6 copy permutations.  A form's UNKNOWN-ALGEBRAIC (Torelli fibre)
+triples are never silently treated as zero: the builders refuse them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import homology
 from .cup import spine_edges
 from .gf2 import BitMatrix, support
-from .mcg import TripleForm, UNKNOWN
+from .mcg import TripleForm
 
 
 @dataclass(frozen=True)
@@ -58,23 +58,22 @@ def form_from_cup(K) -> TripleForm:
         for i in support(mask[e1]):
             for j in support(m2 >> i << i):
                 parity[i * k + j] ^= m3 >> j << j
-    form = TripleForm(homology.logical_labels(K, names, cycles))
+    coefficients = {}
     for i, j, l in itertools.combinations_with_replacement(range(k), 3):
         if (parity[i * k + j] >> l) & 1:
             if len({i, j, l}) < 3:
                 raise ValueError(f"repeated-class triple integral ({i},{j},{l}) is nonzero; "
                                  "no hyperedge reading")
-            form.coefficients[frozenset({i, j, l})] = 1
-    return form
+            coefficients[frozenset({i, j, l})] = 1
+    return TripleForm(homology.logical_labels(K, names, cycles), coefficients)
 
 
 def base_hypergraph(form: TripleForm) -> Hypergraph:
-    """One hyperedge per unit triple-intersection coefficient.
+    """One hyperedge per odd triple-intersection coefficient.
 
     Raises if any triple is UNKNOWN-ALGEBRAIC (never guessed)."""
-    unknown = sum(v == UNKNOWN for v in form.coefficients.values())
-    if unknown:
-        raise ValueError(f"{unknown} UNKNOWN-ALGEBRAIC coefficients; "
+    if form.unknown:
+        raise ValueError(f"{len(form.unknown)} UNKNOWN-ALGEBRAIC coefficients; "
                          "cannot build the base hypergraph")
     edges = [tuple(form.labels[i] for i in t) for t in form.known_unit_triples()]
     return Hypergraph("base", list(form.labels), edges)
@@ -109,22 +108,18 @@ class ColoredGraph:
 
 
 def cz_interaction_graph(form: TripleForm, alpha: str, copies: tuple[int, int] = (1, 2)) -> ColoredGraph:
-    """Edges (beta; i) - (gamma; j) for each unit coefficient containing the
-    membrane class alpha, all firing together (one color class)."""
+    """Edges (beta; i) - (gamma; j) for each unit triple containing the
+    membrane class alpha, all firing together (one color class).  Raises if
+    a triple containing alpha is UNKNOWN-ALGEBRAIC."""
     if alpha not in form.labels:
         raise ValueError(f"unknown membrane class {alpha!r}")
     ai = form.labels.index(alpha)
+    unknown = sorted(sorted(t) for t in form.unknown if ai in t)
+    if unknown:
+        raise ValueError(f"triple {unknown[0]} is UNKNOWN-ALGEBRAIC")
     i, j = copies
-    edges = []
-    for t, v in sorted(form.coefficients.items(), key=lambda kv: sorted(kv[0])):
-        if v == UNKNOWN and ai in t:
-            raise ValueError(f"triple {sorted(t)} is UNKNOWN-ALGEBRAIC")
-        if v != 1 or ai not in t:
-            continue
-        rest = sorted(t - {ai})
-        beta, gamma = (form.labels[rest[0]], form.labels[rest[1]])
-        edges.append(((beta, i), (gamma, j)))
-        edges.append(((gamma, i), (beta, j)))
+    pairs = [[form.labels[x] for x in t if x != ai] for t in form.known_unit_triples() if ai in t]
+    edges = [e for beta, gamma in pairs for e in (((beta, i), (gamma, j)), ((gamma, i), (beta, j)))]
     vertices = [(lab, c) for lab in form.labels for c in sorted({i, j})]
     return ColoredGraph(vertices, edges, color=f"CZ[{alpha};{i},{j}]")
 

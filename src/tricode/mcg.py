@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .snf import IntMatrix, identity, matmul, smith_normal_form
 from .gf2 import BitMatrix, echelon, vec_from_support, dot
@@ -160,23 +162,36 @@ def gf2_pairing(u: int, v: int, g: int) -> int:
     return dot(u, (v >> g & half) | (v & half) << g)
 
 
-UNKNOWN = "UNKNOWN-ALGEBRAIC"
-
-
 @dataclass(frozen=True)
 class TripleForm:
-    """Triple intersection coefficients on a labelled H_2 basis; values in
-    {0, 1} or UNKNOWN-ALGEBRAIC for triples the algebra cannot see."""
+    """Nonzero int triple intersection coefficients on a labelled H_2 basis, keyed
+    by frozensets of three label indices; a unit triple has an odd coefficient.
+    ``unknown`` holds the triples the algebra cannot see.  Checked, read-only."""
 
     labels: list[str]
-    coefficients: dict[frozenset, object] = field(default_factory=dict)
+    coefficients: Mapping[frozenset, int] = field(default_factory=dict)
+    unknown: frozenset = frozenset()
 
     def __post_init__(self):
         if any(type(v) not in (str, int) for v in self.labels) or len(set(self.labels)) < len(self.labels):
             raise ValueError(f"form labels {self.labels} are not distinct strs or ints")
+        indices = set(range(len(self.labels)))
+        for t in [*self.coefficients, *self.unknown]:
+            if type(t) is not frozenset or len(t) != 3 or not t <= indices:
+                raise ValueError(f"form coefficient key {tuple(sorted(t))} needs three distinct "
+                                 f"indices in 0..{len(self.labels) - 1}")
+        for v in self.coefficients.values():
+            if type(v) is not int:
+                raise ValueError(f"form coefficient {v!r} is not an int")
+        both = sorted(sorted(t) for t in self.unknown & self.coefficients.keys())
+        if both:
+            raise ValueError(f"triple {both[0]} has a coefficient and is UNKNOWN-ALGEBRAIC")
+        object.__setattr__(self, "coefficients", MappingProxyType(
+            {t: v for t, v in self.coefficients.items() if v}))
 
     def known_unit_triples(self) -> list[tuple]:
-        return sorted(tuple(sorted(t)) for t, v in self.coefficients.items() if v == 1)
+        return sorted(tuple(sorted(t)) for t, v in self.coefficients.items() if v % 2)
+
 
 def torelli_triple_form(fhat: IntMatrix, g: int) -> TripleForm:
     """Triple form of the mapping torus of fhat, on the basis [Gamma] +
@@ -184,18 +199,14 @@ def torelli_triple_form(fhat: IntMatrix, g: int) -> TripleForm:
 
     Triples containing the base class Gamma evaluate to the surface
     intersection pairing of the two fibre classes; triples of three fibre
-    classes are only computable geometrically and stay UNKNOWN-ALGEBRAIC.
+    classes are only computable geometrically and are ``unknown``.
     """
     inv = invariant_subspace_gf2(fhat)
     labels = ["Gamma"] + [f"v{i + 1}" for i in range(len(inv))]
-    form = TripleForm(labels)
-    for i in range(len(inv)):
-        for j in range(i + 1, len(inv)):
-            val = gf2_pairing(inv[i], inv[j], g)
-            form.coefficients[frozenset({0, i + 1, j + 1})] = val
-    for t in itertools.combinations(range(1, len(inv) + 1), 3):
-        form.coefficients[frozenset(t)] = UNKNOWN
-    return form
+    coefficients = {frozenset({0, i + 1, j + 1}): gf2_pairing(inv[i], inv[j], g)
+                    for i, j in itertools.combinations(range(len(inv)), 2)}
+    unknown = frozenset(map(frozenset, itertools.combinations(range(1, len(inv) + 1), 3)))
+    return TripleForm(labels, coefficients, unknown)
 
 
 def is_torelli_gf2(fhat: IntMatrix) -> bool:

@@ -14,9 +14,12 @@ Formats (documented in the README):
   circuit    {"n": .., "gates": [["CCZ", [a, b, c]], ..]}
   hypergraph {"kind": "base"|"full", "vertices": [..], "hyperedges": [[..]]}
              (a file with an "unknown" key, of UNKNOWN triples, is refused)
-  form       {"m": m, "coeffs": {"1,2,3": 1, ..}}
+  form       {"labels": [..], "coeffs": {"0,1,2": 1, ..}} (0-based keys, any
+             order) or {"m": m, "coeffs": {"1,2,3": 1, ..}} (1 <= i < j < k <= m);
+             either way the coefficients are ints, the hyperedges the odd ones
 
-All dumps are sorted-key and newline-terminated for diff stability.
+A missing key is reported with the kind of file that needs it.  All dumps
+are sorted-key and newline-terminated for diff stability.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .codes import CssCode
 from .gates import DiagonalCircuit
 from .gf2 import BitMatrix, support, vec_from_support
 from .hypergraph import Hypergraph
-from .sullivan import ThreeForm
+from .mcg import TripleForm
+from .sullivan import handle_form
 
 
 def dumps(obj) -> str:
@@ -64,9 +68,13 @@ def _size(data: dict, key: str, what: str) -> int:
     return val
 
 
-def _check_object(data, what: str) -> None:
+def _check_object(data, what: str, *required: str) -> None:
+    """ValueError unless data is a JSON object that has every required key."""
     if type(data) is not dict:
         raise ValueError(f"a {what} file must hold a JSON object, not {type(data).__name__}")
+    missing = next((key for key in required if key not in data), None)
+    if missing is not None:
+        raise ValueError(f"a {what} file needs {missing!r}")
 
 
 # -- complex ---------------------------------------------------------------
@@ -89,7 +97,7 @@ def complex_to_json(K: DeltaComplex) -> dict:
 
 def complex_from_json(data: dict) -> DeltaComplex:
     """The complex of a JSON object, checked by ``DeltaComplex`` itself."""
-    _check_object(data, "complex")
+    _check_object(data, "complex", "dims", "simplices")
     dims = _size(data, "dims", "complex")
     simplices = _field(data, "simplices", list)
     if dims > len(simplices):  # levels 0..dims, each inhabited, need dims + 1 simplices
@@ -120,7 +128,7 @@ def matrix_to_json(entries: list[list[int]]) -> dict:
 
 
 def matrix_from_json(data: dict) -> list[list[int]]:
-    _check_object(data, "matrix")
+    _check_object(data, "matrix", "entries", "rows", "cols")
     M = _field(data, "entries", list)
     rows, cols = _size(data, "rows", "matrix"), _size(data, "cols", "matrix")
     if len(M) != rows:
@@ -136,7 +144,7 @@ def matrix_from_json(data: dict) -> list[list[int]]:
 def cochain_from_json(data: dict, K: DeltaComplex) -> tuple[int, int]:
     """(dim, bit vector) of a chain or cochain on K: an int dim and a strictly
     increasing list of cell indices below K.n_cells(dim)."""
-    _check_object(data, "cochain")
+    _check_object(data, "cochain", "dim", "support")
     dim = data["dim"]
     if type(dim) is not int:
         raise ValueError(f"cochain dim {dim!r} is not an int")
@@ -191,7 +199,7 @@ def _matrix_from_json(name: str, rows: list, n: int, fmt: int) -> BitMatrix:
 
 
 def code_from_json(data: dict) -> CssCode:
-    _check_object(data, "code")
+    _check_object(data, "code", "n", "hx", "hz", "logical_x", "logical_z")
     n = _size(data, "n", "code")
     fmt = data.get("format", 1)
     if type(fmt) is not int or fmt not in (1, 2):
@@ -230,7 +238,7 @@ def circuit_to_json(circ: DiagonalCircuit) -> dict:
 
 
 def circuit_from_json(data: dict) -> DiagonalCircuit:
-    _check_object(data, "circuit")
+    _check_object(data, "circuit", "gates", "n")
     gates = []
     for gate in _field(data, "gates", list):
         if type(gate) is not list or len(gate) != 2 or type(gate[0]) is not str \
@@ -255,7 +263,7 @@ def hypergraph_from_json(data: dict) -> Hypergraph:
             return tuple(v)
         raise ValueError(f"hypergraph vertex {v!r} is not a str or int, or a list of them")
 
-    _check_object(data, "hypergraph")
+    _check_object(data, "hypergraph", "kind", "vertices", "hyperedges")
     if "unknown" in data:  # UNKNOWN-ALGEBRAIC triples are never silently dropped
         raise ValueError("hypergraph has UNKNOWN-ALGEBRAIC triples ('unknown'); "
                          "no hypergraph result is defined")
@@ -268,26 +276,27 @@ def hypergraph_from_json(data: dict) -> Hypergraph:
     return Hypergraph(_field(data, "kind", str), vertices, edges)
 
 
-def form_entries(data: dict) -> list[tuple[tuple[int, int, int], object]]:
-    """The coefficients of a form file as ((i, j, k), value) pairs, each key
-    "i,j,k" read as three ints in the order written."""
-    out = []
-    for key, v in _field(data, "coeffs", dict).items():
+def form_to_json(form: TripleForm) -> dict:
+    coeffs = {",".join(map(str, sorted(t))): v for t, v in form.coefficients.items()}
+    return {"labels": form.labels, "coeffs": coeffs, "unit_triples": form.known_unit_triples()}
+
+
+def form_from_json(data: dict) -> TripleForm:
+    """The triple form of either layout: "m", Sullivan's 1-based a_ijk (through
+    ``handle_form``), or "labels", 0-based keys in any order."""
+    layout = "m" if type(data) is dict and "m" in data else "labels"
+    _check_object(data, "form", "coeffs", layout)
+    if layout == "m" and "labels" in data:
+        raise ValueError("a form file holds 'm' or 'labels', not both")
+    raw, coeffs = _field(data, "coeffs", dict), {}
+    for key, v in raw.items():
         try:
-            idx = tuple(int(t) for t in key.split(","))
+            i, j, k = map(int, key.split(","))
         except ValueError:
-            idx = ()
-        if len(idx) != 3:
-            raise ValueError(f"form coefficient key {key!r} is not three comma-separated ints")
-        out.append((idx, v))
-    return out
-
-
-def form_from_json(data: dict) -> ThreeForm:
-    _check_object(data, "form")
-    m = _size(data, "m", "form")
-    coeffs = dict(form_entries(data))
-    bad = [v for v in coeffs.values() if type(v) is not int]
-    if bad:
-        raise ValueError(f"form coefficient {bad[0]!r} is not an int")
-    return ThreeForm(m, coeffs)
+            raise ValueError(f"form coefficient key {key!r} is not three comma-separated ints") from None
+        coeffs[i, j, k] = v
+    if len(set(map(frozenset, coeffs))) < len(raw):
+        raise ValueError("form coefficient keys name one triple twice")
+    if layout == "m":
+        return handle_form(_size(data, "m", "form"), coeffs)
+    return TripleForm(_field(data, "labels", list), {frozenset(t): v for t, v in coeffs.items()})

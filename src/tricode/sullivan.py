@@ -10,38 +10,26 @@ pointwise.  Their off-diagonal blocks multiply to zero, so ``synthesize``
 builds tau in closed form.  The triple-intersection form of the glued
 manifold on the m handle classes is mu itself; the consistency checks below
 recover what the matrix alone determines (the pair sums) and verify the
-symplectic and kernel-fixing properties.
+symplectic and kernel-fixing properties.  mu is any ``TripleForm``, its labels
+the handle classes; ``handle_form`` builds one from the paper's 1-based a_ijk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .mcg import TripleForm, is_symplectic
 from .snf import IntMatrix, identity
 
 
-@dataclass
-class ThreeForm:
-    m: int
-    coeffs: dict[tuple[int, int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for (i, j, k), v in self.coeffs.items():
-            if not (1 <= i < j < k <= self.m):
-                raise ValueError(f"indices must satisfy 1 <= i < j < k <= m; got {(i, j, k)}")
-            if v:
-                clean[(i, j, k)] = v
-        self.coeffs = clean
-
-    def mod2(self) -> TripleForm:
-        labels = [f"G{i}" for i in range(1, self.m + 1)]
-        form = TripleForm(labels)
-        for (i, j, k), v in self.coeffs.items():
-            if v % 2:
-                form.coefficients[frozenset({i - 1, j - 1, k - 1})] = 1
-        return form
+def handle_form(m: int, coeffs: dict[tuple[int, int, int], int]) -> TripleForm:
+    """The 3-form with the paper's coefficients a_ijk = coeffs[(i, j, k)],
+    1 <= i < j < k <= m, on the m handle classes G1..Gm."""
+    bad = next((t for t in coeffs if not 1 <= t[0] < t[1] < t[2] <= m), None)
+    if bad is not None:
+        raise ValueError(f"indices must satisfy 1 <= i < j < k <= m; got {bad}")
+    return TripleForm([f"G{i}" for i in range(1, m + 1)],
+                      {frozenset({i - 1, j - 1, k - 1}): a for (i, j, k), a in coeffs.items()})
 
 
 @dataclass
@@ -57,25 +45,27 @@ class SynthesisResult:
                 return False
         return True
 
-def synthesize(mu: ThreeForm) -> SynthesisResult:
-    """tau = product over i<j<k of sigma_{ijk}^{a_ijk}; the predicted triple
-    form on the handle classes is mu mod 2.
+def synthesize(mu: TripleForm) -> SynthesisResult:
+    """tau = product over i<j<k of sigma_{ijk}^{a_ijk}, one handle class per
+    label of mu; the predicted triple form on the handle classes is mu.
 
     sigma_{ijk} is [[I, B], [C, I]] in the (a, b) coordinates, B = [[0,1,1],
     [1,0,1],[1,1,0]] on (i, j, k).  C = 0: fixing the kernel lattice forces
     it, and since B is invertible C^T B = 0 has no other symplectic solution.
     So sigma_{ijk} = I + E_ijk with E_ijk upper-right, E_s E_t = 0, and
     (I + E)^a = I + a E for every integer a: tau = I + sum a_ijk E_ijk.
+    Raises if mu has UNKNOWN-ALGEBRAIC triples.
     """
-    m = mu.m
+    if mu.unknown:
+        raise ValueError(f"{len(mu.unknown)} UNKNOWN-ALGEBRAIC coefficients; cannot synthesize tau")
+    m = len(mu.labels)
     tau = identity(2 * m)
-    for (i, j, k), a in mu.coeffs.items():
-        trio = (i - 1, j - 1, k - 1)
+    for trio, a in mu.coefficients.items():
         for r in trio:
             for c in trio:
                 if r != c:
                     tau[r][m + c] += a
-    return SynthesisResult(tau, mu.mod2(), m)
+    return SynthesisResult(tau, mu, m)
 
 
 def pair_sums_from_tau(tau: IntMatrix, m: int) -> dict[tuple[int, int], int]:
@@ -94,34 +84,33 @@ class RoundtripReport:
     failures: list[str]
 
 
-def roundtrip_check(mu: ThreeForm) -> RoundtripReport:
+def roundtrip_check(mu: TripleForm) -> RoundtripReport:
     """Verify the synthesis: tau symplectic, fixes K(m) pointwise, its
     upper block matches the pair sums of mu, and the predicted mod-2 form
     equals mu mod 2."""
     failures = []
     res = synthesize(mu)
-    if not is_symplectic(res.tau, mu.m):
+    if not is_symplectic(res.tau, res.m):
         failures.append("tau is not symplectic")
     if not res.fixes_kernel_lattice():
         failures.append("tau does not act trivially on the kernel lattice")
     want: dict[tuple[int, int], int] = {}
-    for (i, j, k), v in mu.coeffs.items():
+    for t, v in mu.coefficients.items():
+        i, j, k = sorted(x + 1 for x in t)
         for (x, y) in ((i, j), (i, k), (j, k)):
             want[(x, y)] = want.get((x, y), 0) + v
-    got = pair_sums_from_tau(res.tau, mu.m)
+    got = pair_sums_from_tau(res.tau, res.m)
     for key, v in got.items():
         if v != want.get(key, 0):
             failures.append(f"pair sum {key}: tau has {v}, form predicts {want.get(key, 0)}")
-    predicted = {t for t, v in res.predicted_form.coefficients.items() if v == 1}
-    target = {frozenset({i - 1, j - 1, k - 1}) for (i, j, k), v in mu.coeffs.items() if v % 2}
-    if predicted != target:
+    if res.predicted_form.known_unit_triples() != mu.known_unit_triples():
         failures.append("predicted mod-2 form differs from mu mod 2")
     return RoundtripReport(not failures, failures)
 
 
-def genus13_tree_form() -> ThreeForm:
+def genus13_tree_form() -> TripleForm:
     """The six-factor genus-13 gluing example: a sparse tree."""
-    return ThreeForm(
+    return handle_form(
         13,
         {
             (1, 2, 3): 1,

@@ -40,7 +40,7 @@ from tricode.mcg import (
     twist_sequence_action,
 )
 from tricode.snf import det, identity, matmul, smith_normal_form
-from tricode.sullivan import ThreeForm, genus13_tree_form, roundtrip_check, synthesize
+from tricode.sullivan import genus13_tree_form, handle_form, roundtrip_check, synthesize
 
 from conftest import cnot_pair_between_handles, coboundary, leibniz_defect
 from test_local_check import exact_coset_verdict
@@ -228,7 +228,7 @@ def test_criterion_8_sullivan_roundtrip():
                 t: rng.randint(-4, 4)
                 for t in rng.sample(triples, min(rng.randint(1, 5), len(triples)))
             }
-            mu = ThreeForm(m, coeffs)
+            mu = handle_form(m, coeffs)
             rep = roundtrip_check(mu)
             assert rep.passed, rep.failures
             units = {

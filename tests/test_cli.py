@@ -297,8 +297,8 @@ def test_manifest_reports_failing_steps(workdir):
     assert rc == 1 and len(lines) == 1
     assert lines[0].startswith("step 0 failed (FileNotFoundError: ")
     assert lines[0].endswith("'missing.json'): gate action missing.json c.json")
-    assert run_manifest("nokey.manifest.json") == (
-        1, ["step 0 failed (KeyError: 'logical_x'): gate check one.json badcode.json"])
+    assert run_manifest("nokey.manifest.json") == (  # was KeyError: 'logical_x'
+        1, ["step 0 failed (ValueError: a code file needs 'logical_x'): gate check one.json badcode.json"])
 
 
 def test_manifest_reports_action_with_logical_outside_ker_hz(workdir):
@@ -482,6 +482,22 @@ USAGE_ERRORS = [
     (["sullivan", "synth", "mu.json", "--export", "dot"], "unrecognized arguments: --export dot"),
     (["report", "c.json", "--sector", "z"], "unrecognized arguments: --sector z"),
     (["run-manifest", "m.json", "--out", "x"], "unrecognized arguments: --out x"),
+    # an option value that does not parse; each used to print Python's
+    # message without the option, such as not enough values to unpack
+    (["cup", "triple", "t3.json", "--cocycles", "0,1"],
+     "argument --cocycles: '0,1' is not 3 comma-separated ints"),
+    (["gate", "cz", "t3.json", "--membrane", "m.json", "--copies", "1"],
+     "argument --copies: '1' is not 2 comma-separated ints"),
+    (["complex", "build", "--preset", "product:2"],
+     "argument --preset: 'product:2' is not a preset with the ints it takes"),
+    (["complex", "build", "--preset", "circle:x"],
+     "argument --preset: 'circle:x' is not a preset with the ints it takes"),
+    (["code", "build", "t3.json", "--type", "toric:x"],
+     "argument --type: 'toric:x' is not toric, toric:copies or color"),
+    (["gate", "simulate", "ccz.json", "c.json", "--plus", "a"],
+     "argument --plus: 'a' is not 'all' or comma-separated ints"),
+    (["gate", "simulate", "ccz.json", "c.json", "--fixed", "12"], "argument --fixed: '12' is not a binary string"),
+    (["mcg", "twist", "--curve", "1,x"], "argument --curve: '1,x' is not a:i, b:i, f:i or comma-separated ints"),
 ]
 
 
@@ -766,6 +782,26 @@ BAD_LOADS = [
      "hyperedge ['p', 'q', 'x'] is not three distinct listed vertices"),
     ("h.json", ["hypergraph", "degrees", "h.json"], lambda d: d["hyperedges"][0].__delitem__(2),
      "hyperedge ['bxc', 'axc'] is not three distinct listed vertices"),
+    # a labels-layout coefficient other than 0 or 1 used to read as UNKNOWN
+    # (true as 1), and the m layout kept one of two keys for a triple and
+    # ignored labels; either layout now holds ints, and a triple is read once
+    ("form.json", ["hypergraph", "build", "form.json"], lambda d: d.__setitem__("coeffs", {"0,1,2": True}),
+     "form coefficient True is not an int"),
+    ("form.json", ["hypergraph", "build", "form.json"], lambda d: d.__setitem__("coeffs", {"0,1,2": "?"}),
+     "form coefficient '?' is not an int"),
+    ("mu.json", ["hypergraph", "build", "mu.json"], lambda d: d.__setitem__("coeffs", {"1,2,3": True}),
+     "form coefficient True is not an int"),
+    ("form.json", ["sullivan", "synth", "form.json"],
+     lambda d: d.__setitem__("coeffs", {"0,1,2": 1, "2,1,0": 1}),
+     "form coefficient keys name one triple twice"),
+    ("mu.json", ["sullivan", "roundtrip", "mu.json"], lambda d: d.__setitem__("coeffs", {"1,3,2": 1}),
+     "indices must satisfy 1 <= i < j < k <= m; got (1, 3, 2)"),
+    ("form.json", ["hypergraph", "build", "form.json"], lambda d: d.__delitem__("coeffs"),
+     "a form file needs 'coeffs'"),
+    ("form.json", ["sullivan", "synth", "form.json"], lambda d: d.__setitem__("m", 3),
+     "a form file holds 'm' or 'labels', not both"),
+    ("mu.json", ["sullivan", "synth", "mu.json"], lambda d: d.__setitem__("coeffs", {"1,2,3": 1, "01,2,3": 1}),
+     "form coefficient keys name one triple twice"),
 ]
 
 
@@ -779,6 +815,45 @@ def test_matrix_hypergraph_and_form_files_are_shape_checked(workdir, name, step,
     serialize.write("one.manifest.json", {"steps": [step]})
     assert run_manifest("one.manifest.json") == (
         1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
+
+
+def test_form_layouts_share_one_coefficient_rule(workdir, capsys):
+    # an odd coefficient is a hyperedge in either layout: 3 used to be refused
+    # as UNKNOWN in the labels layout, and sullivan could not read that layout
+    _form_inputs()
+    for coeff, edges in ((3, 1), (2, 0), (-1, 1)):
+        serialize.write("l.json", {"labels": ["x", "y", "z"], "coeffs": {"2,0,1": coeff}})
+        serialize.write("m.json", {"m": 3, "coeffs": {"1,2,3": coeff}})
+        loaded = [serialize.form_from_json(serialize.read(f)) for f in ("l.json", "m.json")]
+        assert loaded[0].coefficients == loaded[1].coefficients == {frozenset({0, 1, 2}): coeff}
+        for f in ("l.json", "m.json"):
+            assert main(["hypergraph", "build", f, "--out", "h.json"]) == 0
+            assert len(serialize.read("h.json")["hyperedges"]) == edges
+    # sullivan reads a cup form file as it reads the same form in the m layout
+    form = serialize.read("form.json")
+    serialize.write("m.json", {"m": len(form["labels"]), "coeffs": {
+        ",".join(str(int(i) + 1) for i in key.split(",")): v for key, v in form["coeffs"].items()}})
+    for action in ("synth", "roundtrip"):
+        outs = []
+        for f in ("form.json", "m.json"):
+            assert main(["sullivan", action, f, "--format", "json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], action
+    assert json.loads(outs[0]) == {"failures": [], "passed": True}
+
+
+def test_a_missing_key_names_the_file_kind(workdir):
+    # each used to print only the missing key, as KeyError: 'n'
+    assert main(["complex", "build", "--preset", "t3", "--out", "t3.json"]) == 0
+    for step, why in [(["code", "distance", "t3.json"], "a code file needs 'n'"),
+                      (["gate", "cz", "t3.json", "--membrane", "t3.json"], "a cochain file needs 'dim'"),
+                      (["mcg", "torus-homology", "--matrix", "t3.json"], "a matrix file needs 'entries'"),
+                      (["sullivan", "synth", "t3.json"], "a form file needs 'coeffs'"),
+                      (["hypergraph", "degrees", "t3.json"], "a hypergraph file needs 'kind'"),
+                      (["gate", "action", "t3.json", "t3.json"], "a circuit file needs 'gates'")]:
+        serialize.write("one.manifest.json", {"steps": [step]})
+        assert run_manifest("one.manifest.json") == (
+            1, [f"step 0 failed (ValueError: {why}): {' '.join(step)}"]), step
 
 
 def test_hypergraph_file_with_unknown_triples_is_refused(workdir, capsys):

@@ -20,7 +20,8 @@ from tricode.hypergraph import (
     magic_state_complexity,
     to_dot,
 )
-from tricode.mcg import UNKNOWN, TripleForm
+from tricode.mcg import TripleForm, torelli_triple_form
+from tricode.snf import identity
 
 
 def test_t3_base_hypergraph(t3):
@@ -68,9 +69,7 @@ def test_magic_state_complexity(g, kappa):
 
 
 def test_base_hypergraph_refuses_unknown():
-    form = TripleForm(["p", "q", "r", "s"])
-    form.coefficients[frozenset({0, 1, 3})] = 1
-    form.coefficients[frozenset({0, 1, 2})] = UNKNOWN
+    form = TripleForm(["p", "q", "r", "s"], {frozenset({0, 1, 3}): 1}, frozenset({frozenset({0, 1, 2})}))
     with pytest.raises(ValueError, match="^1 UNKNOWN-ALGEBRAIC coefficients; cannot build"):
         base_hypergraph(form)
 
@@ -146,6 +145,51 @@ def test_triple_form_refuses_bad_labels(labels):
         TripleForm(labels)
 
 
+def _triples(*ts):
+    return {frozenset(t): 1 for t in ts}
+
+
+@pytest.mark.parametrize("coefficients,unknown,match", [
+    ({(0, 1): 1}, (), r"^form coefficient key \(0, 1\) needs three distinct indices in 0\.\.2$"),
+    ({frozenset({0, 1, 3}): 1}, (), r"^form coefficient key \(0, 1, 3\) needs three"),
+    ({frozenset({-1, 0, 1}): 1}, (), r"\(-1, 0, 1\) needs three"),
+    ({frozenset({0, 1, 2}): True}, (), "^form coefficient True is not an int$"),
+    ({frozenset({0, 1, 2}): 1.0}, (), "^form coefficient 1.0 is not an int$"),
+    ({frozenset({0, 1, 2}): "1"}, (), "^form coefficient '1' is not an int$"),
+    ({}, (frozenset({0, 1, 5}),), r"\(0, 1, 5\) needs three"),
+    (_triples((0, 1, 2)), (frozenset({0, 1, 2}),),
+     r"^triple \[0, 1, 2\] has a coefficient and is UNKNOWN-ALGEBRAIC$"),
+])
+def test_triple_form_refuses_bad_keys_values_and_unknowns(coefficients, unknown, match):
+    with pytest.raises(ValueError, match=match):
+        TripleForm(["x", "y", "z"], coefficients, frozenset(unknown))
+
+
+def test_triple_form_is_read_only_and_reads_odd_coefficients():
+    given = {frozenset({0, 1, 2}): 3, frozenset({0, 1, 3}): 2, frozenset({1, 2, 3}): 0}
+    form = TripleForm(["p", "q", "r", "s"], given)
+    given[frozenset({0, 2, 3})] = 1  # the form keeps its own copy
+    assert dict(form.coefficients) == {frozenset({0, 1, 2}): 3, frozenset({0, 1, 3}): 2}
+    with pytest.raises(TypeError):
+        form.coefficients[frozenset({0, 2, 3})] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        form.coefficients = {}
+    assert form.known_unit_triples() == [(0, 1, 2)]
+    assert base_hypergraph(form).hyperedges == [("p", "q", "r")]
+    assert form == TripleForm(["p", "q", "r", "s"], {frozenset({0, 1, 2}): 3, frozenset({0, 1, 3}): 2})
+
+
+def test_torelli_form_unknown_triples_are_refused():
+    form = torelli_triple_form(identity(4), 2)  # Gamma, v1..v4: v1 v2 v3 is a fibre triple
+    assert form.labels == ["Gamma", "v1", "v2", "v3", "v4"] and len(form.unknown) == 4
+    with pytest.raises(ValueError, match="^4 UNKNOWN-ALGEBRAIC coefficients; cannot build"):
+        base_hypergraph(form)
+    with pytest.raises(ValueError, match=r"^triple \[1, 2, 3\] is UNKNOWN-ALGEBRAIC$"):
+        cz_interaction_graph(form, "v1")
+    # Gamma lies in no fibre triple, so its CZ graph is defined
+    assert len(cz_interaction_graph(form, "Gamma").edges) == 2 * len(form.known_unit_triples())
+
+
 def test_degree_report_empty():
     rep = degree_report(base_hypergraph(TripleForm(["v"])))
     assert rep.max_degree == 0 and not rep.star_like
@@ -212,7 +256,7 @@ def ref_form_from_cup(K) -> TripleForm:
     names, cycles, cocycles = homology.logical_basis(K)
     k = len(cocycles)
     basis = [Cochain(1, c) for c in cocycles]
-    form = TripleForm(homology.logical_labels(K, names, cycles))
+    coefficients = {}
     for i, j, l in itertools.combinations_with_replacement(range(k), 3):
         v = triple_cup_integral(K, basis[i], basis[j], basis[l])
         if len({i, j, l}) < 3:
@@ -221,8 +265,8 @@ def ref_form_from_cup(K) -> TripleForm:
                                  "no hyperedge reading")
             continue
         if v:
-            form.coefficients[frozenset({i, j, l})] = 1
-    return form
+            coefficients[frozenset({i, j, l})] = 1
+    return TripleForm(homology.logical_labels(K, names, cycles), coefficients)
 
 
 def _form_or_error(fn, K):

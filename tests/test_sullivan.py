@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tricode.hypergraph import base_hypergraph, degree_report
-from tricode.mcg import is_symplectic
+from tricode.mcg import TripleForm, is_symplectic, torelli_triple_form
 from tricode.snf import IntMatrix, identity, matmul
-from tricode.sullivan import ThreeForm, genus13_tree_form, roundtrip_check, synthesize
+from tricode.sullivan import genus13_tree_form, handle_form, roundtrip_check, synthesize
 
 
 # -- the product route: reference oracle for synthesize's closed form -----------
@@ -44,12 +44,13 @@ def matrix_power(M: IntMatrix, a: int, m: int) -> IntMatrix:
     return out
 
 
-def product_tau(mu: ThreeForm) -> IntMatrix:
+def product_tau(mu: TripleForm) -> IntMatrix:
     """tau as the ordered product of sigma_{ijk}^{a_ijk}, one matrix product
     per unit of each |a_ijk|."""
-    tau = identity(2 * mu.m)
-    for (i, j, k), a in sorted(mu.coeffs.items()):
-        tau = matmul(tau, matrix_power(sigma_block(i, j, k, mu.m), a, mu.m))
+    m = len(mu.labels)
+    tau = identity(2 * m)
+    for (i, j, k), a in sorted((tuple(sorted(x + 1 for x in t)), a) for t, a in mu.coefficients.items()):
+        tau = matmul(tau, matrix_power(sigma_block(i, j, k, m), a, m))
     return tau
 
 
@@ -87,19 +88,19 @@ def test_matrix_power_inverse():
 
 def test_closed_form_tau_matches_product_route():
     rng = random.Random(26)
-    forms = [genus13_tree_form(), ThreeForm(4, {(1, 2, 3): -1, (2, 3, 4): 1})]
+    forms = [genus13_tree_form(), handle_form(4, {(1, 2, 3): -1, (2, 3, 4): 1})]
     for _ in range(40):
         m = rng.randint(3, 7)
         triples = list(itertools.combinations(range(1, m + 1), 3))
-        forms.append(ThreeForm(m, {t: rng.randint(-5, 5)
+        forms.append(handle_form(m, {t: rng.randint(-5, 5)
                                    for t in rng.sample(triples, rng.randint(1, len(triples)))}))
-    assert sum(v < 0 for mu in forms for v in mu.coeffs.values()) >= 20
+    assert sum(v < 0 for mu in forms for v in mu.coefficients.values()) >= 20
     for mu in forms:
         assert synthesize(mu).tau == product_tau(mu), mu
 
 
 def test_synthesize_t3():
-    mu = ThreeForm(3, {(1, 2, 3): 1})
+    mu = handle_form(3, {(1, 2, 3): 1})
     res = synthesize(mu)
     assert res.fixes_kernel_lattice() and res.m == 3  # the invariant a-lattice has rank m
     assert res.predicted_form.known_unit_triples() == [(0, 1, 2)]
@@ -107,7 +108,7 @@ def test_synthesize_t3():
 
 
 def test_synthesize_shared_pair():
-    mu = ThreeForm(4, {(1, 2, 3): 1, (2, 3, 4): 1})
+    mu = handle_form(4, {(1, 2, 3): 1, (2, 3, 4): 1})
     res = synthesize(mu)
     h = base_hypergraph(res.predicted_form)
     assert len(h.hyperedges) == 2
@@ -117,7 +118,7 @@ def test_synthesize_shared_pair():
 
 
 def test_two_prong_tree():
-    mu = ThreeForm(5, {(1, 2, 3): 1, (1, 4, 5): 1})
+    mu = handle_form(5, {(1, 2, 3): 1, (1, 4, 5): 1})
     res = synthesize(mu)
     rep = degree_report(base_hypergraph(res.predicted_form))
     assert rep.max_degree == 2
@@ -129,11 +130,12 @@ def test_form_json_roundtrip():
     from tricode import serialize
 
     mu = genus13_tree_form()
-    coeffs = {f"{i},{j},{k}": v for (i, j, k), v in mu.coeffs.items()}
-    data = json.loads(serialize.dumps({"m": mu.m, "coeffs": coeffs}))
-    assert len(data["coeffs"]) == len(mu.coeffs) > 0
-    back = serialize.form_from_json(data)
-    assert (back.m, back.coeffs) == (mu.m, mu.coeffs)
+    coeffs = {",".join(str(x + 1) for x in sorted(t)): v for t, v in mu.coefficients.items()}
+    data = json.loads(serialize.dumps({"m": len(mu.labels), "coeffs": coeffs}))
+    assert len(data["coeffs"]) == len(mu.coefficients) > 0
+    assert serialize.form_from_json(data) == mu
+    # the labels layout, as cup form writes it, reads to the same form
+    assert serialize.form_from_json(json.loads(serialize.dumps(serialize.form_to_json(mu)))) == mu
 
 
 def test_genus13_six_factor_tree():
@@ -150,14 +152,14 @@ def test_genus13_six_factor_tree():
 
 
 def test_zero_form_trivial_tau():
-    mu = ThreeForm(4, {})
+    mu = handle_form(4, {})
     res = synthesize(mu)
     assert res.tau == identity(8)
     assert roundtrip_check(mu).passed
 
 
 def test_even_coefficients_vanish_mod2():
-    mu = ThreeForm(3, {(1, 2, 3): 2})
+    mu = handle_form(3, {(1, 2, 3): 2})
     res = synthesize(mu)
     assert res.predicted_form.known_unit_triples() == []
     assert roundtrip_check(mu).passed
@@ -168,7 +170,7 @@ def rand_form(rng, m):
     coeffs = {}
     for t in rng.sample(triples, min(rng.randint(1, 5), len(triples))):
         coeffs[t] = rng.randint(-4, 4)
-    return ThreeForm(m, coeffs)
+    return handle_form(m, coeffs)
 
 
 def test_roundtrip_random_forms():
@@ -187,8 +189,9 @@ def test_multilinearity_mod2():
     for _ in range(30):
         m = rng.randint(3, 7)
         f1, f2 = rand_form(rng, m), rand_form(rng, m)
-        total = {t: f1.coeffs.get(t, 0) + f2.coeffs.get(t, 0) for t in {**f1.coeffs, **f2.coeffs}}
-        combined = synthesize(ThreeForm(m, total)).predicted_form
+        total = {t: f1.coefficients.get(t, 0) + f2.coefficients.get(t, 0)
+                 for t in {**f1.coefficients, **f2.coefficients}}
+        combined = synthesize(TripleForm(f1.labels, total)).predicted_form
         u1 = set(synthesize(f1).predicted_form.known_unit_triples())
         u2 = set(synthesize(f2).predicted_form.known_unit_triples())
         assert set(combined.known_unit_triples()) == u1 ^ u2
@@ -199,12 +202,28 @@ def test_multilinearity_mod2():
     st.tuples(st.integers(1, 2), st.integers(3, 4), st.integers(5, 6)),
     st.integers(-3, 3), max_size=4))
 def test_roundtrip_hypothesis(coeffs):
-    mu = ThreeForm(6, dict(coeffs))
+    mu = handle_form(6, dict(coeffs))
     assert roundtrip_check(mu).passed
 
 
 def test_form_index_validation():
     with pytest.raises(ValueError):
-        ThreeForm(3, {(1, 3, 2): 1})
+        handle_form(3, {(1, 3, 2): 1})
     with pytest.raises(ValueError):
-        ThreeForm(3, {(1, 2, 4): 1})
+        handle_form(3, {(1, 2, 4): 1})
+
+
+def test_torelli_form_is_refused():
+    # its fibre triples have no coefficient, so tau cannot be built from it
+    form = torelli_triple_form(identity(4), 2)
+    with pytest.raises(ValueError, match="^4 UNKNOWN-ALGEBRAIC coefficients; cannot synthesize tau$"):
+        synthesize(form)
+
+
+def test_any_triple_form_synthesizes_on_its_labels():
+    mu = TripleForm(["x", "y", "z", "w"], {frozenset({0, 1, 3}): 3, frozenset({1, 2, 3}): -2})
+    res = synthesize(mu)
+    assert res.m == 4 and res.predicted_form is mu
+    assert res.tau == synthesize(handle_form(4, {(1, 2, 4): 3, (2, 3, 4): -2})).tau
+    assert mu.known_unit_triples() == [(0, 1, 3)]
+    assert roundtrip_check(mu).passed
