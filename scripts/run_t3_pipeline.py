@@ -10,7 +10,7 @@ import itertools
 from tricode import homology
 from tricode.codes import color_code, distance, toric_code
 from tricode.complexes import build_torus3, validate
-from tricode.cup import named_dual_cocycles, triple_cup_integral
+from tricode.cup import cup_integrals
 from tricode.gates import (
     LogicalAction,
     ccz_circuit,
@@ -29,10 +29,11 @@ def main():
     print(f"T^3 complex: counts {K.counts}, violations {validate(K)}")
     print(f"Betti numbers: {homology.betti_all(K)}")
 
-    duals = named_dual_cocycles(K)
+    names, _, cocycles = homology.logical_basis(K)
+    duals = dict(zip(names, cocycles))
     print("\ntriple cup integrals over the coordinate duals:")
     for p in itertools.permutations("abc"):
-        v = triple_cup_integral(K, duals[p[0]], duals[p[1]], duals[p[2]])
+        v = int((0, 1, 2) in cup_integrals(K, [duals[x] for x in p]))
         print(f"  integral {p[0]} cup {p[1]} cup {p[2]} = {v}")
 
     code = toric_code(K, 3)

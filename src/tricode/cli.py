@@ -71,7 +71,7 @@ def _build_preset(preset: str, twist_file: str | None):
             name, _, g = field("base_preset", str).partition(":")
             if name != "sigma-rot":
                 raise ValueError("a rotation twist needs a sigma-rot:g base_preset")
-            phi = complexes.rotation_automorphism(base, int(g), field("handles", int, 1))
+            phi = complexes.rotation_automorphism(base, *_ints(g, 1), field("handles", int, 1))
         elif kind == "perm":
             perm = field("perm", list)
             if any(type(p) is not list or any(type(s) is not int for s in p) for p in perm):
@@ -140,12 +140,14 @@ def cmd_snf(args) -> int:
 def cmd_cup(args) -> int:
     K = _load_complex(args.file)
     if args.action == "triple":
-        basis = [cup.Cochain(1, c) for c in homology.canonical_basis(K, 1)[1]]
+        basis = homology.canonical_basis(K, 1)[1]
         i, j, k = args.cocycles
         if not all(0 <= t < len(basis) for t in (i, j, k)):
             raise SystemExit(f"--cocycles {i},{j},{k}: indices must lie in 0..{len(basis) - 1} "
                              f"(b_1 = {len(basis)})")
-        v = cup.triple_cup_integral(K, basis[i], basis[j], basis[k])
+        if K.dims != 3:
+            raise ValueError("triple cup integral needs a 3-complex")
+        v = int((0, 1, 2) in cup.cup_integrals(K, [basis[i], basis[j], basis[k]]))
         _emit(args, {"cocycles": [i, j, k], "integral": v}, f"integral = {v}")
         return 0
     if K.dims == 2:  # form
@@ -461,8 +463,17 @@ def _option(parse, what: str):
     return convert
 
 
+def _int(text: str, base: int = 10) -> int:
+    """An int written as plain digits of ``base`` after an optional '-':
+    int() alone also takes spaces, underscores and base prefixes."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not digits or digits.strip("0123456789"[:base]):
+        raise ValueError(f"{text!r} is not a base-{base} int")
+    return int(text, base)
+
+
 def _ints(text: str, count: int | None = None) -> tuple[int, ...]:
-    vals = tuple(int(t) for t in text.split(",")) if text else ()
+    vals = tuple(_int(t) for t in text.split(",")) if text else ()
     if count is not None and len(vals) != count:
         raise ValueError(f"{text!r} is not {count} comma-separated ints")
     return vals
@@ -481,7 +492,7 @@ def _code_type(text: str) -> str | int:
     name, colon, copies = text.partition(":")
     if text != "color" and name != "toric":
         raise ValueError(f"unknown code type {text!r}")
-    return text if text == "color" else int(copies) if colon else 1
+    return text if text == "color" else _int(copies) if colon else 1
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +501,7 @@ def _code_type(text: str) -> str | int:
 @functools.cache  # one parser per process: a manifest runs every step through main
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tricode", description=__doc__)
+    an_int = _option(_int, "an int")
     top = p.add_subparsers(dest="command", required=True)
 
     def group(name):
@@ -515,8 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = group("homology")
     for action in ("betti", "basis"):
-        leaf(h, action, cmd_homology, "file").add_argument("--dim", type=int,
-                                                           required=action == "basis")
+        leaf(h, action, cmd_homology, "file").add_argument("--dim", type=an_int, required=action == "basis")
 
     leaf(top, "snf", cmd_snf, "file")
 
@@ -534,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--method", default="exact", choices=("exact", "bfs"),
                    help="bfs: the check graph only")
     d.add_argument("--sector", default="both", choices=("both", "x", "z"))
-    d.add_argument("--budget", type=int, default=1 << 22)
+    d.add_argument("--budget", type=an_int, default=1 << 22)
     d.add_argument("--complex", help="not read: the distance comes from the code file alone")
 
     g = group("gate")
@@ -548,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = leaf(g, "simulate", cmd_gate, "circuit", "code")
     sim.add_argument("--plus", default="all", help="logical qubits initialised |+>: 'all' or csv",
                      type=_option(lambda s: s if s == "all" else _ints(s), "'all' or comma-separated ints"))
-    sim.add_argument("--fixed", default=0, type=_option(lambda s: int(s, 2), "a binary string"),
+    sim.add_argument("--fixed", default=0, type=_option(lambda s: _int(s, 2), "a binary string"),
                      help="binary string of fixed logical values")
 
     m = group("mcg")
@@ -564,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     tk = leaf(m, "thickened", cmd_mcg)
     tk.add_argument("--sequence", required=True, help="twist sequence, e.g. 'b:2 b:1 f:1'")
     for sp in (tw, tu, tk):
-        sp.add_argument("--genus", type=int, default=2)
+        sp.add_argument("--genus", type=an_int, default=2)
 
     hg = group("hypergraph")
     hb = leaf(hg, "build", cmd_hypergraph, "file")
@@ -576,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     for action in ("synth", "roundtrip"):
         leaf(sv, action, cmd_sullivan, "file")
 
-    leaf(top, "report", cmd_report, "file").add_argument("--budget", type=int, default=1 << 22)
+    leaf(top, "report", cmd_report, "file").add_argument("--budget", type=an_int, default=1 << 22)
     leaf(top, "run-manifest", cmd_manifest, "file", emits=False)
     return p
 

@@ -1,47 +1,19 @@
-"""Simplicial cochain operations: cup products, spine edges, triple-cup
-integrals against the fundamental class, and surface intersection forms.
+"""Cup integrals of 1-cochains: spine edges, and the one pass over the
+spines of the top simplices that integrates cup products of 1-cochains on a
+surface and on a 3-complex.
 
-Cochains are bit vectors indexed by n-simplices.  Front/back faces are
-computed purely through face maps (never via global vertex lists, which are
-ambiguous on one-vertex complexes): the front p-face deletes the last
-vertex repeatedly, the back q-face deletes the first.
+Spines come from face maps alone (never from global vertex lists, which are
+ambiguous on one-vertex complexes): the front i-face deletes the last vertex
+repeatedly, and its back 1-face deletes the first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
 from .complexes import DeltaComplex, is_closed
-from .gf2 import invert, popcount, vec_from_support
+from .gf2 import BitMatrix, invert, support
 from . import homology
-
-
-@dataclass(frozen=True)
-class Cochain:
-    dim: int
-    values: int  # bit s = value on n-simplex s
-
-    def __call__(self, s: int) -> int:
-        return (self.values >> s) & 1
-
-def cup(K: DeltaComplex, a: Cochain, b: Cochain) -> Cochain:
-    """(a cup b)(sigma) = a(front p-face) * b(back q-face)."""
-    p, q = a.dim, b.dim
-    n = p + q
-    if n > K.dims:
-        raise ValueError(f"cup degree {n} exceeds complex dimension {K.dims}")
-    out = 0
-    for s in range(K.n_cells(n)):
-        if a(K.front(n, s, p)) and b(K.back(n, s, q)):
-            out |= 1 << s
-    return Cochain(n, out)
-
-
-def integrate(K: DeltaComplex, c: Cochain) -> int:
-    """Pairing with the fundamental class: sum over all top simplices mod 2."""
-    if c.dim != K.dims:
-        raise ValueError("can only integrate a top-dimensional cochain")
-    return popcount(c.values) & 1
 
 
 def spine_edges(K: DeltaComplex, n: int) -> list[tuple[int, ...]]:
@@ -51,20 +23,31 @@ def spine_edges(K: DeltaComplex, n: int) -> list[tuple[int, ...]]:
             for s in range(K.n_cells(n))]
 
 
-def triple_cup_integral(K: DeltaComplex, a: Cochain, b: Cochain, c: Cochain) -> int:
-    """integral over K of a cup b cup c for 1-cochains on a closed 3-complex.
-
-    Evaluated directly, one product per 3-simplex on its spine: a([v0 v1])
-    b([v1 v2]) c([v2 v3]); equality with the nested cup evaluation is a test.
-    """
-    if K.dims != 3:
-        raise ValueError("triple cup integral needs a 3-complex")
-    if (a.dim, b.dim, c.dim) != (1, 1, 1):
-        raise ValueError("triple cup integral takes three 1-cochains")
-    total = 0
+def cup_integrals(K: DeltaComplex, cocycles: list[int]) -> list:
+    """Integrals over K of cup products of the 1-cochains c_0..c_{k-1}
+    (repeats allowed, no symmetry assumed) from one pass over the spines of
+    the top simplices, with mask(e) the indices i where c_i(e) = 1.  On a
+    2-complex: the k x k matrix as packed rows, bit j of row i the integral
+    of c_i cup c_j.  On a 3-complex: the triples i <= j <= l, in lexicographic
+    order, where the integral of c_i cup c_j cup c_l is odd."""
+    if K.dims not in (2, 3):
+        raise ValueError("cup integrals of 1-cocycles need a 2- or 3-complex")
+    k = len(cocycles)
+    mask = BitMatrix(k, K.n_cells(1), cocycles).transpose().rows
+    if K.dims == 2:
+        rows = [0] * k
+        for e1, e2 in spine_edges(K, 2):
+            for i in support(mask[e1]):
+                rows[i] ^= mask[e2]
+        return rows
+    parity = [0] * (k * k)  # bit l of parity[i * k + j]: integral (i, j, l)
     for e1, e2, e3 in spine_edges(K, 3):
-        total ^= a(e1) & b(e2) & c(e3)
-    return total
+        m2, m3 = mask[e2], mask[e3]
+        for i in support(mask[e1]):
+            for j in support(m2 >> i << i):
+                parity[i * k + j] ^= m3 >> j << j
+    return [(i, j, l) for i, j, l in itertools.combinations_with_replacement(range(k), 3)
+            if (parity[i * k + j] >> l) & 1]
 
 
 def surface_intersection_form(K: DeltaComplex) -> list[list[int]]:
@@ -74,17 +57,8 @@ def surface_intersection_form(K: DeltaComplex) -> list[list[int]]:
         raise ValueError("intersection form needs a 2-complex")
     if not is_closed(K):
         raise ValueError("intersection form needs a closed surface")
-    cocycles = [Cochain(1, c) for c in homology.canonical_basis(K, 1)[1]]
-    k = len(cocycles)
-    M = [[integrate(K, cup(K, cocycles[i], cocycles[j])) for j in range(k)] for i in range(k)]
-    if k and invert([vec_from_support(j for j in range(k) if M[i][j]) for i in range(k)], k) is None:
+    rows = cup_integrals(K, homology.canonical_basis(K, 1)[1])
+    k = len(rows)
+    if k and invert(rows, k) is None:
         raise ValueError("degenerate intersection form (non-closed or non-surface input)")
-    return M
-
-
-def named_dual_cocycles(K: DeltaComplex) -> dict[str, Cochain]:
-    """1-cocycles dual to the builder's named 1-cycles (pairing = identity)."""
-    names, _, duals = homology.logical_basis(K)
-    if names is None:
-        raise ValueError("builder cycles do not form a basis of H_1")
-    return {nm: Cochain(1, d) for nm, d in zip(names, duals)}
+    return [[(r >> j) & 1 for j in range(k)] for r in rows]

@@ -16,10 +16,6 @@ import bisect
 from dataclasses import dataclass, field
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def dot(u: int, v: int) -> int:
     """Parity of the overlap of two bit vectors."""
     return (u & v).bit_count() & 1

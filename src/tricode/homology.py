@@ -76,12 +76,13 @@ def named_cycle_vector(K: DeltaComplex, name: str) -> int:
 def logical_basis(K: DeltaComplex) -> tuple[list[str] | None, list[int], list[int]]:
     """(names, cycles, dual cocycles) of H_1 from one ``representatives`` call.
 
-    The builder's named 1-cycles are the basis when there are b_1 of them and
-    their pairing with the H^1 class representatives is invertible; otherwise
+    The builder's named 1-cycles, in name order (so a complex and its file
+    round trip agree), are the basis when there are b_1 of them and their
+    pairing with the H^1 class representatives is invertible; otherwise
     names is None and the basis is ``canonical_basis``'s.
     """
     cocycles, cycles = representatives(K, 1)
-    names = [nm for nm, (d, _) in K.cycles.items() if d == 1]
+    names = sorted(nm for nm, (d, _) in K.cycles.items() if d == 1)
     if len(names) == len(cocycles):
         named = [named_cycle_vector(K, nm) for nm in names]
         duals = dual_basis(cocycles, named)

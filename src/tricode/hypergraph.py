@@ -1,7 +1,9 @@
 """Interaction hypergraphs of logical CCZ/CZ structure and magic-state
 resource accounting.
 
-The base hypergraph has one vertex per 2-cycle basis class and one
+The triple form of a closed 3-complex is read off ``cup.cup_integrals`` on
+``homology.logical_basis``, the builder's named H^1 basis when there is
+one.  The base hypergraph has one vertex per 2-cycle basis class and one
 hyperedge per unit triple intersection; lifting to the full hypergraph
 triples the vertices (copy labels) and expands each hyperedge into the
 3! = 6 copy permutations.  A form's UNKNOWN-ALGEBRAIC (Torelli fibre)
@@ -14,8 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import homology
-from .cup import spine_edges
-from .gf2 import BitMatrix, support
+from .cup import cup_integrals
 from .mcg import TripleForm
 
 
@@ -39,32 +40,19 @@ class Hypergraph:
 
 def form_from_cup(K) -> TripleForm:
     """Triple form of a closed 3-complex: the integrals of a_i cup a_j cup a_l
-    over one H^1 basis (``homology.logical_basis``), each class labelled by
-    ``homology.logical_labels`` as the toric code labels its logical qubit.
-
-    One pass over the 3-simplices: with mask(e) the classes whose cocycle is 1
-    on edge e, a simplex with spine (e1, e2, e3) toggles every i <= j <= l with
-    i in mask(e1), j in mask(e2) and l in mask(e3).  Integrals with a repeated
-    class must vanish; a nonzero one has no hyperedge reading and raises.
-    """
+    over one H^1 basis (``homology.logical_basis``), from ``cup.cup_integrals``,
+    each class labelled by ``homology.logical_labels`` as the toric code
+    labels its logical qubit.  Integrals with a repeated class must vanish; a
+    nonzero one has no hyperedge reading and raises."""
     if K.dims != 3:
         raise ValueError("triple cup integral needs a 3-complex")
     names, cycles, cocycles = homology.logical_basis(K)
-    k = len(cocycles)
-    mask = BitMatrix(k, K.n_cells(1), cocycles).transpose().rows
-    parity = [0] * (k * k)  # bit l of parity[i * k + j]: integral (i, j, l)
-    for e1, e2, e3 in spine_edges(K, 3):
-        m2, m3 = mask[e2], mask[e3]
-        for i in support(mask[e1]):
-            for j in support(m2 >> i << i):
-                parity[i * k + j] ^= m3 >> j << j
     coefficients = {}
-    for i, j, l in itertools.combinations_with_replacement(range(k), 3):
-        if (parity[i * k + j] >> l) & 1:
-            if len({i, j, l}) < 3:
-                raise ValueError(f"repeated-class triple integral ({i},{j},{l}) is nonzero; "
-                                 "no hyperedge reading")
-            coefficients[frozenset({i, j, l})] = 1
+    for i, j, l in cup_integrals(K, cocycles):
+        if len({i, j, l}) < 3:
+            raise ValueError(f"repeated-class triple integral ({i},{j},{l}) is nonzero; "
+                             "no hyperedge reading")
+        coefficients[frozenset({i, j, l})] = 1
     return TripleForm(homology.logical_labels(K, names, cycles), coefficients)
 
 

@@ -1,13 +1,14 @@
 import itertools
 import os
 import sys
+from dataclasses import dataclass
 
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from tricode import complexes, homology
-from tricode.cup import Cochain, cup, spine_edges
+from tricode.cup import spine_edges
 from tricode.gates import DiagonalCircuit, PhasePolynomial
 from tricode.gf2 import echelon, support
 from tricode.mcg import ThickenedTwistAction
@@ -163,6 +164,57 @@ def unchecked_membrane_circuit(K, z2: int, copies: tuple[int, int]) -> DiagonalC
     spine = spine_edges(K, 2)
     gates = [("CZ", ((i - 1) * E + spine[s][0], (j - 1) * E + spine[s][1])) for s in support(z2)]
     return DiagonalCircuit(3 * E, gates).canonical()
+
+
+@dataclass(frozen=True)
+class Cochain:
+    dim: int
+    values: int  # bit s = value on n-simplex s
+
+    def __call__(self, s: int) -> int:
+        return (self.values >> s) & 1
+
+
+def cup(K, a: Cochain, b: Cochain) -> Cochain:
+    """(a cup b)(sigma) = a(front p-face) * b(back q-face), cell by cell: the
+    nested evaluation that ``cup.cup_integrals`` is compared against."""
+    p, q = a.dim, b.dim
+    n = p + q
+    if n > K.dims:
+        raise ValueError(f"cup degree {n} exceeds complex dimension {K.dims}")
+    out = 0
+    for s in range(K.n_cells(n)):
+        if a(K.front(n, s, p)) and b(K.back(n, s, q)):
+            out |= 1 << s
+    return Cochain(n, out)
+
+
+def integrate(K, c: Cochain) -> int:
+    """Pairing with the fundamental class: sum over all top simplices mod 2."""
+    if c.dim != K.dims:
+        raise ValueError("can only integrate a top-dimensional cochain")
+    return c.values.bit_count() & 1
+
+
+def triple_cup_integral(K, a: Cochain, b: Cochain, c: Cochain) -> int:
+    """integral over K of a cup b cup c for 1-cochains on a 3-complex, one
+    product per 3-simplex on its spine: a([v0 v1]) b([v1 v2]) c([v2 v3])."""
+    if K.dims != 3:
+        raise ValueError("triple cup integral needs a 3-complex")
+    if (a.dim, b.dim, c.dim) != (1, 1, 1):
+        raise ValueError("triple cup integral takes three 1-cochains")
+    total = 0
+    for e1, e2, e3 in spine_edges(K, 3):
+        total ^= a(e1) & b(e2) & c(e3)
+    return total
+
+
+def named_dual_cocycles(K) -> dict[str, Cochain]:
+    """1-cocycles dual to the builder's named 1-cycles (pairing = identity)."""
+    names, _, duals = homology.logical_basis(K)
+    if names is None:
+        raise ValueError("builder cycles do not form a basis of H_1")
+    return {nm: Cochain(1, d) for nm, d in zip(names, duals)}
 
 
 def coboundary(K, c):

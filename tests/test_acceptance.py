@@ -7,16 +7,9 @@ import math
 import random
 import time
 
-import pytest
-
 from tricode import homology
 from tricode.codes import CssCode, toric_code
 from tricode.complexes import build_sigma_g, build_torus3, product_with_circle
-from tricode.cup import (
-    Cochain,
-    named_dual_cocycles,
-    triple_cup_integral,
-)
 from tricode.gf2 import BitMatrix, vec_from_support
 from tricode.gates import (
     DiagonalCircuit,
@@ -42,7 +35,8 @@ from tricode.mcg import (
 from tricode.snf import det, identity, matmul, smith_normal_form
 from tricode.sullivan import genus13_tree_form, handle_form, roundtrip_check, synthesize
 
-from conftest import cnot_pair_between_handles, coboundary, leibniz_defect
+from conftest import (Cochain, cnot_pair_between_handles, coboundary, leibniz_defect,
+                      named_dual_cocycles, triple_cup_integral)
 from test_local_check import exact_coset_verdict
 
 

@@ -1,7 +1,7 @@
+import itertools
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 import time
@@ -10,8 +10,9 @@ import pytest
 
 from tricode import codes, complexes, serialize
 from tricode.cli import console_main, main, run_manifest
+from tricode.gf2 import vec_from_support
 
-from conftest import del_del_nonzero
+from conftest import Cochain, del_del_nonzero, triple_cup_integral
 
 MANIFEST = os.path.join(os.path.dirname(__file__), "..", "manifests", "t3.manifest.json")
 
@@ -105,6 +106,28 @@ def test_cup_triple_cli(workdir, capsys):
     main(["complex", "build", "--preset", "t3", "--out", "t3.json"])
     assert main(["cup", "triple", "t3.json", "--cocycles", "0,1,2"]) == 0
     assert "integral = 1" in capsys.readouterr().out
+
+
+def test_cup_triple_cli_matches_reference_on_every_ordered_triple(workdir, capsys):
+    # on the canonical H^1 basis that homology basis --dim 1 prints, repeated
+    # indices included
+    serialize.write("twist.json", {"base_preset": "sigma-rot:2", "layers": 1,
+                                   "kind": "rotation", "handles": 1})
+    for preset in ("t3", "product:2,1", "mapping-torus"):
+        main(["complex", "build", "--preset", preset, "--twist", "twist.json", "--out", "K.json"])
+        main(["homology", "basis", "K.json", "--dim", "1", "--out", "basis.json"])
+        K = serialize.complex_from_json(serialize.read("K.json"))
+        basis = [Cochain(1, vec_from_support(c)) for c in serialize.read("basis.json")["cocycles"]]
+        for t in itertools.product(range(len(basis)), repeat=3):
+            assert main(["cup", "triple", "K.json", "--cocycles", ",".join(map(str, t)),
+                         "--format", "json"]) == 0
+            want = triple_cup_integral(K, *(basis[x] for x in t))
+            assert json.loads(capsys.readouterr().out) == {"cocycles": list(t), "integral": want}
+    main(["complex", "build", "--preset", "sigma:2", "--out", "s.json"])
+    step = ["cup", "triple", "s.json", "--cocycles", "0,1,0"]
+    serialize.write("one.manifest.json", {"steps": [step]})
+    assert run_manifest("one.manifest.json") == (
+        1, [f"step 0 failed (ValueError: triple cup integral needs a 3-complex): {' '.join(step)}"])
 
 
 def test_snf_cli(workdir, capsys):
@@ -498,6 +521,18 @@ USAGE_ERRORS = [
      "argument --plus: 'a' is not 'all' or comma-separated ints"),
     (["gate", "simulate", "ccz.json", "c.json", "--fixed", "12"], "argument --fixed: '12' is not a binary string"),
     (["mcg", "twist", "--curve", "1,x"], "argument --curve: '1,x' is not a:i, b:i, f:i or comma-separated ints"),
+    # an int is plain digits after an optional '-': each of these used to run,
+    # since int() takes base prefixes, underscores and spaces
+    (["gate", "simulate", "ccz.json", "c.json", "--fixed", "0b101"],
+     "argument --fixed: '0b101' is not a binary string"),
+    (["gate", "simulate", "ccz.json", "c.json", "--fixed", "1_01"],
+     "argument --fixed: '1_01' is not a binary string"),
+    (["gate", "simulate", "ccz.json", "c.json", "--plus", " 0, 1,2"],
+     "argument --plus: ' 0, 1,2' is not 'all' or comma-separated ints"),
+    (["homology", "betti", "t3.json", "--dim", " 1"], "argument --dim: ' 1' is not an int"),
+    (["mcg", "twist", "--genus", "1_0", "--curve", "a:1"], "argument --genus: '1_0' is not an int"),
+    (["cup", "triple", "t3.json", "--cocycles", "0, 1,0_2"],
+     "argument --cocycles: '0, 1,0_2' is not 3 comma-separated ints"),
 ]
 
 

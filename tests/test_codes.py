@@ -22,13 +22,12 @@ from tricode.complexes import (
     barycentric_subdivide,
     build_sigma_g,
     build_sigma_g_rotsym,
-    build_torus3,
     mapping_torus,
     product_with_circle,
     rotation_automorphism,
 )
 from tricode.gates import ccz_circuit, check_logical_gate, extract_logical_action
-from tricode.gf2 import BitMatrix, dot, extend_basis, popcount, vec_from_support
+from tricode.gf2 import BitMatrix, dot, extend_basis, vec_from_support
 from tricode.hypergraph import base_hypergraph, form_from_cup, lift_full, magic_state_complexity
 
 from conftest import chain_spaces, check_logicals, tetrahedron_boundary
@@ -45,7 +44,7 @@ def brute_force_min_logical(code: CssCode, sector: str) -> int | None:
             continue
         if not any(dot(v, p) for p in pair):
             continue
-        w = popcount(v)
+        w = v.bit_count()
         if best is None or w < best:
             best = w
     return best
@@ -177,7 +176,7 @@ def test_color_stabilizer_weights_bounded(t3):
     for s in range(sd.n_cells(D)):
         for i in range(D + 1):
             incid[sd.iterated_face(D, s, (i,))[1]] += 1
-    assert max(popcount(r) for r in code.hx.rows) <= max(incid)
+    assert max(r.bit_count() for r in code.hx.rows) <= max(incid)
 
 
 def test_distance_t3_exact(t3):
@@ -186,7 +185,7 @@ def test_distance_t3_exact(t3):
     assert res.exact
     assert res.dz == 1 == brute_force_min_logical(code, "z")
     assert res.dx == brute_force_min_logical(code, "x")
-    assert popcount(res.certificate_z) == res.dz
+    assert res.certificate_z.bit_count() == res.dz
     assert code.hx.matvec(res.certificate_z) == 0
 
 
@@ -256,7 +255,7 @@ def test_systole_bfs_upper_bound(t3):
     sub = barycentric_subdivide(t3)
     w2, cert2 = systole_bfs(sub.complex)
     assert w2 == 2
-    assert popcount(cert2) == 2
+    assert cert2.bit_count() == 2
     # certificate is a homologically nontrivial cycle
     assert homology.boundary_matrix(sub.complex, 1).matvec(cert2) == 0
 
@@ -303,7 +302,7 @@ def test_systole_matches_class_tracked_reference(t3):
         length, cert = systole_bfs(K)
         assert length == class_tracked_systole(K), K.counts
         # the certificate is a cycle of that weight outside the boundaries
-        assert popcount(cert) == length
+        assert cert.bit_count() == length
         assert homology.boundary_matrix(K, 1).matvec(cert) == 0
         _, boundaries, _, _ = chain_spaces(K, 1)
         assert extend_basis(boundaries, [cert])
@@ -385,7 +384,7 @@ def test_graph_route_equals_enumeration_on_random_graph_like_codes(monkeypatch):
         assert distance(code, budget=None, sector="z").dz == want
         if want is not None:
             cert = res.certificate_z
-            assert popcount(cert) == want
+            assert cert.bit_count() == want
             assert not any(dot(cert, r) for r in rows)
             assert any(dot(cert, p) for p in pairs)
     assert len(calls) == 2 * trials
@@ -417,7 +416,7 @@ def test_distance_exact_on_t3_covers(t3):
         res = distance(code, sector="z")
         assert (res.dz, res.exact) == (L, True)
         cert = res.certificate_z
-        assert popcount(cert) == L and code.hx.matvec(cert) == 0
+        assert cert.bit_count() == L and code.hx.matvec(cert) == 0
         assert any(dot(cert, lx) for lx in code.logical_x)
 
 
@@ -427,7 +426,7 @@ def test_surface_toric_code_distances_are_exact(sigma2):
     for budget in (1 << 26, None):  # None: the check graph only
         res = distance(code, budget)
         assert (res.dx, res.dz, res.exact) == (2, 1, True)
-        assert popcount(res.certificate_x) == 2 and code.hz.matvec(res.certificate_x) == 0
+        assert res.certificate_x.bit_count() == 2 and code.hz.matvec(res.certificate_x) == 0
         assert any(dot(res.certificate_x, lz) for lz in code.logical_z)
 
 

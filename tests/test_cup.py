@@ -1,23 +1,18 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tricode import homology
-from tricode.complexes import build_sigma_g, build_torus3, product_with_circle
-from tricode.cup import (
-    Cochain,
-    cup,
-    integrate,
-    named_dual_cocycles,
-    spine_edges,
-    surface_intersection_form,
-    triple_cup_integral,
-)
-from tricode.gf2 import dot, vec_from_support
+from tricode.complexes import (DeltaComplex, build_sigma_g, build_sigma_g_rotsym, build_torus3,
+                               product_with_circle)
+from tricode.cup import cup_integrals, spine_edges, surface_intersection_form
+from tricode.gf2 import vec_from_support
 
-from conftest import coboundary, leibniz_defect, path_graph, single_triangle
+from conftest import (Cochain, coboundary, cup, integrate, leibniz_defect, named_dual_cocycles,
+                      path_graph, single_triangle, tetrahedron_boundary, triple_cup_integral)
 
 
 def test_coboundary_vertex_on_path():
@@ -195,3 +190,67 @@ def test_class_invariance_on_cohomology_classes(t3):
             shifted = list(args)
             shifted[slot] = Cochain(1, args[slot].values ^ coboundary(t3, lam).values)
             assert triple_cup_integral(t3, *shifted) == base
+
+
+# -- the one kernel against the nested and per-triple references ----------------
+
+
+def _random_cochains(K, rng, m):
+    """m random 1-cochains of K, sparse enough that products often vanish."""
+    return [rng.getrandbits(K.n_cells(1)) & rng.getrandbits(K.n_cells(1)) for _ in range(m)]
+
+
+def test_cup_integrals_match_triple_reference_on_every_ordered_triple():
+    # on arbitrary 1-cochains, not only cocycles, with repeats: the triples
+    # of one call, and each ordered triple alone as slots (0, 1, 2)
+    from test_hypergraph import cup_ladder
+
+    rng = random.Random(31)
+    for K in cup_ladder():
+        cs = _random_cochains(K, rng, 4)
+        ref = {t: triple_cup_integral(K, *(Cochain(1, cs[x]) for x in t))
+               for t in itertools.product(range(4), repeat=3)}
+        assert cup_integrals(K, cs) == [t for t in itertools.combinations_with_replacement(range(4), 3)
+                                        if ref[t]], K.counts
+        for t, want in ref.items():
+            assert ((0, 1, 2) in cup_integrals(K, [cs[x] for x in t])) == bool(want), (K.counts, t)
+        assert cup_integrals(K, []) == []
+
+
+def test_cup_integrals_match_nested_reference_on_surfaces():
+    # the full matrix, with no symmetry assumed: random cochains give
+    # asymmetric ones; on the canonical basis it is the intersection form
+    def nested(S, cs):
+        return [[integrate(S, cup(S, Cochain(1, a), Cochain(1, b))) for b in cs] for a in cs]
+
+    rng = random.Random(32)
+    surfaces = [build(g) for g in (1, 2, 3, 4) for build in (build_sigma_g, build_sigma_g_rotsym)]
+    for S in surfaces + [tetrahedron_boundary()]:
+        basis = homology.canonical_basis(S, 1)[1]
+        for cs in (_random_cochains(S, rng, 5), basis):
+            got = cup_integrals(S, cs)
+            assert [[(r >> j) & 1 for j in range(len(cs))] for r in got] == nested(S, cs), S.counts
+        assert surface_intersection_form(S) == nested(S, basis), S.counts
+    assert surface_intersection_form(tetrahedron_boundary()) == []
+
+
+def pinched_sphere() -> DeltaComplex:
+    """The tetrahedron boundary with vertices 0 and 1 identified: a closed
+    2-complex with b_1 = 1, whose one class squares to 0."""
+    S, merge = tetrahedron_boundary(), (0, 0, 1, 2)
+    return DeltaComplex([[()] * 3, [tuple(merge[v] for v in fs) for fs in S.face[1]], S.face[2]])
+
+
+@pytest.mark.parametrize("K, why", [
+    (build_torus3(), "intersection form needs a 2-complex"),
+    (single_triangle(), "intersection form needs a closed surface"),
+    (pinched_sphere(), "degenerate intersection form (non-closed or non-surface input)"),
+], ids=["3-complex", "open", "degenerate"])
+def test_surface_form_refusals(K, why):
+    with pytest.raises(ValueError, match=re.escape(why)):
+        surface_intersection_form(K)
+
+
+def test_cup_integrals_need_a_surface_or_a_3_complex():
+    with pytest.raises(ValueError, match="need a 2- or 3-complex"):
+        cup_integrals(path_graph(3), [1])

@@ -7,18 +7,15 @@ import pytest
 from tricode import homology
 from tricode.codes import CssCode, color_code, toric_code
 from tricode.complexes import (
-    barycentric_subdivide,
     build_point,
     build_sigma_g,
     build_sigma_g_rotsym,
-    build_torus3,
     mapping_torus,
     product_with_circle,
     rotation_automorphism,
 )
 from tricode.gates import (
     DiagonalCircuit,
-    GateCheck,
     LogicalAction,
     PhasePolynomial,
     ccz_circuit,
@@ -33,7 +30,8 @@ from tricode.gates import (
 )
 from tricode.gf2 import BitMatrix, support, vec_from_support
 
-from conftest import chain_spaces, check_logicals, degree, minus, shifted, unchecked_membrane_circuit
+from conftest import (Cochain, chain_spaces, check_logicals, degree, minus, named_dual_cocycles, shifted,
+                      triple_cup_integral, unchecked_membrane_circuit)
 from test_local_check import exact_coset_verdict, logical_phase
 
 
@@ -223,8 +221,6 @@ def test_t3_logical_action_six_permutations(t3):
 
 def test_action_coefficients_equal_triple_cup(t2xs1_2layers):
     # the central theorem: extracted CCZ coefficients = triple cup integrals
-    from tricode.cup import named_dual_cocycles, triple_cup_integral
-
     K = t2xs1_2layers
     code = toric_code(K, 3)
     act = extract_logical_action(ccz_circuit(K), code)
@@ -511,7 +507,6 @@ def test_cz_route_matches_triple_cup_route(s2xs1):
     # the membrane circuit's logical CZ coefficients equal the integrals
     # of (beta cup gamma cup membrane-dual) over the whole 3-complex
     from tricode import homology
-    from tricode.cup import Cochain, named_dual_cocycles, triple_cup_integral
 
     K = s2xs1
     code = toric_code(K, 3)
@@ -537,8 +532,6 @@ def test_cz_route_matches_triple_cup_route(s2xs1):
 def test_logical_x_conjugation_gives_membrane_cz(t3):
     # conjugating the CCZ circuit by a copy-1 logical X (cocycle alpha)
     # leaves exactly the CZ layer of the alpha-restricted cup product
-    from tricode.cup import named_dual_cocycles
-
     code = toric_code(t3, 3)
     circ = ccz_circuit(t3)
     alpha = named_dual_cocycles(t3)["a"].values

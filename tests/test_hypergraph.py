@@ -9,7 +9,6 @@ from tricode import homology
 from tricode.complexes import (barycentric_subdivide, build_sigma_g, build_sigma_g_rotsym,
                                build_torus3, mapping_torus, product_with_circle,
                                rotation_automorphism)
-from tricode.cup import Cochain, triple_cup_integral
 from tricode.hypergraph import (
     Hypergraph,
     base_hypergraph,
@@ -22,6 +21,8 @@ from tricode.hypergraph import (
 )
 from tricode.mcg import TripleForm, torelli_triple_form
 from tricode.snf import identity
+
+from conftest import Cochain, triple_cup_integral
 
 
 def test_t3_base_hypergraph(t3):
@@ -241,13 +242,18 @@ def test_toric_code_and_triple_form_name_classes_alike(t3):
     from tricode import serialize
     from tricode.codes import toric_code
 
-    corpus = cup_ladder() + ambiguous_t3s(t3)
-    for K in corpus + [serialize.complex_from_json(json.loads(serialize.dumps(
-            serialize.complex_to_json(K)))) for K in corpus]:
-        form = form_from_cup(K)
-        assert [lab for lab, _ in toric_code(K, 1).logical_labels()] == form.labels, K.counts
+    def files(K):
+        code, form = toric_code(K, 1), form_from_cup(K)
+        assert [lab for lab, _ in code.logical_labels()] == form.labels, K.counts
         full = lift_full(base_hypergraph(form))
         assert len(set(full.vertices)) == 3 * len(form.labels)  # 9 on each T^3
+        return serialize.code_to_json(code), serialize.form_to_json(form)
+
+    # a complex and its file round trip compare equal, and order their named
+    # classes alike: the file sorts the cycles by name, and so does the basis
+    for K in cup_ladder() + ambiguous_t3s(t3):
+        back = serialize.complex_from_json(json.loads(serialize.dumps(serialize.complex_to_json(K))))
+        assert back == K and files(back) == files(K), K.counts
 
 
 def ref_form_from_cup(K) -> TripleForm:

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from tricode import complexes, gates, homology
+from tricode import complexes, gates
 from tricode.codes import CssCode, color_code, systole_bfs, toric_code
 from tricode.gates import (
     GATE_COEFF,

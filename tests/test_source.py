@@ -89,3 +89,25 @@ def test_every_public_definition_is_referenced():
     dead = [f"{path.name}:{node.lineno} {node.name}" for path, node, refs in defs
             if all(everywhere[ref] == collections.Counter(_references(node))[ref] for ref in refs)]
     assert dead == []
+
+
+def test_every_module_level_import_is_used():
+    # a name that a module imports at its top level and never reads is dead
+    # weight, and it hides which modules really depend on which (imports
+    # from __future__ are directives, not names)
+    root = SRC.parent.parent
+    paths = [path for folder in ("src", "tests", "scripts")
+             for path in sorted((root / folder).rglob("*.py"))]
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {tok.id for tok in ast.walk(tree) if isinstance(tok, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.relative_to(root)}:{node.lineno} {name}" for name in
+                           ((a.asname or a.name).split(".")[0] for a in node.names)
+                           if name not in read]
+    assert len(paths) > 30
+    assert unused == []
